@@ -151,7 +151,9 @@ void ThreadCluster::register_transport_metrics(std::size_t node_count) {
   }
   // Mailbox depth per node. Safe as a snapshot-time callback: the mailbox
   // mutex is a leaf — nothing acquired under it — so registry -> mailbox
-  // cannot complete a cycle (unlike shard mutexes; see Shard).
+  // cannot complete a cycle (unlike shard mutexes; see Shard). Over TCP the
+  // depth is an atomic read that never takes the receive lock, which a
+  // waiting receiver holds.
   for (std::size_t i = 0; i < node_count; ++i) {
     const NodeId node{static_cast<std::uint32_t>(i)};
     metrics_->register_gauge_fn(

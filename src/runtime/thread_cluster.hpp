@@ -251,8 +251,10 @@ class ThreadCluster {
   /// fault/retry counters, per-node mailbox depths) into metrics_.
   void register_transport_metrics(std::size_t node_count);
   /// Applies effects under the owning shard's mutex (sends after unlocking
-  /// would also be correct; sends never block so holding it is safe and
-  /// simpler).
+  /// would also be correct). A TCP send may wait for socket room, but while
+  /// it waits it drains its own node's sockets, so the peer it waits on
+  /// always makes progress and holding the shard mutex cannot deadlock
+  /// (docs/transports.md §3).
   void apply(NodeRuntime& rt, Shard& shard, LockId lock, Effects&& effects)
       HLOCK_REQUIRES(shard.mutex) HLOCK_EXCLUDES(event_mutex_);
   /// Wall-clock time since cluster start as a SimTime (the recovery

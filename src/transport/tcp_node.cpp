@@ -3,78 +3,41 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
-
+#include "proto/codec.hpp"
 #include "transport/tcp_socket.hpp"
 #include "util/check.hpp"
-#include "util/log.hpp"
 
 namespace hlock::transport {
 
-TcpNode::TcpNode(proto::NodeId self, std::vector<TcpPeer> peers)
-    : self_(self) {
+namespace {
+
+/// `listen_fd`, once `self` is known to be a real node; closes it
+/// otherwise, since the caller handed over ownership.
+int adopt_listener(proto::NodeId self, int listen_fd) {
+  HLOCK_REQUIRE(listen_fd >= 0, "invalid adopted listener");
+  if (self.is_none()) ::close(listen_fd);
   HLOCK_REQUIRE(!self.is_none(), "a TcpNode needs a real node id");
-  listen_fd_ = listen_loopback(0);
-  port_ = local_port(listen_fd_);
-  for (const TcpPeer& peer : peers) add_peer(peer);
-  start();
+  return listen_fd;
 }
+
+}  // namespace
+
+TcpNode::TcpNode(proto::NodeId self, std::vector<TcpPeer> peers)
+    : TcpNode(self, listen_loopback(0), std::move(peers)) {}
 
 TcpNode::TcpNode(proto::NodeId self, int adopted_listen_fd,
                  std::vector<TcpPeer> peers)
-    : self_(self) {
-  HLOCK_REQUIRE(!self.is_none(), "a TcpNode needs a real node id");
-  HLOCK_REQUIRE(adopted_listen_fd >= 0, "invalid adopted listener");
-  listen_fd_ = adopted_listen_fd;
-  port_ = local_port(listen_fd_);
+    : self_(self), endpoint_(self, adopt_listener(self, adopted_listen_fd)) {
   for (const TcpPeer& peer : peers) add_peer(peer);
-  start();
 }
 
-void TcpNode::start() {
-  acceptor_ = std::thread([this] { acceptor_loop(); });
-}
-
-TcpNode::~TcpNode() {
-  shutdown();
-  if (acceptor_.joinable()) acceptor_.join();
-  MutexLock guard(readers_mutex_);
-  for (std::thread& reader : readers_) {
-    if (reader.joinable()) reader.join();
-  }
-}
+TcpNode::~TcpNode() { shutdown(); }
 
 void TcpNode::add_peer(const TcpPeer& peer) {
   HLOCK_REQUIRE(!peer.node.is_none() && peer.node != self_,
                 "peer must be another real node");
   MutexLock guard(peers_mutex_);
   peer_ports_[peer.node.value()] = peer.port;
-}
-
-void TcpNode::acceptor_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    MutexLock guard(readers_mutex_);
-    accepted_fds_.push_back(fd);
-    readers_.emplace_back([this, fd] { reader_loop(fd); });
-  }
-}
-
-void TcpNode::reader_loop(int fd) {
-  while (auto message = read_frame(fd)) {
-    if (message->to != self_) {
-      HLOCK_LOG(kWarn, "tcp-node " << to_string(self_)
-                                   << ": dropping misrouted frame to "
-                                   << to_string(message->to));
-      break;
-    }
-    inbox_.push(std::move(*message), Mailbox::Clock::now());
-  }
-  ::close(fd);
 }
 
 void TcpNode::send(const proto::Message& message) {
@@ -95,9 +58,12 @@ void TcpNode::send(const proto::Message& message) {
     channel = slot.get();
   }
 
+  thread_local std::vector<std::byte> frame;
+  begin_frame(frame);
+  proto::encode_into(message, frame);
   MutexLock guard(channel->send_mutex);
   if (channel->fd < 0) channel->fd = connect_loopback(port);
-  if (!write_frame(channel->fd, message)) {
+  if (!finish_frame(frame) || !endpoint_.send_frame(channel->fd, frame)) {
     ::close(channel->fd);
     channel->fd = -1;
     if (!stopping_.load()) {
@@ -109,27 +75,23 @@ void TcpNode::send(const proto::Message& message) {
   sent_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::optional<proto::Message> TcpNode::recv(proto::NodeId node) {
+TcpEndpoint& TcpNode::own_endpoint(proto::NodeId node) {
   HLOCK_REQUIRE(node == self_, "a TcpNode only receives for its own node");
-  return inbox_.pop();
+  return endpoint_;
+}
+
+std::optional<proto::Message> TcpNode::recv(proto::NodeId node) {
+  return own_endpoint(node).recv_until(TcpEndpoint::Clock::time_point::max());
 }
 
 std::optional<proto::Message> TcpNode::recv_for(
     proto::NodeId node, std::chrono::milliseconds timeout) {
-  HLOCK_REQUIRE(node == self_, "a TcpNode only receives for its own node");
-  return inbox_.pop_until(Mailbox::Clock::now() + timeout);
+  return own_endpoint(node).recv_until(TcpEndpoint::Clock::now() + timeout);
 }
 
 void TcpNode::shutdown() {
   if (stopping_.exchange(true)) return;
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  ::close(listen_fd_);
-  inbox_.close();
-  {
-    // Unblock readers parked on connections whose remote end is still up.
-    MutexLock guard(readers_mutex_);
-    for (int fd : accepted_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
+  endpoint_.shutdown();
   MutexLock guard(peers_mutex_);
   for (auto& [node, channel] : channels_) {
     MutexLock send_guard(channel->send_mutex);

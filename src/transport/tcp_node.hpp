@@ -8,19 +8,18 @@
 // (tests/transport/multiprocess_test.cpp) runs the full protocol this way
 // and verifies mutual exclusion through a shared-memory counter.
 //
-// Framing and FIFO guarantees are identical to TcpTransport (see
-// tcp_socket.hpp): one persistent connection per ordered channel, TCP
-// in-order delivery.
+// Framing, FIFO guarantees and the receive path are identical to
+// TcpTransport: one persistent connection per ordered channel, TCP
+// in-order delivery, and a TcpEndpoint read by the thread that receives.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <thread>
 #include <vector>
 
-#include "transport/mailbox.hpp"
+#include "transport/tcp_endpoint.hpp"
 #include "transport/transport.hpp"
 #include "util/sync.hpp"
 
@@ -35,10 +34,10 @@ struct TcpPeer {
 /// See file comment.
 class TcpNode final : public Transport {
  public:
-  /// Binds a fresh loopback listener for `self` (ephemeral port) and
-  /// starts the acceptor. `peers` lists every OTHER node's port; peers may
-  /// also be added later via add_peer() (ports are often only known after
-  /// all processes bound their listeners).
+  /// Binds a fresh loopback listener for `self` (ephemeral port).
+  /// `peers` lists every OTHER node's port; peers may also be added later
+  /// via add_peer() (ports are often only known after all processes bound
+  /// their listeners).
   TcpNode(proto::NodeId self, std::vector<TcpPeer> peers = {});
 
   /// Adopts an already-bound listening socket (ownership transfers).
@@ -54,11 +53,12 @@ class TcpNode final : public Transport {
   void add_peer(const TcpPeer& peer);
 
   /// The port this node's listener is bound to.
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return endpoint_.port(); }
   proto::NodeId self() const { return self_; }
 
   // Transport interface. send() requires message.from == self() and a
-  // registered peer; recv() only serves this node.
+  // registered peer; the receive calls only serve this node, from one
+  // thread at a time.
   void send(const proto::Message& message) override;
   std::optional<proto::Message> recv(proto::NodeId node) override;
   std::optional<proto::Message> recv_for(
@@ -67,21 +67,10 @@ class TcpNode final : public Transport {
   std::uint64_t messages_sent() const override { return sent_.load(); }
 
  private:
-  void start();
-  void acceptor_loop();
-  void reader_loop(int fd);
+  TcpEndpoint& own_endpoint(proto::NodeId node);
 
-  /// listen_fd_ and port_ are set in the constructor and immutable after.
   const proto::NodeId self_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  Mailbox inbox_;
-  std::thread acceptor_;
-  std::vector<std::thread> readers_ HLOCK_GUARDED_BY(readers_mutex_);
-  /// Accepted connection fds, so shutdown() can unblock their readers
-  /// even while the remote ends stay open.
-  std::vector<int> accepted_fds_ HLOCK_GUARDED_BY(readers_mutex_);
-  Mutex readers_mutex_;
+  TcpEndpoint endpoint_;
 
   Mutex peers_mutex_;
   std::map<std::uint32_t, std::uint16_t> peer_ports_
@@ -91,6 +80,8 @@ class TcpNode final : public Transport {
     Mutex send_mutex;
     int fd HLOCK_GUARDED_BY(send_mutex) = -1;
   };
+  /// Channel records are never erased, so a pointer taken under the lock
+  /// stays valid after it.
   std::map<std::uint32_t, std::unique_ptr<Channel>> channels_
       HLOCK_GUARDED_BY(peers_mutex_);
   std::atomic<std::uint64_t> sent_{0};

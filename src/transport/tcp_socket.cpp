@@ -15,50 +15,6 @@
 
 namespace hlock::transport {
 
-namespace {
-
-bool write_all(int fd, const std::byte* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool read_all(int fd, std::byte* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::recv(fd, data, size, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Reads one raw frame body into `body` (reused across calls); false on
-/// clean close, error, or an oversized/empty frame.
-bool read_frame_body(int fd, std::vector<std::byte>& body) {
-  std::byte header[4];
-  if (!read_all(fd, header, sizeof header)) return false;
-  std::uint32_t size = 0;
-  for (int i = 0; i < 4; ++i) {
-    size |= static_cast<std::uint32_t>(header[i]) << (8 * i);
-  }
-  if (size == 0 || size > kMaxFrameBytes) return false;
-  body.resize(size);
-  return read_all(fd, body.data(), size);
-}
-
-}  // namespace
-
 int listen_loopback(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   HLOCK_REQUIRE(fd >= 0, "socket() failed");
@@ -102,37 +58,44 @@ int connect_loopback(std::uint16_t port) {
   return fd;
 }
 
-bool write_frame_body(int fd, const std::vector<std::byte>& body) {
-  if (body.empty() || body.size() > kMaxFrameBytes) return false;
-  std::byte header[4];
-  for (int i = 0; i < 4; ++i) {
-    header[i] =
-        static_cast<std::byte>((body.size() >> (8 * i)) & 0xFF);
+void begin_frame(std::vector<std::byte>& out) {
+  out.assign(kFramePrefixBytes, std::byte{0});
+}
+
+bool finish_frame(std::vector<std::byte>& out) {
+  const std::size_t body = out.size() - kFramePrefixBytes;
+  if (body == 0 || body > kMaxFrameBytes) return false;
+  for (std::size_t i = 0; i < kFramePrefixBytes; ++i) {
+    out[i] = static_cast<std::byte>((body >> (8 * i)) & 0xFF);
   }
-  return write_all(fd, header, sizeof header) &&
-         write_all(fd, body.data(), body.size());
+  return true;
+}
+
+std::uint32_t frame_body_size(const std::byte* prefix) {
+  std::uint32_t size = 0;
+  for (std::size_t i = 0; i < kFramePrefixBytes; ++i) {
+    size |= static_cast<std::uint32_t>(prefix[i]) << (8 * i);
+  }
+  return size;
 }
 
 bool write_frame(int fd, const proto::Message& message) {
-  const std::vector<std::byte> body = proto::encode(message);
-  return write_frame_body(fd, body);
-}
-
-std::optional<proto::Message> read_frame(int fd) {
-  std::vector<std::byte> body;
-  if (!read_frame_body(fd, body)) return std::nullopt;
-  return proto::decode(body);
-}
-
-std::optional<std::vector<proto::Message>> read_frame_messages(int fd) {
-  thread_local std::vector<std::byte> body;
-  if (!read_frame_body(fd, body)) return std::nullopt;
-  if (proto::is_batch_frame(body)) return proto::decode_batch(body);
-  std::optional<proto::Message> single = proto::decode(body);
-  if (!single) return std::nullopt;
-  std::vector<proto::Message> out;
-  out.push_back(std::move(*single));
-  return out;
+  std::vector<std::byte> frame;
+  begin_frame(frame);
+  proto::encode_into(message, frame);
+  if (!finish_frame(frame)) return false;
+  const std::byte* data = frame.data();
+  std::size_t size = frame.size();
+  while (size > 0) {
+    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      return false;
+    }
+    data += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
 }
 
 }  // namespace hlock::transport

@@ -5,11 +5,12 @@
 // codec encoding of one Message or a batch envelope (proto::kBatchMarker)
 // carrying several same-channel messages — the receiver distinguishes the
 // two by the body's first byte. Frames above a sanity cap are treated as
-// corruption.
+// corruption. A frame is built in one buffer (begin_frame, encode, then
+// finish_frame) so it goes out in a single send(); tcp_endpoint.hpp reads
+// the stream back.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "proto/message.hpp"
@@ -19,6 +20,9 @@ namespace hlock::transport {
 /// Largest accepted frame; the biggest legal message (a token with a full
 /// queue) is far below this, and so is a full batch of them.
 inline constexpr std::uint32_t kMaxFrameBytes = 1 << 20;
+
+/// Bytes of the length prefix in front of every frame body.
+inline constexpr std::size_t kFramePrefixBytes = 4;
 
 /// Binds and listens on 127.0.0.1:`port` (0 = ephemeral). Returns the fd.
 /// Throws UsageError on failure.
@@ -31,22 +35,20 @@ std::uint16_t local_port(int fd);
 /// Throws UsageError on failure.
 int connect_loopback(std::uint16_t port);
 
-/// Writes one framed message; false on error or peer close.
+/// Starts a frame in `out`: clears it and appends a placeholder length
+/// prefix. Encode the body after it, then call finish_frame().
+void begin_frame(std::vector<std::byte>& out);
+
+/// Backpatches the length prefix of the frame begun in `out`; false when
+/// the body is empty or above kMaxFrameBytes.
+bool finish_frame(std::vector<std::byte>& out);
+
+/// The body length a frame's 4-byte prefix declares.
+std::uint32_t frame_body_size(const std::byte* prefix);
+
+/// Writes one framed message with a blocking send; false on error or peer
+/// close. For hand-rolled peers (tests, tools); the transports write
+/// through TcpEndpoint::send_frame.
 bool write_frame(int fd, const proto::Message& message);
-
-/// Writes one length-prefixed frame around a pre-encoded body (a single
-/// message or a batch envelope); false on error, peer close, or a body
-/// above kMaxFrameBytes.
-bool write_frame_body(int fd, const std::vector<std::byte>& body);
-
-/// Reads one framed message; nullopt on clean close, error, oversized or
-/// undecodable frame. Rejects batch frames — use read_frame_messages on
-/// connections that may carry them.
-std::optional<proto::Message> read_frame(int fd);
-
-/// Reads one frame and decodes every message it carries (one for a single
-/// frame, several for a batch envelope), preserving order. nullopt on clean
-/// close, error, oversized or undecodable frame.
-std::optional<std::vector<proto::Message>> read_frame_messages(int fd);
 
 }  // namespace hlock::transport

@@ -1,12 +1,9 @@
 #include "transport/tcp_transport.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <span>
 #include <thread>
 
@@ -14,116 +11,43 @@
 #include "transport/tcp_socket.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
+#include "util/sync_observer.hpp"
 
 namespace hlock::transport {
 
 TcpTransport::TcpTransport(std::size_t node_count, TcpOptions options)
-    : options_(options) {
+    : options_(options), channels_(node_count * node_count) {
   HLOCK_REQUIRE(node_count >= 1, "a transport needs at least one node");
   HLOCK_REQUIRE(options_.max_send_attempts >= 1,
                 "a send needs at least one attempt");
   nodes_.reserve(node_count);
   for (std::size_t i = 0; i < node_count; ++i) {
-    auto endpoint = std::make_unique<NodeEndpoint>();
-    endpoint->listen_fd = listen_loopback(0);
-    endpoint->port = local_port(endpoint->listen_fd);
-    nodes_.push_back(std::move(endpoint));
-  }
-  for (std::size_t i = 0; i < node_count; ++i) {
-    nodes_[i]->acceptor =
-        sched::Thread("tcp-acceptor", [this, i] { acceptor_loop(i); });
+    nodes_.push_back(std::make_unique<TcpEndpoint>(
+        proto::NodeId{static_cast<std::uint32_t>(i)}, listen_loopback(0),
+        &counters_));
   }
 }
 
-TcpTransport::~TcpTransport() {
-  shutdown();
-  for (auto& endpoint : nodes_) {
-    if (endpoint->acceptor.joinable()) endpoint->acceptor.join();
-  }
-  MutexLock guard(readers_mutex_);
-  for (sched::Thread& reader : readers_) {
-    if (reader.joinable()) reader.join();
-  }
-}
+TcpTransport::~TcpTransport() { shutdown(); }
 
 std::uint16_t TcpTransport::port_of(proto::NodeId node) const {
   HLOCK_REQUIRE(node.value() < nodes_.size(), "unknown node id");
-  return nodes_[node.value()]->port;
-}
-
-void TcpTransport::acceptor_loop(std::size_t node) {
-  for (;;) {
-    int fd = -1;
-    {
-      // accept() blocks outside the sync layer; bracketed so it cannot
-      // stall an explored schedule (docs/sched.md).
-      sched::BlockingRegion region;
-      fd = ::accept(nodes_[node]->listen_fd, nullptr, nullptr);
-    }
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener closed during shutdown
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    MutexLock guard(readers_mutex_);
-    readers_.emplace_back(
-        sched::Thread("tcp-reader", [this, node, fd] { reader_loop(node, fd); }));
-  }
-}
-
-void TcpTransport::reader_loop(std::size_t node, int fd) {
-  for (;;) {
-    std::optional<std::vector<proto::Message>> messages;
-    {
-      // The frame read blocks on the socket, outside the sync layer.
-      sched::BlockingRegion region;
-      messages = read_frame_messages(fd);
-    }
-    if (!messages) break;
-    // A batch frame unpacks in emission order; pushing its messages under
-    // one mailbox lock preserves exactly the order a per-message sender
-    // would have produced.
-    std::vector<proto::Message> deliverable;
-    deliverable.reserve(messages->size());
-    for (proto::Message& message : *messages) {
-      if (message.to.value() != node) {
-        // A misaddressed frame is the sender's bug, not this connection's:
-        // discard the one message and keep the channel alive — dropping the
-        // connection would silently sever every later message on it.
-        counters_.misaddressed_frames.fetch_add(1,
-                                                std::memory_order_relaxed);
-        HLOCK_LOG(kWarn, "tcp: frame addressed to "
-                             << to_string(message.to)
-                             << " arrived at node " << node
-                             << "; frame discarded");
-        continue;
-      }
-      deliverable.push_back(std::move(message));
-    }
-    nodes_[node]->inbox.push_all(std::move(deliverable),
-                                 Mailbox::Clock::now());
-  }
-  ::close(fd);
-}
-
-int TcpTransport::channel_fd(std::uint32_t /*from*/, std::uint32_t to) {
-  // Caller holds the channel's send mutex; this only creates the socket.
-  return connect_loopback(nodes_[to]->port);
-}
-
-TcpTransport::Channel& TcpTransport::channel_of(proto::NodeId from,
-                                                proto::NodeId to) {
-  MutexLock guard(channels_mutex_);
-  auto& slot = channels_[{from.value(), to.value()}];
-  if (!slot) slot = std::make_unique<Channel>();
-  return *slot;
+  return nodes_[node.value()]->port();
 }
 
 bool TcpTransport::send_frame(proto::NodeId from, proto::NodeId to,
-                              const std::vector<std::byte>& body,
+                              std::vector<std::byte>& frame,
                               std::uint64_t message_count) {
+  if (!finish_frame(frame)) {
+    counters_.send_failures.fetch_add(1, std::memory_order_relaxed);
+    HLOCK_LOG(kError, "tcp: a " << frame.size() << "-byte frame to node "
+                                << to.value()
+                                << " exceeds the frame cap; dropped");
+    return false;
+  }
   Channel& channel = channel_of(from, to);
+  // A write that would block drains the sender's own sockets meanwhile.
+  TcpEndpoint& own = *nodes_[from.value()];
 
   // Retry with exponential backoff, reconnecting on the way: a transient
   // write failure (peer reset, severed channel) must never escape as an
@@ -145,7 +69,7 @@ bool TcpTransport::send_frame(proto::NodeId from, proto::NodeId to,
     if (channel.fd < 0) {
       try {
         sched::BlockingRegion region;
-        channel.fd = channel_fd(from.value(), to.value());
+        channel.fd = connect_loopback(nodes_[to.value()]->port());
         if (attempt > 0) {
           counters_.reconnects.fetch_add(1, std::memory_order_relaxed);
         }
@@ -153,14 +77,9 @@ bool TcpTransport::send_frame(proto::NodeId from, proto::NodeId to,
         continue;  // destination not accepting right now; back off, retry
       }
     }
-    bool wrote = false;
-    {
-      sched::BlockingRegion region;
-      wrote = write_frame_body(channel.fd, body);
-    }
-    if (wrote) {
+    if (own.send_frame(channel.fd, frame)) {
       sent_.fetch_add(message_count, std::memory_order_relaxed);
-      bytes_.fetch_add(body.size() + 4, std::memory_order_relaxed);
+      bytes_.fetch_add(frame.size(), std::memory_order_relaxed);
       return true;
     }
     ::close(channel.fd);
@@ -173,14 +92,19 @@ bool TcpTransport::send_frame(proto::NodeId from, proto::NodeId to,
   return false;
 }
 
+void TcpTransport::check_channel(const proto::Message& message) const {
+  HLOCK_REQUIRE(message.to.value() < nodes_.size(), "unknown node id");
+  HLOCK_REQUIRE(message.from.value() < nodes_.size(),
+                "message without a known sender");
+}
+
 void TcpTransport::send(const proto::Message& message) {
   if (stopping_.load()) return;
-  HLOCK_REQUIRE(message.to.value() < nodes_.size(), "unknown node id");
-  HLOCK_REQUIRE(!message.from.is_none(), "message without a sender");
+  check_channel(message);
   // One scratch buffer per sending thread: the wire image of the steady
   // state allocates nothing.
   thread_local std::vector<std::byte> scratch;
-  scratch.clear();
+  begin_frame(scratch);
   proto::encode_into(message, scratch);
   send_frame(message.from, message.to, scratch, 1);
 }
@@ -206,10 +130,9 @@ void TcpTransport::send_batch(std::vector<proto::Message> messages) {
       send(messages[begin]);
     } else {
       const proto::Message& head = messages[begin];
-      HLOCK_REQUIRE(head.to.value() < nodes_.size(), "unknown node id");
-      HLOCK_REQUIRE(!head.from.is_none(), "message without a sender");
+      check_channel(head);
       thread_local std::vector<std::byte> scratch;
-      scratch.clear();
+      begin_frame(scratch);
       proto::encode_batch_into(
           std::span<const proto::Message>{messages.data() + begin,
                                           end - begin},
@@ -221,54 +144,46 @@ void TcpTransport::send_batch(std::vector<proto::Message> messages) {
 }
 
 bool TcpTransport::sever_channel(proto::NodeId from, proto::NodeId to) {
-  Channel* channel = nullptr;
-  {
-    MutexLock guard(channels_mutex_);
-    const auto it = channels_.find({from.value(), to.value()});
-    if (it == channels_.end()) return false;
-    channel = it->second.get();
+  if (from.value() >= nodes_.size() || to.value() >= nodes_.size()) {
+    return false;
   }
-  MutexLock guard(channel->send_mutex);
-  if (channel->fd < 0) return false;
+  Channel& channel = channel_of(from, to);
+  MutexLock guard(channel.send_mutex);
+  if (channel.fd < 0) return false;
   // Half-kill the socket but leave the stale fd in place: the sender only
   // discovers the failure when its next write returns an error.
-  ::shutdown(channel->fd, SHUT_RDWR);
+  ::shutdown(channel.fd, SHUT_RDWR);
   return true;
 }
 
-std::optional<proto::Message> TcpTransport::recv(proto::NodeId node) {
+TcpEndpoint& TcpTransport::endpoint_of(proto::NodeId node) {
   HLOCK_REQUIRE(node.value() < nodes_.size(), "unknown node id");
-  return nodes_[node.value()]->inbox.pop();
+  return *nodes_[node.value()];
+}
+
+std::optional<proto::Message> TcpTransport::recv(proto::NodeId node) {
+  return endpoint_of(node).recv_until(TcpEndpoint::Clock::time_point::max());
 }
 
 std::vector<proto::Message> TcpTransport::recv_ready(proto::NodeId node) {
-  HLOCK_REQUIRE(node.value() < nodes_.size(), "unknown node id");
-  return nodes_[node.value()]->inbox.pop_all_ready();
+  return endpoint_of(node).recv_ready();
 }
 
 std::optional<proto::Message> TcpTransport::recv_for(
     proto::NodeId node, std::chrono::milliseconds timeout) {
-  HLOCK_REQUIRE(node.value() < nodes_.size(), "unknown node id");
-  return nodes_[node.value()]->inbox.pop_until(Mailbox::Clock::now() +
-                                               timeout);
+  return endpoint_of(node).recv_until(TcpEndpoint::Clock::now() + timeout);
 }
 
 void TcpTransport::shutdown() {
   if (stopping_.exchange(true)) return;
-  for (auto& endpoint : nodes_) {
-    // Closing the listener wakes the acceptor; shutdown() on it first is
-    // portable across accept() implementations.
-    ::shutdown(endpoint->listen_fd, SHUT_RDWR);
-    ::close(endpoint->listen_fd);
-    endpoint->inbox.close();
-  }
-  MutexLock guard(channels_mutex_);
-  for (auto& [key, channel] : channels_) {
-    MutexLock send_guard(channel->send_mutex);
-    if (channel->fd >= 0) {
-      ::shutdown(channel->fd, SHUT_RDWR);
-      ::close(channel->fd);
-      channel->fd = -1;
+  // Wakes every receiver and every write waiting for room.
+  for (auto& endpoint : nodes_) endpoint->shutdown();
+  for (Channel& channel : channels_) {
+    MutexLock guard(channel.send_mutex);
+    if (channel.fd >= 0) {
+      ::shutdown(channel.fd, SHUT_RDWR);
+      ::close(channel.fd);
+      channel.fd = -1;
     }
   }
 }

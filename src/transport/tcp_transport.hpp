@@ -6,11 +6,14 @@
 // a full-duplex FastEther switch utilized through TCP/IP"). Messages are
 // wire frames: a 4-byte little-endian length prefix followed by either one
 // binary codec encoding or a batch envelope coalescing the same-channel
-// messages of one burst (proto::kBatchMarker) — one frame, one syscall,
-// instead of one per message. Per-connection reader threads decode frames
-// into the destination's mailbox; TCP's in-order delivery provides the
-// per-channel FIFO the protocol relies on, and batches unpack in emission
-// order so coalescing is invisible above the transport.
+// messages of one burst (proto::kBatchMarker) — one frame, one send(),
+// instead of one per message. Each node's TcpEndpoint is read by the
+// thread that receives for the node: it waits in epoll_wait over the
+// node's listener and connections and decodes frames straight into the
+// batch it returns, so no socket thread sits between the wire and the
+// receiver. TCP's in-order delivery provides the per-channel FIFO the
+// protocol relies on, and batches unpack in emission order so coalescing
+// is invisible above the transport.
 //
 // All nodes live in one process here (the testing substrate for a real
 // distributed deployment); nothing in the wire format or the socket
@@ -20,12 +23,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "stats/metrics.hpp"
-#include "transport/mailbox.hpp"
+#include "transport/tcp_endpoint.hpp"
 #include "transport/transport.hpp"
 #include "util/sync.hpp"
 
@@ -48,26 +50,25 @@ struct TcpOptions {
 /// See file comment.
 class TcpTransport final : public Transport {
  public:
-  /// Binds `node_count` listeners on loopback and starts their acceptor
-  /// threads. Throws UsageError if sockets cannot be created.
+  /// Binds `node_count` listeners on loopback, each with its receive
+  /// epoll set. Throws UsageError if sockets cannot be created.
   explicit TcpTransport(std::size_t node_count, TcpOptions options = {});
 
-  /// Joins all socket threads.
+  /// Shuts down and closes every socket.
   ~TcpTransport() override;
 
-  void send(const proto::Message& message) override
-      HLOCK_EXCLUDES(channels_mutex_);
+  void send(const proto::Message& message) override;
   /// Ships a burst; same-channel runs travel as single batch frames when
   /// options.batching is set.
-  void send_batch(std::vector<proto::Message> messages) override
-      HLOCK_EXCLUDES(channels_mutex_);
+  void send_batch(std::vector<proto::Message> messages) override;
   std::optional<proto::Message> recv(proto::NodeId node) override;
-  /// Drains every already-delivered message for `node` in one mailbox lock
-  /// acquisition (empty once shut down and drained).
+  /// Reads `node`'s sockets on the calling thread and returns every message
+  /// decoded so far (empty once shut down and drained). One receiving
+  /// thread per node.
   std::vector<proto::Message> recv_ready(proto::NodeId node) override;
   std::optional<proto::Message> recv_for(
       proto::NodeId node, std::chrono::milliseconds timeout) override;
-  void shutdown() override HLOCK_EXCLUDES(channels_mutex_);
+  void shutdown() override;
   std::uint64_t messages_sent() const override { return sent_.load(); }
   /// Frame bytes written (length prefixes included).
   std::uint64_t bytes_sent() const override { return bytes_.load(); }
@@ -80,64 +81,49 @@ class TcpTransport final : public Transport {
   /// Retry, reconnect, and bad-frame counters, live.
   const stats::TransportCounters& counters() const { return counters_; }
 
-  /// Messages decoded into `node`'s inbox but not yet received.
+  /// Messages decoded from `node`'s sockets but not yet received. Never
+  /// blocks on the receive path.
   std::size_t inbox_depth(proto::NodeId node) const override {
-    return node.value() < nodes_.size() ? nodes_[node.value()]->inbox.size()
-                                        : 0;
+    return node.value() < nodes_.size() ? nodes_[node.value()]->depth() : 0;
   }
 
   /// Chaos hook: severs the established (from, to) connection at the
   /// socket level without telling the sender, so the next send on the
   /// channel fails and exercises the retry/reconnect path. Returns false
   /// if the channel has no live connection yet.
-  bool sever_channel(proto::NodeId from, proto::NodeId to)
-      HLOCK_EXCLUDES(channels_mutex_);
+  bool sever_channel(proto::NodeId from, proto::NodeId to);
 
  private:
-  struct NodeEndpoint {
-    int listen_fd = -1;
-    std::uint16_t port = 0;
-    Mailbox inbox;
-    /// sched::Thread so the schedule explorer sees the thread's lifecycle;
-    /// the socket operations themselves run in BlockingRegions.
-    sched::Thread acceptor;
-  };
-
   struct Channel {
     /// Serializes writes on the (from, to) connection and guards its fd.
     Mutex send_mutex;
     int fd HLOCK_GUARDED_BY(send_mutex) = -1;
   };
 
-  void acceptor_loop(std::size_t node);
-  void reader_loop(std::size_t node, int fd);
-  /// Returns (creating on demand) the connection fd for a channel;
-  /// guarded by the channel's send mutex.
-  int channel_fd(std::uint32_t from, std::uint32_t to);
-  /// The channel record for (from, to), created on first use.
-  Channel& channel_of(proto::NodeId from, proto::NodeId to)
-      HLOCK_EXCLUDES(channels_mutex_);
-  /// Writes one pre-encoded frame body on the channel with the retry /
-  /// backoff / reconnect policy; counts `message_count` logical messages on
-  /// success. False once every attempt failed (frame dropped + counted).
+  Channel& channel_of(proto::NodeId from, proto::NodeId to) {
+    return channels_[from.value() * nodes_.size() + to.value()];
+  }
+  TcpEndpoint& endpoint_of(proto::NodeId node);
+  /// Rejects a message whose sender or destination is not a node here.
+  void check_channel(const proto::Message& message) const;
+  /// Finishes the frame begun in `frame` and writes it on the channel with
+  /// the retry / backoff / reconnect policy; counts `message_count` logical
+  /// messages on success. False once every attempt failed (frame dropped +
+  /// counted).
   bool send_frame(proto::NodeId from, proto::NodeId to,
-                  const std::vector<std::byte>& body,
-                  std::uint64_t message_count);
+                  std::vector<std::byte>& frame, std::uint64_t message_count);
 
-  /// Options and endpoints are immutable after construction (the endpoint
-  /// mailboxes are themselves thread-safe).
+  /// Options, endpoints and the channel table are fixed at construction
+  /// (each endpoint and channel synchronizes itself).
   TcpOptions options_;
-  std::vector<std::unique_ptr<NodeEndpoint>> nodes_;
-  Mutex channels_mutex_;
-  std::map<std::pair<std::uint32_t, std::uint32_t>,
-           std::unique_ptr<Channel>>
-      channels_ HLOCK_GUARDED_BY(channels_mutex_);
-  std::vector<sched::Thread> readers_ HLOCK_GUARDED_BY(readers_mutex_);
-  Mutex readers_mutex_;
+  /// Declared before the endpoints, which count into it.
+  stats::TransportCounters counters_;
+  std::vector<std::unique_ptr<TcpEndpoint>> nodes_;
+  /// n×n, indexed from * n + to.
+  std::vector<Channel> channels_;
   std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> bytes_{0};
   std::atomic<bool> stopping_{false};
-  stats::TransportCounters counters_;
 };
 
 }  // namespace hlock::transport

@@ -1,15 +1,20 @@
 // Tests of the TCP loopback transport: framing, routing, FIFO, volume,
-// shutdown semantics, and the full protocol stack running over real
-// sockets.
+// shutdown semantics, back-pressure, the receive-side stream parser, and
+// the full protocol stack running over real sockets.
 #include "transport/tcp_transport.hpp"
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "proto/codec.hpp"
 #include "runtime/thread_cluster.hpp"
 #include "transport/tcp_socket.hpp"
 #include "util/check.hpp"
@@ -195,6 +200,213 @@ TEST(TcpTransport, MisaddressedFrameIsDiscardedConnectionSurvives) {
       transport.recv_for(NodeId{1}, std::chrono::milliseconds(50))
           .has_value());
   ::close(fd);
+}
+
+TEST(TcpTransport, CrossedBacklogsAboveTheSocketBuffersBothArrive) {
+  // A node's sockets drain only while someone reads them. Two threads, each
+  // the only user of one node, send each other far more than the socket
+  // buffers hold before receiving anything: a write that would block has
+  // to keep its own node's inbound moving, or both writers wait forever.
+  TcpTransport transport{2};
+  constexpr std::uint32_t kTokens = 64;
+  constexpr std::size_t kQueueEntries = 60000;
+  std::atomic<int> finished{0};
+  auto run_node = [&](std::uint32_t self, std::uint32_t peer,
+                      std::uint32_t* received) {
+    proto::HierToken token{LockMode::kW, LockMode::kNL, {}};
+    token.queue.assign(kQueueEntries,
+                       proto::QueuedRequest{NodeId{self}, LockMode::kR, 1});
+    for (std::uint32_t i = 0; i < kTokens; ++i) {
+      transport.send(Message{NodeId{self}, NodeId{peer}, LockId{i}, token});
+    }
+    while (*received < kTokens) {
+      const auto message =
+          transport.recv_for(NodeId{self}, std::chrono::milliseconds(100));
+      if (!message) {
+        if (finished.load() < 0) break;  // the watchdog gave up
+        continue;
+      }
+      EXPECT_EQ(message->lock, LockId{*received}) << "reordered at " << self;
+      ++*received;
+    }
+    finished.fetch_add(1);
+  };
+  std::uint32_t received_at_0 = 0;
+  std::uint32_t received_at_1 = 0;
+  std::thread node0(run_node, 0, 1, &received_at_0);
+  std::thread node1(run_node, 1, 0, &received_at_1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (finished.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (finished.load() < 2) {
+    ADD_FAILURE() << "crossed backlogs did not drain within the deadline";
+    finished.store(-100);
+    transport.shutdown();  // unblocks the writers so the threads can exit
+  }
+  node0.join();
+  node1.join();
+  EXPECT_EQ(received_at_0, kTokens);
+  EXPECT_EQ(received_at_1, kTokens);
+}
+
+// ---- The receive-side stream parser, driven over hand-rolled peers ----
+
+std::vector<std::byte> frame_of(const Message& message) {
+  std::vector<std::byte> frame;
+  begin_frame(frame);
+  proto::encode_into(message, frame);
+  EXPECT_TRUE(finish_frame(frame));
+  return frame;
+}
+
+std::vector<std::byte> batch_frame_of(std::span<const Message> messages) {
+  std::vector<std::byte> frame;
+  begin_frame(frame);
+  proto::encode_batch_into(messages, frame);
+  EXPECT_TRUE(finish_frame(frame));
+  return frame;
+}
+
+void write_raw(int fd, std::span<const std::byte> bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    ASSERT_GT(n, 0) << "raw write failed";
+    bytes = bytes.subspan(static_cast<std::size_t>(n));
+  }
+}
+
+/// True once the far end has closed `fd` (EOF or reset) within 2 s.
+bool closed_by_peer(int fd) {
+  pollfd readable{fd, POLLIN, 0};
+  if (::poll(&readable, 1, 2000) <= 0) return false;
+  std::byte byte{};
+  return ::recv(fd, &byte, 1, MSG_DONTWAIT) <= 0;
+}
+
+TEST(TcpStream, FrameSplitAtEveryOffsetReassembles) {
+  TcpTransport transport{2};
+  const int fd = connect_loopback(transport.port_of(NodeId{1}));
+  const Message batch_part[] = {make_message(0, 1, 7), make_message(0, 1, 8)};
+  std::uint64_t seq = 100;
+  for (const bool batch : {false, true}) {
+    const Message single = make_message(0, 1, seq);
+    const std::vector<std::byte> frame =
+        batch ? batch_frame_of(batch_part) : frame_of(single);
+    // Offsets 1-3 split the length prefix, the rest split the body.
+    for (std::size_t split = 1; split < frame.size(); ++split) {
+      const std::span<const std::byte> bytes{frame};
+      write_raw(fd, bytes.first(split));
+      // The receiver reads the first part and must not deliver anything.
+      EXPECT_FALSE(transport.recv_for(NodeId{1}, std::chrono::milliseconds(2))
+                       .has_value())
+          << "partial frame delivered at split " << split;
+      write_raw(fd, bytes.subspan(split));
+      for (const Message& expected :
+           batch ? std::span<const Message>{batch_part}
+                 : std::span<const Message>{&single, 1}) {
+        const auto received =
+            transport.recv_for(NodeId{1}, std::chrono::milliseconds(2000));
+        ASSERT_TRUE(received.has_value()) << "lost at split " << split;
+        EXPECT_EQ(*received, expected) << "at split " << split;
+      }
+    }
+  }
+  ::close(fd);
+}
+
+TEST(TcpStream, SeveralFramesInOneWriteArriveInOrder) {
+  TcpTransport transport{2};
+  const int fd = connect_loopback(transport.port_of(NodeId{1}));
+  const Message first_batch[] = {make_message(0, 1, 2), make_message(0, 1, 3),
+                                 make_message(0, 1, 4)};
+  const Message second_batch[] = {make_message(0, 1, 6),
+                                  make_message(0, 1, 7)};
+  std::vector<std::byte> burst;
+  for (const std::vector<std::byte>& frame :
+       {frame_of(make_message(0, 1, 1)), batch_frame_of(first_batch),
+        frame_of(make_message(0, 1, 5)), batch_frame_of(second_batch),
+        frame_of(make_message(0, 1, 8))}) {
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  write_raw(fd, burst);
+  for (std::uint64_t seq = 1; seq <= 8; ++seq) {
+    const auto received =
+        transport.recv_for(NodeId{1}, std::chrono::milliseconds(2000));
+    ASSERT_TRUE(received.has_value()) << "missing seq " << seq;
+    EXPECT_EQ(seq_of(*received), seq);
+  }
+  EXPECT_EQ(transport.inbox_depth(NodeId{1}), 0u);
+  ::close(fd);
+}
+
+TEST(TcpStream, BadFrameClosesOnlyItsConnection) {
+  const std::vector<std::byte> zero_prefix(4, std::byte{0});
+  std::vector<std::byte> oversized_prefix(4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    oversized_prefix[i] =
+        static_cast<std::byte>(((kMaxFrameBytes + 1) >> (8 * i)) & 0xFF);
+  }
+  // A well-formed prefix around a body no decoder accepts.
+  const std::vector<std::byte> undecodable{std::byte{3}, std::byte{0},
+                                           std::byte{0}, std::byte{0},
+                                           std::byte{0xEE}, std::byte{0xEE},
+                                           std::byte{0xEE}};
+  for (const std::vector<std::byte>& bad :
+       {zero_prefix, oversized_prefix, undecodable}) {
+    TcpTransport transport{2};
+    const int doomed = connect_loopback(transport.port_of(NodeId{0}));
+    const int healthy = connect_loopback(transport.port_of(NodeId{0}));
+    write_raw(healthy, frame_of(make_message(1, 0, 1)));
+    auto received =
+        transport.recv_for(NodeId{0}, std::chrono::milliseconds(2000));
+    ASSERT_TRUE(received.has_value());
+    EXPECT_EQ(seq_of(*received), 1u);
+
+    // A valid frame ahead of the bad bytes still arrives; nothing after.
+    std::vector<std::byte> poisoned = frame_of(make_message(1, 0, 2));
+    poisoned.insert(poisoned.end(), bad.begin(), bad.end());
+    const std::vector<std::byte> after = frame_of(make_message(1, 0, 99));
+    poisoned.insert(poisoned.end(), after.begin(), after.end());
+    write_raw(doomed, poisoned);
+    received = transport.recv_for(NodeId{0}, std::chrono::milliseconds(2000));
+    ASSERT_TRUE(received.has_value());
+    EXPECT_EQ(seq_of(*received), 2u);
+    EXPECT_FALSE(transport.recv_for(NodeId{0}, std::chrono::milliseconds(50))
+                     .has_value());
+    EXPECT_TRUE(closed_by_peer(doomed)) << "bad connection left open";
+
+    write_raw(healthy, frame_of(make_message(1, 0, 3)));
+    received = transport.recv_for(NodeId{0}, std::chrono::milliseconds(2000));
+    ASSERT_TRUE(received.has_value()) << "the healthy connection went too";
+    EXPECT_EQ(seq_of(*received), 3u);
+    ::close(doomed);
+    ::close(healthy);
+  }
+}
+
+TEST(TcpStream, EofMidFrameDropsOnlyThePartialFrame) {
+  TcpTransport transport{2};
+  const int fd = connect_loopback(transport.port_of(NodeId{1}));
+  std::vector<std::byte> bytes = frame_of(make_message(0, 1, 1));
+  const std::vector<std::byte> cut = frame_of(make_message(0, 1, 2));
+  bytes.insert(bytes.end(), cut.begin(), cut.begin() + 6);
+  write_raw(fd, bytes);
+  ::close(fd);
+  auto received =
+      transport.recv_for(NodeId{1}, std::chrono::milliseconds(2000));
+  ASSERT_TRUE(received.has_value());
+  EXPECT_EQ(seq_of(*received), 1u);
+  EXPECT_FALSE(transport.recv_for(NodeId{1}, std::chrono::milliseconds(50))
+                   .has_value())
+      << "the partial frame surfaced";
+
+  // The node keeps serving its other connections.
+  transport.send(make_message(0, 1, 3));
+  received = transport.recv_for(NodeId{1}, std::chrono::milliseconds(2000));
+  ASSERT_TRUE(received.has_value());
+  EXPECT_EQ(seq_of(*received), 3u);
 }
 
 TEST(TcpCluster, HierarchicalProtocolOverRealSockets) {
