@@ -230,6 +230,21 @@ Effects HierAutomaton::on_message(const Message& message) {
   return fx;
 }
 
+proto::ElectToken HierAutomaton::recovery_report() const {
+  proto::ElectToken report;
+  report.epoch = recovery_epoch_;
+  report.has_token = token_;
+  report.held = held_;
+  report.upgrading = upgrading_;
+  report.waiting = !upgrading_ && pending_ != LockMode::kNL;
+  if (report.waiting) {
+    report.wait_mode = pending_;
+    report.wait_seq = pending_seq();
+    report.wait_priority = pending_priority_;
+  }
+  return report;
+}
+
 Effects HierAutomaton::install_fence(const proto::EpochFence& fence) {
   Effects fx;
   if (fence.epoch <= recovery_epoch_) return fx;  // duplicate/stale fence

@@ -58,7 +58,7 @@ class HierAutomaton {
   /// node's `initial_parent` chain must (transitively) reach it.
   /// `initial_epoch` is the recovery epoch the automaton starts in: 0 for a
   /// pristine cluster, the current campaign epoch when a lock is first
-  /// touched after a crash recovery (runtime::HierEngine::set_default_origin).
+  /// touched after a crash recovery (recovery::Host::set_default_origin).
   HierAutomaton(NodeId self, LockId lock, bool initially_token,
                 NodeId initial_parent, HierConfig config = {},
                 std::uint32_t initial_epoch = 0);
@@ -100,6 +100,13 @@ class HierAutomaton {
   /// pending requests and an in-flight upgrade survive. No-op when `epoch`
   /// is not newer than recovery_epoch() (duplicate/stale fences).
   Effects install_fence(const proto::EpochFence& fence);
+
+  /// This node's crash-recovery report for the lock: the state fields of
+  /// the ElectToken its recovery manager sends the coordinator (which
+  /// stamps the campaign fields). An upgrader does not report as waiting:
+  /// its pending W is preserved as an in-flight Rule 7 upgrade at the new
+  /// root, not re-queued.
+  proto::ElectToken recovery_report() const;
 
   // ---- Introspection (tests, invariant checks, tracing) ----
 

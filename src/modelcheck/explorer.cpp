@@ -57,8 +57,7 @@ struct State {
   // operating on — copies of a State therefore stay self-contained.
   std::vector<recovery::Manager> managers;
   std::uint32_t alive = ~0u;  ///< bit i: node i has not crashed
-  std::vector<std::deque<Message>> halted;  ///< buffered while halted
-  std::vector<std::deque<Message>> parked;  ///< newer-epoch, await fence
+  std::vector<recovery::Backlog> backlog;  ///< the gate's held messages
 };
 
 /// One transition of the scripted system: deliver the head of channel
@@ -109,8 +108,8 @@ struct SafetyIssue {
 /// Host adapter handed to every recovery::Manager under crash exploration.
 /// Managers are copied with their States, but all copies of node i share
 /// this one adapter, which routes to the state the explorer is currently
-/// applying an action to (`*active`) — mirroring HierEngine's Host
-/// implementation on that state's automaton.
+/// applying an action to (`*active`) — the same calls HierEngine makes on
+/// that state's automaton.
 class CrashHost : public recovery::Host {
  public:
   CrashHost(State* const* active, std::uint32_t node)
@@ -119,21 +118,7 @@ class CrashHost : public recovery::Host {
   std::vector<LockId> recovery_locks() override { return {kLock}; }
 
   recovery::LockReport report(LockId /*lock*/) override {
-    const HierAutomaton& a = automaton();
-    recovery::LockReport r;
-    r.epoch = a.recovery_epoch();
-    r.has_token = a.is_token();
-    r.held = a.held();
-    r.upgrading = a.upgrading();
-    // As in HierEngine::report: an upgrader's pending W is preserved as an
-    // in-flight Rule 7 upgrade at the new root, not re-queued.
-    r.waiting = !a.upgrading() && a.pending() != LockMode::kNL;
-    if (r.waiting) {
-      r.wait_mode = a.pending();
-      r.wait_seq = a.pending_seq();
-      r.wait_priority = a.pending_priority();
-    }
-    return r;
+    return automaton().recovery_report();
   }
 
   Effects install_fence(LockId /*lock*/,
@@ -276,8 +261,7 @@ class Explorer {
         state.managers.emplace_back(NodeId{static_cast<std::uint32_t>(i)},
                                     n_, rec_options_, hosts_[i].get());
       }
-      state.halted.resize(n_);
-      state.parked.resize(n_);
+      state.backlog.resize(n_);
     }
     return state;
   }
@@ -393,10 +377,11 @@ class Explorer {
     }
   }
 
-  /// Applies one Manager step's outcome, mirroring the runtimes'
-  /// apply_outcome + replay_buffers: messages fan out (sends to crashed
-  /// nodes are lost), fence effects apply like protocol steps, and an
-  /// unhalt replays the node's parked-then-halted backlog synchronously.
+  /// Applies one Manager step's outcome in runtime::NodeCore's order:
+  /// messages fan out (sends to crashed nodes are lost), fence effects
+  /// apply like protocol steps, and an unhalt replays the node's backlog
+  /// synchronously (the model has no buffered application operations: a
+  /// halted node's script steps are simply not enabled).
   void apply_outcome(State& state, std::size_t actor,
                      recovery::Outcome&& out,
                      std::vector<trace::TraceEvent>* events) const {
@@ -411,38 +396,28 @@ class Explorer {
       apply_effects(state, actor, std::move(fx), events);
     }
     if (out.unhalted) {
-      std::deque<Message> parked = std::move(state.parked[actor]);
-      state.parked[actor].clear();
-      std::deque<Message> backlog = std::move(state.halted[actor]);
-      state.halted[actor].clear();
-      for (const Message& message : parked) {
-        route_message(state, actor, message, events);
-      }
-      for (const Message& message : backlog) {
+      for (const Message& message : state.backlog[actor].take()) {
         route_message(state, actor, message, events);
       }
     }
   }
 
-  /// Routes one delivered (or replayed) message at node `to`, mirroring
-  /// SimCluster::deliver: recovery kinds go to the manager, protocol
-  /// messages buffer while halted, park while from a newer epoch, and
-  /// otherwise hit the automaton (which stale-drops older epochs itself).
+  /// Routes one delivered (or replayed) message at node `to` through the
+  /// runtimes' receive-side gate (recovery::Manager::route): recovery kinds
+  /// go to the manager, held protocol messages join the backlog, and the
+  /// rest hit the automaton (which stale-drops older epochs itself).
   void route_message(State& state, std::size_t to, const Message& message,
                      std::vector<trace::TraceEvent>* events) const {
     if (crash_on_) {
       recovery::Manager& manager = state.managers[to];
-      if (proto::is_recovery_kind(proto::kind_of(message.payload))) {
+      const recovery::Route route = manager.route(message);
+      if (route == recovery::Route::kManager) {
         apply_outcome(state, to, manager.on_message(message, SimTime{}),
                       events);
         return;
       }
-      if (manager.halted()) {
-        state.halted[to].push_back(message);
-        return;
-      }
-      if (message.epoch > state.nodes[to].recovery_epoch()) {
-        state.parked[to].push_back(message);
+      if (route != recovery::Route::kEngine) {
+        state.backlog[to].hold(route, message);
         return;
       }
     }
@@ -460,8 +435,7 @@ class Explorer {
       it = it->first.second == victim ? state.channels.erase(it)
                                       : std::next(it);
     }
-    state.halted[victim].clear();
-    state.parked[victim].clear();
+    state.backlog[victim].clear();
     state.status[victim] = Status::kDone;
   }
 
@@ -583,9 +557,9 @@ class Explorer {
       for (const auto& [key, queue] : state.channels) {
         for (const Message& message : queue) count(message);
       }
-      for (std::size_t i = 0; i < n_; ++i) {
-        for (const Message& message : state.halted[i]) count(message);
-        for (const Message& message : state.parked[i]) count(message);
+      for (const recovery::Backlog& backlog : state.backlog) {
+        for (const Message& message : backlog.halted) count(message);
+        for (const Message& message : backlog.parked) count(message);
       }
       for (const auto& [epoch, cnt] : tokens) {
         if (cnt > 1) {
@@ -650,9 +624,13 @@ class Explorer {
       if (crash_on_) {
         os << 'M' << '{' << state.managers[i].fingerprint() << '}' << 'H'
            << '{';
-        for (const Message& m : state.halted[i]) os << to_string(m) << ';';
+        for (const Message& m : state.backlog[i].halted) {
+          os << to_string(m) << ';';
+        }
         os << '}' << 'P' << '{';
-        for (const Message& m : state.parked[i]) os << to_string(m) << ';';
+        for (const Message& m : state.backlog[i].parked) {
+          os << to_string(m) << ';';
+        }
         os << '}';
       }
     }
@@ -862,9 +840,7 @@ class Explorer {
       for (std::uint32_t v = 0; v < n_; ++v) {
         if (!alive(state, v) && !manager.is_dead(NodeId{v})) return false;
       }
-      if (!state.halted[i].empty() || !state.parked[i].empty()) {
-        return false;
-      }
+      if (!state.backlog[i].empty()) return false;
       if (epoch == UINT32_MAX) {
         epoch = state.nodes[i].recovery_epoch();
       } else if (epoch != state.nodes[i].recovery_epoch()) {
@@ -1276,7 +1252,7 @@ class Explorer {
                path_actions(idx, nullptr));
           return;
         }
-        if (!state.halted[i].empty() || !state.parked[i].empty()) {
+        if (!state.backlog[i].empty()) {
           fail("terminal state with undelivered backlog at node" +
                    std::to_string(i),
                "quiescence:backlog", Verdict::kSafety,

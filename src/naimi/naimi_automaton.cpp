@@ -80,6 +80,19 @@ Effects NaimiAutomaton::on_message(const Message& message) {
   return fx;
 }
 
+proto::ElectToken NaimiAutomaton::recovery_report() const {
+  proto::ElectToken report;
+  report.epoch = recovery_epoch_;
+  report.has_token = has_token_;
+  report.held = in_cs_ ? proto::LockMode::kW : proto::LockMode::kNL;
+  report.waiting = requesting_;
+  if (report.waiting) {
+    report.wait_mode = proto::LockMode::kW;
+    report.wait_seq = pending_seq();
+  }
+  return report;
+}
+
 Effects NaimiAutomaton::install_fence(const proto::EpochFence& fence) {
   Effects fx;
   if (fence.epoch <= recovery_epoch_) return fx;  // duplicate/stale fence

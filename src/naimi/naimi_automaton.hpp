@@ -63,6 +63,12 @@ class NaimiAutomaton {
   /// newer than recovery_epoch().
   Effects install_fence(const proto::EpochFence& fence);
 
+  /// This node's crash-recovery report for the lock (see
+  /// HierAutomaton::recovery_report). The single exclusive mode maps onto
+  /// kW: inside the critical section the node holds kW, and a waiting
+  /// request waits for kW.
+  proto::ElectToken recovery_report() const;
+
   // ---- Introspection ----
 
   NodeId self() const { return self_; }

@@ -8,8 +8,7 @@
 // order, which is what the span collector and Chrome-trace export rely on
 // when the faulty transport delays or reorders delivery. The runtimes own
 // the clocks (one per node) because automatons are pure state machines that
-// hold no clock of any kind — see runtime/sim_cluster.hpp and
-// runtime/thread_cluster.hpp for the stamping points.
+// hold no clock of any kind; runtime::NodeCore does the stamping for both.
 #pragma once
 
 #include <algorithm>
@@ -18,37 +17,12 @@
 
 namespace hlock::obs {
 
-/// One node's Lamport clock. Deliberately unsynchronized: each clock is
-/// owned by exactly one node's runtime state, which already serializes
-/// access (the simulator is single-threaded; ThreadCluster guards each
-/// node's state with its per-node mutex).
-class LamportClock {
- public:
-  /// Advances for a local step or send; returns the new time. The first
-  /// tick returns 1, so a zero timestamp always means "no clock ran".
-  std::uint64_t tick() { return ++now_; }
-
-  /// Merges a received message's timestamp and advances past it:
-  /// now = max(now, received) + 1. Returns the new time.
-  std::uint64_t observe(std::uint64_t received) {
-    now_ = std::max(now_, received) + 1;
-    return now_;
-  }
-
-  /// The last returned time (0 before any tick).
-  std::uint64_t current() const { return now_; }
-
- private:
-  std::uint64_t now_ = 0;
-};
-
-/// Lock-free variant of LamportClock for runtimes whose per-node state is
-/// sharded: ThreadCluster serializes each lock's automaton under its
-/// shard's mutex, but the node's single Lamport clock is shared by all
-/// shards, so its ticks and merges must synchronize themselves. Same
-/// semantics as LamportClock; relaxed ordering suffices because the clock
-/// value itself is the payload (it travels inside messages and events, and
-/// those are published under mutexes / through the transport).
+/// One node's Lamport clock. Lock-free, because ThreadCluster serializes
+/// each lock's automaton under its shard's mutex while the node's single
+/// clock is shared by all shards; the simulator uses the same type.
+/// Relaxed ordering suffices because the clock value itself is the payload
+/// (it travels inside messages and events, and those are published under
+/// mutexes / through the transport).
 class AtomicLamportClock {
  public:
   /// Advances for a local step or send; returns the new time (unique per

@@ -14,32 +14,21 @@
 
 #include "core/effects.hpp"
 #include "proto/ids.hpp"
-#include "proto/lock_mode.hpp"
 #include "proto/message.hpp"
 
 namespace hlock::recovery {
 
 using proto::LockId;
-using proto::LockMode;
 using proto::NodeId;
 
-/// One lock's state as reported to the recovery coordinator. The reporting
-/// node has halted protocol processing, so these fields account for every
-/// old-epoch message it will ever act on; the coordinator reconstructs the
+/// One lock's state as reported to the recovery coordinator: the per-lock
+/// fields of the ElectToken the manager sends. Hosts fill the state fields
+/// (each automaton's recovery_report()); the manager stamps the campaign
+/// fields (`dead`, `lock_count`, `lock_index`). The reporting node has
+/// halted protocol processing, so a report accounts for every old-epoch
+/// message its node will ever act on; the coordinator reconstructs the
 /// lock's global state purely from these reports.
-struct LockReport {
-  std::uint32_t epoch = 0;        ///< reporter's current recovery epoch
-  bool has_token = false;
-  LockMode held = LockMode::kNL;  ///< Naimi reports kW while inside its CS
-  bool waiting = false;           ///< a request is pending at the reporter
-  LockMode wait_mode = LockMode::kNL;
-  std::uint64_t wait_seq = 0;
-  std::uint8_t wait_priority = 0;
-  bool upgrading = false;  ///< Rule 7 upgrade in flight (hier only; such a
-                           ///< node reports waiting=false — the fence
-                           ///< preserves the upgrade at the root instead of
-                           ///< queueing its pending W)
-};
+using LockReport = proto::ElectToken;
 
 /// What the Manager needs from the node's protocol engine. All calls are
 /// made under whatever serialization the runtime already provides for the
@@ -61,9 +50,11 @@ class Host {
   virtual core::Effects install_fence(LockId lock,
                                       const proto::EpochFence& fence) = 0;
 
-  /// `lock`'s current recovery epoch (0 if the automaton does not exist),
-  /// used by runtimes to route incoming messages: older epoch = stale drop,
-  /// newer epoch = buffer until the local fence arrives.
+  /// `lock`'s current recovery epoch — for a lock this node has not
+  /// touched, the epoch its lazily created automaton would start in (see
+  /// set_default_origin). The receive-side gate (Manager::route) compares
+  /// it with each incoming message's: older epoch = stale drop, newer epoch
+  /// = park until the local fence arrives.
   virtual std::uint32_t recovery_epoch(LockId lock) = 0;
 
   /// Sets the origin for locks first touched after a recovery: their lazily

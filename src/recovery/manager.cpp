@@ -1,6 +1,7 @@
 #include "recovery/manager.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -21,6 +22,23 @@ void Outcome::merge(Outcome&& other) {
   for (auto& fe : other.fence_effects) fence_effects.push_back(std::move(fe));
   for (auto& e : other.events) events.push_back(std::move(e));
   unhalted = unhalted || other.unhalted;
+}
+
+void Backlog::hold(Route route, const Message& message) {
+  (route == Route::kHalt ? halted : parked).push_back(message);
+}
+
+std::vector<Message> Backlog::take() {
+  std::vector<Message> replay = std::move(parked);
+  replay.insert(replay.end(), std::make_move_iterator(halted.begin()),
+                std::make_move_iterator(halted.end()));
+  clear();
+  return replay;
+}
+
+void Backlog::clear() {
+  halted.clear();
+  parked.clear();
 }
 
 Manager::Manager(NodeId self, std::size_t node_count, Options options,
@@ -97,6 +115,20 @@ Outcome Manager::suspect(NodeId dead, SimTime now) {
   if (!options_.enabled) return out;
   adopt_dead(dead, now, out);
   return out;
+}
+
+Route Manager::route(const Message& message) const {
+  if (proto::is_recovery_kind(proto::kind_of(message.payload))) {
+    return Route::kManager;
+  }
+  if (halted_) return Route::kHalt;
+  // A sender fenced into a newer epoch than this node's fence has reached
+  // yet: delivering now would make the automaton drop a valid post-fence
+  // message.
+  if (message.epoch > host_->recovery_epoch(message.lock)) {
+    return Route::kPark;
+  }
+  return Route::kEngine;
 }
 
 Outcome Manager::on_message(const Message& message, SimTime now) {
@@ -178,19 +210,10 @@ void Manager::send_reports(SimTime now, Outcome& out) {
     reports.emplace_back(proto::LockId{0}, std::move(report));
   } else {
     for (std::size_t i = 0; i < locks.size(); ++i) {
-      const LockReport state = host_->report(locks[i]);
-      ElectToken report;
+      ElectToken report = host_->report(locks[i]);
       report.dead = dead_;
       report.lock_count = static_cast<std::uint32_t>(locks.size());
       report.lock_index = static_cast<std::uint32_t>(i);
-      report.epoch = state.epoch;
-      report.has_token = state.has_token;
-      report.held = state.held;
-      report.waiting = state.waiting;
-      report.wait_mode = state.wait_mode;
-      report.wait_seq = state.wait_seq;
-      report.wait_priority = state.wait_priority;
-      report.upgrading = state.upgrading;
       reports.emplace_back(locks[i], std::move(report));
     }
   }

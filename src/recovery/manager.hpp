@@ -93,6 +93,33 @@ struct Outcome {
   void merge(Outcome&& other);
 };
 
+/// Where the receive-side gate sends one incoming message
+/// (docs/recovery.md, "Epochs and the stale-message gate").
+enum class Route : std::uint8_t {
+  kManager,  ///< a recovery kind: Manager::on_message() consumes it
+  kHalt,     ///< a protocol message while halted: hold until unhalt
+  kPark,     ///< from a newer epoch than the lock's: hold until its fence
+  kEngine,   ///< to the automaton, which stale-drops older epochs itself
+};
+
+/// The protocol messages the gate holds back at one node, in replay order.
+struct Backlog {
+  std::vector<proto::Message> halted;  ///< Route::kHalt, in arrival order
+  std::vector<proto::Message> parked;  ///< Route::kPark, in arrival order
+
+  /// Holds `message` under a kHalt or kPark decision.
+  void hold(Route route, const proto::Message& message);
+  /// Empties both buffers, returning what the unhalt replays: the parked
+  /// messages first (they already belong to the fenced-in epoch), then the
+  /// halted backlog, whose pre-fence messages stale-drop in the automaton.
+  /// Each goes back through the gate, so it can be held again if another
+  /// campaign began meanwhile.
+  std::vector<proto::Message> take();
+  /// Discards everything (a crash-stop loses all volatile state).
+  void clear();
+  bool empty() const { return halted.empty() && parked.empty(); }
+};
+
 /// See file comment.
 class Manager {
  public:
@@ -131,6 +158,13 @@ class Manager {
   /// Periodic driver: emits due heartbeats and raises timeout suspicions.
   /// Runtimes call it roughly every heartbeat_interval.
   Outcome on_tick(SimTime now);
+
+  /// The gate's decision for one incoming message: recovery kinds go to
+  /// on_message(); protocol messages are held while halted or when they
+  /// carry a newer epoch than the host's for their lock, and otherwise
+  /// reach the engine. Both runtimes (runtime::NodeCore) and the model
+  /// checker route through this one function.
+  Route route(const proto::Message& message) const;
 
   /// Delivers one recovery message (is_recovery_kind). Protocol messages
   /// never come here.

@@ -39,60 +39,120 @@ std::string to_string(Protocol protocol) {
   return "?";
 }
 
-HierEngine::HierEngine(NodeId self, NodeId initial_root,
-                       core::HierConfig config)
+std::unique_ptr<LockEngine> make_engine(Protocol protocol, NodeId self,
+                                        std::size_t node_count,
+                                        NodeId initial_root,
+                                        const core::HierConfig& hier_config) {
+  switch (protocol) {
+    case Protocol::kHierarchical:
+      return std::make_unique<HierEngine>(self, initial_root, hier_config);
+    case Protocol::kNaimi:
+      return std::make_unique<NaimiEngine>(self, initial_root);
+    case Protocol::kRaymond:
+      HLOCK_REQUIRE(initial_root == NodeId{0},
+                    "the Raymond tree is rooted at node 0");
+      return std::make_unique<RaymondEngine>(self, node_count);
+  }
+  throw UsageError("unknown protocol");
+}
+
+template <class Automaton>
+RecoverableEngine<Automaton>::RecoverableEngine(NodeId self,
+                                                NodeId initial_root,
+                                                Config config)
     : self_(self), initial_root_(initial_root), config_(config) {
   HLOCK_REQUIRE(!initial_root.is_none(), "a cluster needs an initial root");
 }
 
-core::HierAutomaton& HierEngine::automaton(LockId lock) {
+template <class Automaton>
+Automaton& RecoverableEngine<Automaton>::automaton(LockId lock) {
   // Single hash lookup on the hot path: try_emplace forwards the
   // constructor arguments and only builds the automaton when the lock is
   // new.
   const bool is_root = self_ == initial_root_;
-  return automatons_
-      .try_emplace(lock, self_, lock, is_root,
-                   is_root ? NodeId::none() : initial_root_, config_,
-                   initial_epoch_)
-      .first->second;
+  const NodeId parent = is_root ? NodeId::none() : initial_root_;
+  if constexpr (kHier) {
+    return automatons_
+        .try_emplace(lock, self_, lock, is_root, parent, config_,
+                     initial_epoch_)
+        .first->second;
+  } else {
+    return automatons_
+        .try_emplace(lock, self_, lock, is_root, parent, initial_epoch_)
+        .first->second;
+  }
 }
 
-Effects HierEngine::request(LockId lock, LockMode mode,
-                            std::uint8_t priority) {
-  return automaton(lock).request(mode, priority);
+template <class Automaton>
+Effects RecoverableEngine<Automaton>::request(LockId lock, LockMode mode,
+                                              std::uint8_t priority) {
+  if constexpr (kHier) {
+    return automaton(lock).request(mode, priority);
+  } else {
+    return automaton(lock).request();
+  }
 }
 
-Effects HierEngine::release(LockId lock) { return automaton(lock).release(); }
+template <class Automaton>
+Effects RecoverableEngine<Automaton>::release(LockId lock) {
+  return automaton(lock).release();
+}
 
-Effects HierEngine::upgrade(LockId lock) { return automaton(lock).upgrade(); }
+template <class Automaton>
+Effects RecoverableEngine<Automaton>::upgrade(LockId lock) {
+  if constexpr (kHier) {
+    return automaton(lock).upgrade();
+  } else {
+    throw UsageError("the Naimi baseline has no upgrade operation");
+  }
+}
 
-Effects HierEngine::deliver(const proto::Message& message) {
+template <class Automaton>
+Effects RecoverableEngine<Automaton>::deliver(const proto::Message& message) {
   return automaton(message.lock).on_message(message);
 }
 
-bool HierEngine::holds(LockId lock) const {
+template <class Automaton>
+bool RecoverableEngine<Automaton>::holds(LockId lock) const {
   auto it = automatons_.find(lock);
-  return it != automatons_.end() &&
-         it->second.held() != proto::LockMode::kNL;
+  if (it == automatons_.end()) return false;
+  if constexpr (kHier) {
+    return it->second.held() != proto::LockMode::kNL;
+  } else {
+    return it->second.in_cs();
+  }
 }
 
-std::size_t HierEngine::queued_requests() const {
+template <class Automaton>
+std::size_t RecoverableEngine<Automaton>::queued_requests() const {
   std::size_t total = 0;
   for (const auto& [lock, automaton] : automatons_) {
-    total += automaton.queue().size();
+    if constexpr (kHier) {
+      total += automaton.queue().size();
+    } else {
+      // Naimi's waiting list is distributed: each node knows only its own
+      // successor, so "queued here" = a non-none next pointer.
+      total += automaton.next().is_none() ? 0u : 1u;
+    }
   }
   return total;
 }
 
-std::size_t HierEngine::tokens_held() const {
+template <class Automaton>
+std::size_t RecoverableEngine<Automaton>::tokens_held() const {
   std::size_t total = 0;
   for (const auto& [lock, automaton] : automatons_) {
-    total += automaton.is_token() ? 1u : 0u;
+    if constexpr (kHier) {
+      total += automaton.is_token() ? 1u : 0u;
+    } else {
+      total += automaton.has_token() ? 1u : 0u;
+    }
   }
   return total;
 }
 
-std::vector<LockId> HierEngine::recovery_locks() {
+template <class Automaton>
+std::vector<LockId> RecoverableEngine<Automaton>::recovery_locks() {
   std::vector<LockId> locks;
   locks.reserve(automatons_.size());
   for (const auto& [lock, automaton] : automatons_) locks.push_back(lock);
@@ -100,138 +160,38 @@ std::vector<LockId> HierEngine::recovery_locks() {
   return locks;
 }
 
-recovery::LockReport HierEngine::report(LockId lock) {
-  const core::HierAutomaton& a = automaton(lock);
-  recovery::LockReport r;
-  r.epoch = a.recovery_epoch();
-  r.has_token = a.is_token();
-  r.held = a.held();
-  r.upgrading = a.upgrading();
-  // An upgrader does not report as waiting: its pending W is preserved as
-  // an in-flight Rule 7 upgrade at the root, not re-queued.
-  r.waiting = !a.upgrading() && a.pending() != proto::LockMode::kNL;
-  if (r.waiting) {
-    r.wait_mode = a.pending();
-    r.wait_seq = a.pending_seq();
-    r.wait_priority = a.pending_priority();
-  }
-  return r;
+template <class Automaton>
+recovery::LockReport RecoverableEngine<Automaton>::report(LockId lock) {
+  return automaton(lock).recovery_report();
 }
 
-Effects HierEngine::install_fence(LockId lock,
-                                  const proto::EpochFence& fence) {
+template <class Automaton>
+Effects RecoverableEngine<Automaton>::install_fence(
+    LockId lock, const proto::EpochFence& fence) {
   return automaton(lock).install_fence(fence);
 }
 
-std::uint32_t HierEngine::recovery_epoch(LockId lock) {
+template <class Automaton>
+std::uint32_t RecoverableEngine<Automaton>::recovery_epoch(LockId lock) {
   // A lock this node has not touched would be lazily created at
   // initial_epoch_, so that is its effective epoch: reporting 0 here would
-  // make the cluster's newer-epoch gate park the first post-recovery
-  // message for the lock forever (the node is not halted, so parked
-  // messages are never replayed).
+  // make the newer-epoch gate park the first post-recovery message for the
+  // lock forever (the node is not halted, so parked messages are never
+  // replayed).
   auto it = automatons_.find(lock);
   return it == automatons_.end() ? initial_epoch_
                                  : it->second.recovery_epoch();
 }
 
-void HierEngine::set_default_origin(NodeId root, std::uint32_t epoch) {
+template <class Automaton>
+void RecoverableEngine<Automaton>::set_default_origin(NodeId root,
+                                                      std::uint32_t epoch) {
   initial_root_ = root;
   initial_epoch_ = epoch;
 }
 
-NaimiEngine::NaimiEngine(NodeId self, NodeId initial_root)
-    : self_(self), initial_root_(initial_root) {
-  HLOCK_REQUIRE(!initial_root.is_none(), "a cluster needs an initial root");
-}
-
-naimi::NaimiAutomaton& NaimiEngine::automaton(LockId lock) {
-  // Single hash lookup on the hot path (see HierEngine::automaton).
-  const bool is_root = self_ == initial_root_;
-  return automatons_
-      .try_emplace(lock, self_, lock, is_root,
-                   is_root ? NodeId::none() : initial_root_, initial_epoch_)
-      .first->second;
-}
-
-Effects NaimiEngine::request(LockId lock, LockMode /*mode*/,
-                             std::uint8_t /*priority*/) {
-  return automaton(lock).request();
-}
-
-Effects NaimiEngine::release(LockId lock) { return automaton(lock).release(); }
-
-Effects NaimiEngine::upgrade(LockId /*lock*/) {
-  throw UsageError("the Naimi baseline has no upgrade operation");
-}
-
-Effects NaimiEngine::deliver(const proto::Message& message) {
-  return automaton(message.lock).on_message(message);
-}
-
-bool NaimiEngine::holds(LockId lock) const {
-  auto it = automatons_.find(lock);
-  return it != automatons_.end() && it->second.in_cs();
-}
-
-std::size_t NaimiEngine::queued_requests() const {
-  // Naimi's waiting list is distributed: each node knows only its own
-  // successor, so "queued here" = a non-none next pointer.
-  std::size_t total = 0;
-  for (const auto& [lock, automaton] : automatons_) {
-    total += automaton.next().is_none() ? 0u : 1u;
-  }
-  return total;
-}
-
-std::size_t NaimiEngine::tokens_held() const {
-  std::size_t total = 0;
-  for (const auto& [lock, automaton] : automatons_) {
-    total += automaton.has_token() ? 1u : 0u;
-  }
-  return total;
-}
-
-std::vector<LockId> NaimiEngine::recovery_locks() {
-  std::vector<LockId> locks;
-  locks.reserve(automatons_.size());
-  for (const auto& [lock, automaton] : automatons_) locks.push_back(lock);
-  std::sort(locks.begin(), locks.end());
-  return locks;
-}
-
-recovery::LockReport NaimiEngine::report(LockId lock) {
-  const naimi::NaimiAutomaton& a = automaton(lock);
-  recovery::LockReport r;
-  r.epoch = a.recovery_epoch();
-  r.has_token = a.has_token();
-  // Naimi's single exclusive mode maps onto kW for the fence's holder
-  // bookkeeping (only "inside the CS" counts as holding).
-  r.held = a.in_cs() ? proto::LockMode::kW : proto::LockMode::kNL;
-  r.waiting = a.requesting();
-  if (r.waiting) {
-    r.wait_mode = proto::LockMode::kW;
-    r.wait_seq = a.pending_seq();
-  }
-  return r;
-}
-
-Effects NaimiEngine::install_fence(LockId lock,
-                                   const proto::EpochFence& fence) {
-  return automaton(lock).install_fence(fence);
-}
-
-std::uint32_t NaimiEngine::recovery_epoch(LockId lock) {
-  // See HierEngine::recovery_epoch: an untouched lock's effective epoch is
-  // the one it would be lazily created in.
-  auto it = automatons_.find(lock);
-  return it == automatons_.end() ? initial_epoch_
-                                 : it->second.recovery_epoch();
-}
-
-void NaimiEngine::set_default_origin(NodeId root, std::uint32_t epoch) {
-  initial_root_ = root;
-  initial_epoch_ = epoch;
-}
+template class RecoverableEngine<core::HierAutomaton>;
+template class RecoverableEngine<naimi::NaimiAutomaton>;
 
 RaymondEngine::RaymondEngine(NodeId self, std::size_t node_count)
     : self_(self) {
@@ -242,7 +202,7 @@ RaymondEngine::RaymondEngine(NodeId self, std::size_t node_count)
 }
 
 raymond::RaymondAutomaton& RaymondEngine::automaton(LockId lock) {
-  // Single hash lookup on the hot path (see HierEngine::automaton).
+  // Single hash lookup on the hot path (see RecoverableEngine::automaton).
   return automatons_
       .try_emplace(lock, self_, lock, position_.holder, position_.neighbors)
       .first->second;

@@ -10,7 +10,9 @@
 #pragma once
 
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
+#include <variant>
 
 #include "core/effects.hpp"
 #include "core/hier_automaton.hpp"
@@ -84,10 +86,20 @@ class LockEngine : public recovery::Host {
   void set_default_origin(NodeId root, std::uint32_t epoch) override;
 };
 
-/// Engine running the paper's hierarchical multi-mode protocol.
-class HierEngine final : public LockEngine {
+/// Engine of a protocol with crash recovery: one `Automaton` per lock id,
+/// created on first use as a child of the cluster's initial root (or, after
+/// a recovery, of the default origin the manager installed).
+/// Instantiated as HierEngine and NaimiEngine below.
+template <class Automaton>
+class RecoverableEngine final : public LockEngine {
+  static constexpr bool kHier = std::is_same_v<Automaton, core::HierAutomaton>;
+
  public:
-  HierEngine(NodeId self, NodeId initial_root, core::HierConfig config = {});
+  /// The automaton's feature flags: core::HierConfig for the hierarchical
+  /// protocol, nothing for the Naimi baseline.
+  using Config = std::conditional_t<kHier, core::HierConfig, std::monostate>;
+
+  RecoverableEngine(NodeId self, NodeId initial_root, Config config = {});
 
   Effects request(LockId lock, LockMode mode,
                   std::uint8_t priority = 0) override;
@@ -107,7 +119,7 @@ class HierEngine final : public LockEngine {
 
   /// Direct access for invariant checks and tests; creates the automaton
   /// if this node has not touched the lock yet.
-  core::HierAutomaton& automaton(LockId lock);
+  Automaton& automaton(LockId lock);
 
  private:
   const NodeId self_;
@@ -115,42 +127,16 @@ class HierEngine final : public LockEngine {
   /// set_default_origin() after a crash recovery.
   NodeId initial_root_;
   std::uint32_t initial_epoch_ = 0;
-  const core::HierConfig config_;
-  std::unordered_map<LockId, core::HierAutomaton> automatons_;
+  const Config config_;
+  std::unordered_map<LockId, Automaton> automatons_;
 };
 
+/// Engine running the paper's hierarchical multi-mode protocol.
+using HierEngine = RecoverableEngine<core::HierAutomaton>;
 /// Engine running the Naimi-Tréhel baseline (single exclusive mode).
-class NaimiEngine final : public LockEngine {
- public:
-  NaimiEngine(NodeId self, NodeId initial_root);
-
-  Effects request(LockId lock, LockMode mode,
-                  std::uint8_t priority = 0) override;
-  Effects release(LockId lock) override;
-  Effects upgrade(LockId lock) override;
-  Effects deliver(const proto::Message& message) override;
-  bool holds(LockId lock) const override;
-  std::size_t queued_requests() const override;
-  std::size_t tokens_held() const override;
-
-  std::vector<LockId> recovery_locks() override;
-  recovery::LockReport report(LockId lock) override;
-  Effects install_fence(LockId lock,
-                        const proto::EpochFence& fence) override;
-  std::uint32_t recovery_epoch(LockId lock) override;
-  void set_default_origin(NodeId root, std::uint32_t epoch) override;
-
-  /// Direct access for invariant checks and tests.
-  naimi::NaimiAutomaton& automaton(LockId lock);
-
- private:
-  const NodeId self_;
-  /// Root/epoch of lazily created automatons; rebased by
-  /// set_default_origin() after a crash recovery.
-  NodeId initial_root_;
-  std::uint32_t initial_epoch_ = 0;
-  std::unordered_map<LockId, naimi::NaimiAutomaton> automatons_;
-};
+using NaimiEngine = RecoverableEngine<naimi::NaimiAutomaton>;
+extern template class RecoverableEngine<core::HierAutomaton>;
+extern template class RecoverableEngine<naimi::NaimiAutomaton>;
 
 /// Engine running Raymond's static-tree baseline on a balanced binary
 /// tree rooted at node 0 (the initial token holder of every lock).
@@ -175,5 +161,14 @@ class RaymondEngine final : public LockEngine {
   raymond::TreeNode position_;  // this node's place in the static tree
   std::unordered_map<LockId, raymond::RaymondAutomaton> automatons_;
 };
+
+/// The engine of node `self` running `protocol` in a `node_count`-node
+/// cluster whose tokens all start at `initial_root` (Raymond's tree is
+/// always rooted at node 0). `hier_config` applies to the hierarchical
+/// protocol only.
+std::unique_ptr<LockEngine> make_engine(Protocol protocol, NodeId self,
+                                        std::size_t node_count,
+                                        NodeId initial_root,
+                                        const core::HierConfig& hier_config);
 
 }  // namespace hlock::runtime

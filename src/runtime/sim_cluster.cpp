@@ -6,6 +6,33 @@
 
 namespace hlock::runtime {
 
+SimCluster::Node::Node(SimCluster& owner, NodeId self,
+                       std::unique_ptr<LockEngine> engine)
+    : cluster(owner), id(self),
+      core(self, owner.options_.node_count, std::move(engine),
+           owner.options_.recovery, clock, *this) {}
+
+SimTime SimCluster::Node::now() { return cluster.simulator_.now(); }
+
+void SimCluster::Node::send(std::vector<proto::Message>&& messages) {
+  for (proto::Message& message : messages) {
+    cluster.transmit(std::move(message));
+  }
+}
+
+void SimCluster::Node::sink(std::vector<trace::TraceEvent>&& events) {
+  if (!cluster.event_observer_) return;
+  for (trace::TraceEvent& event : events) {
+    cluster.event_observer_(std::move(event));
+  }
+}
+
+void SimCluster::Node::granted(LockId lock, bool upgraded) {
+  HLOCK_INVARIANT(static_cast<bool>(cluster.grant_handler_),
+                  "a grant fired but no grant handler is registered");
+  cluster.grant_handler_(id, lock, upgraded);
+}
+
 SimCluster::SimCluster(const SimClusterOptions& options)
     : options_(options),
       network_(options.message_latency, Rng{options.seed}.split(0xABCDu)),
@@ -19,37 +46,15 @@ SimCluster::SimCluster(const SimClusterOptions& options)
   HLOCK_REQUIRE(
       !(options.recovery.enabled && options.protocol == Protocol::kRaymond),
       "crash recovery is not supported for the Raymond baseline");
-  clocks_.resize(options.node_count);
-  engines_.reserve(options.node_count);
+  nodes_.reserve(options.node_count);
   for (std::size_t i = 0; i < options.node_count; ++i) {
     const NodeId self{static_cast<std::uint32_t>(i)};
-    if (options.protocol == Protocol::kHierarchical) {
-      engines_.push_back(std::make_unique<HierEngine>(
-          self, options.initial_root, options.hier_config));
-    } else if (options.protocol == Protocol::kRaymond) {
-      HLOCK_REQUIRE(options.initial_root == NodeId{0},
-                    "the Raymond tree is rooted at node 0");
-      engines_.push_back(
-          std::make_unique<RaymondEngine>(self, options.node_count));
-    } else {
-      engines_.push_back(
-          std::make_unique<NaimiEngine>(self, options.initial_root));
-    }
+    nodes_.push_back(std::make_unique<Node>(
+        *this, self,
+        make_engine(options.protocol, self, options.node_count,
+                    options.initial_root, options.hier_config)));
   }
-  alive_.assign(options.node_count, 1);
-  if (options.recovery.enabled) {
-    managers_.reserve(options.node_count);
-    for (std::size_t i = 0; i < options.node_count; ++i) {
-      managers_.push_back(std::make_unique<recovery::Manager>(
-          NodeId{static_cast<std::uint32_t>(i)}, options.node_count,
-          options.recovery, engines_[i].get()));
-    }
-    halted_msgs_.resize(options.node_count);
-    parked_msgs_.resize(options.node_count);
-    halted_ops_.resize(options.node_count);
-    stale_drops_.assign(options.node_count, 0);
-    schedule_recovery_tick();
-  }
+  if (recovery_on()) schedule_recovery_tick();
 }
 
 void SimCluster::set_grant_handler(GrantHandler handler) {
@@ -64,9 +69,18 @@ void SimCluster::set_event_observer(EventObserver observer) {
   event_observer_ = std::move(observer);
 }
 
-LockEngine& SimCluster::engine(NodeId node) {
-  HLOCK_REQUIRE(node.value() < engines_.size(), "unknown node id");
-  return *engines_[node.value()];
+SimCluster::Node& SimCluster::node(NodeId id) {
+  HLOCK_REQUIRE(id.value() < nodes_.size(), "unknown node id");
+  return *nodes_[id.value()];
+}
+
+const SimCluster::Node& SimCluster::node(NodeId id) const {
+  HLOCK_REQUIRE(id.value() < nodes_.size(), "unknown node id");
+  return *nodes_[id.value()];
+}
+
+LockEngine& SimCluster::engine(NodeId node_id) {
+  return node(node_id).core.engine();
 }
 
 core::HierAutomaton& SimCluster::hier_automaton(NodeId node, LockId lock) {
@@ -88,78 +102,55 @@ raymond::RaymondAutomaton& SimCluster::raymond_automaton(NodeId node,
   return static_cast<RaymondEngine&>(engine(node)).automaton(lock);
 }
 
-void SimCluster::request(NodeId node, LockId lock, LockMode mode,
+// Crashed nodes ignore the application.
+
+void SimCluster::request(NodeId node_id, LockId lock, LockMode mode,
                          std::uint8_t priority) {
-  HLOCK_REQUIRE(node.value() < engines_.size(), "unknown node id");
-  if (!alive_[node.value()]) return;  // crashed nodes ignore the application
-  if (recovery_on() && managers_[node.value()]->halted()) {
-    halted_ops_[node.value()].push_back(
-        {PendingOp::Kind::kRequest, lock, mode, priority});
-    return;
-  }
-  apply(node, lock, engine(node).request(lock, mode, priority));
+  Node& target = node(node_id);
+  if (target.alive) target.core.request(lock, mode, priority);
 }
 
-void SimCluster::release(NodeId node, LockId lock) {
-  HLOCK_REQUIRE(node.value() < engines_.size(), "unknown node id");
-  if (!alive_[node.value()]) return;
-  if (recovery_on() && managers_[node.value()]->halted()) {
-    halted_ops_[node.value()].push_back(
-        {PendingOp::Kind::kRelease, lock, LockMode::kNL, 0});
-    return;
-  }
-  apply(node, lock, engine(node).release(lock));
+void SimCluster::release(NodeId node_id, LockId lock) {
+  Node& target = node(node_id);
+  if (target.alive) target.core.release(lock);
 }
 
-void SimCluster::upgrade(NodeId node, LockId lock) {
-  HLOCK_REQUIRE(node.value() < engines_.size(), "unknown node id");
-  if (!alive_[node.value()]) return;
-  if (recovery_on() && managers_[node.value()]->halted()) {
-    halted_ops_[node.value()].push_back(
-        {PendingOp::Kind::kUpgrade, lock, LockMode::kNL, 0});
-    return;
-  }
-  apply(node, lock, engine(node).upgrade(lock));
+void SimCluster::upgrade(NodeId node_id, LockId lock) {
+  Node& target = node(node_id);
+  if (target.alive) target.core.upgrade(lock);
 }
 
-void SimCluster::kill_at(NodeId node, SimTime at) {
-  HLOCK_REQUIRE(node.value() < engines_.size(), "unknown node id");
+void SimCluster::kill_at(NodeId node_id, SimTime at) {
+  HLOCK_REQUIRE(node_id.value() < nodes_.size(), "unknown node id");
   HLOCK_REQUIRE(recovery_on(),
                 "kill_at() requires recovery to be enabled — without it the "
                 "survivors could never regenerate the token");
-  simulator_.schedule_at(at, [this, node] { crash(node); });
+  simulator_.schedule_at(at, [this, node_id] { crash(node_id); });
 }
 
-bool SimCluster::alive(NodeId node) const {
-  HLOCK_REQUIRE(node.value() < engines_.size(), "unknown node id");
-  return alive_[node.value()] != 0;
-}
+bool SimCluster::alive(NodeId node_id) const { return node(node_id).alive; }
 
-recovery::Manager& SimCluster::manager(NodeId node) {
-  HLOCK_REQUIRE(node.value() < engines_.size(), "unknown node id");
+recovery::Manager& SimCluster::manager(NodeId node_id) {
+  Node& target = node(node_id);
   HLOCK_REQUIRE(recovery_on(), "recovery is not enabled on this cluster");
-  return *managers_[node.value()];
+  return *target.core.manager();
 }
 
-std::uint64_t SimCluster::stale_drops(NodeId node) const {
-  HLOCK_REQUIRE(node.value() < engines_.size(), "unknown node id");
-  return recovery_on() ? stale_drops_[node.value()] : 0;
+std::uint64_t SimCluster::stale_drops(NodeId node_id) const {
+  return node(node_id).core.stale_drops();
 }
 
 std::uint64_t SimCluster::total_stale_drops() const {
   std::uint64_t total = 0;
-  for (const std::uint64_t n : stale_drops_) total += n;
+  for (const auto& each : nodes_) total += each->core.stale_drops();
   return total;
 }
 
-void SimCluster::crash(NodeId node) {
-  if (!alive_[node.value()]) return;  // double kill: the first one wins
-  alive_[node.value()] = 0;
-  // A crash-stop loses all volatile state; whatever was buffered for the
-  // node dies with it.
-  halted_msgs_[node.value()].clear();
-  parked_msgs_[node.value()].clear();
-  halted_ops_[node.value()].clear();
+void SimCluster::crash(NodeId node_id) {
+  Node& target = node(node_id);
+  if (!target.alive) return;  // double kill: the first one wins
+  target.alive = false;
+  target.core.crash();
 }
 
 void SimCluster::schedule_recovery_tick() {
@@ -168,89 +159,14 @@ void SimCluster::schedule_recovery_tick() {
   const SimTime next = simulator_.now() + options_.recovery.heartbeat_interval;
   if (next > options_.recovery_horizon) return;
   simulator_.schedule_at(next, [this] {
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-      if (!alive_[i]) continue;
-      apply_outcome(NodeId{static_cast<std::uint32_t>(i)},
-                    managers_[i]->on_tick(simulator_.now()));
+    for (const auto& each : nodes_) {
+      if (each->alive) each->core.tick();
     }
     schedule_recovery_tick();
   });
 }
 
-void SimCluster::apply(NodeId node, LockId lock, Effects&& effects) {
-  // One Lamport tick per automaton step; every event of the step shares it,
-  // every send ticks further (obs/lamport.hpp).
-  obs::LamportClock& clock = clocks_[node.value()];
-  const std::uint64_t step_time = clock.tick();
-  if (event_observer_) {
-    for (trace::TraceEvent& event : effects.events) {
-      event.at = simulator_.now();
-      event.lamport = step_time;
-      event_observer_(std::move(event));
-    }
-  }
-  for (proto::Message& message : effects.messages) {
-    message.lamport = clock.tick();
-    transmit(message);
-  }
-  if (effects.entered_cs || effects.upgraded) {
-    HLOCK_INVARIANT(static_cast<bool>(grant_handler_),
-                    "a grant fired but no grant handler is registered");
-    grant_handler_(node, lock, effects.upgraded);
-  }
-}
-
-void SimCluster::apply_outcome(NodeId node, recovery::Outcome&& outcome) {
-  obs::LamportClock& clock = clocks_[node.value()];
-  const std::uint64_t step_time = clock.tick();
-  if (event_observer_) {
-    for (trace::TraceEvent& event : outcome.events) {
-      event.at = simulator_.now();
-      event.lamport = step_time;
-      event_observer_(std::move(event));
-    }
-  }
-  for (proto::Message& message : outcome.messages) {
-    message.lamport = clock.tick();
-    transmit(message);
-  }
-  for (auto& [lock, effects] : outcome.fence_effects) {
-    apply(node, lock, std::move(effects));
-  }
-  if (outcome.unhalted) replay_buffers(node);
-}
-
-void SimCluster::replay_buffers(NodeId node) {
-  const std::size_t i = node.value();
-  // Epoch-parked messages first (they already belong to the fenced-in
-  // epoch), then the halted backlog — its pre-fence messages stale-drop
-  // inside the automaton — then the buffered application operations. Each
-  // goes back through the normal routing, so a message can re-park or
-  // re-buffer if another campaign started meanwhile.
-  std::vector<proto::Message> parked = std::move(parked_msgs_[i]);
-  parked_msgs_[i].clear();
-  std::vector<proto::Message> backlog = std::move(halted_msgs_[i]);
-  halted_msgs_[i].clear();
-  std::vector<PendingOp> ops = std::move(halted_ops_[i]);
-  halted_ops_[i].clear();
-  for (proto::Message& message : parked) deliver(message);
-  for (proto::Message& message : backlog) deliver(message);
-  for (const PendingOp& op : ops) {
-    switch (op.kind) {
-      case PendingOp::Kind::kRequest:
-        request(node, op.lock, op.mode, op.priority);
-        break;
-      case PendingOp::Kind::kRelease:
-        release(node, op.lock);
-        break;
-      case PendingOp::Kind::kUpgrade:
-        upgrade(node, op.lock);
-        break;
-    }
-  }
-}
-
-void SimCluster::transmit(const proto::Message& message) {
+void SimCluster::transmit(proto::Message&& message) {
   metrics_.messages().add(proto::kind_of(message.payload));
   if (message_observer_) message_observer_(simulator_.now(), message);
   if (options_.message_loss_probability > 0.0 &&
@@ -259,39 +175,10 @@ void SimCluster::transmit(const proto::Message& message) {
   }
   const SimTime at =
       network_.delivery_time(simulator_.now(), message.from, message.to);
-  simulator_.schedule_at(at, [this, message] { deliver(message); });
-}
-
-void SimCluster::deliver(const proto::Message& message) {
-  const std::size_t to = message.to.value();
-  if (!alive_[to]) return;  // crashed receivers consume nothing
-  clocks_[to].observe(message.lamport);
-  if (recovery_on()) {
-    recovery::Manager& manager = *managers_[to];
-    // Any delivery is liveness evidence; messages a node sent before its
-    // crash still refresh its detector entry, exactly as over a real
-    // network.
-    manager.note_alive(message.from, simulator_.now());
-    if (proto::is_recovery_kind(proto::kind_of(message.payload))) {
-      apply_outcome(message.to,
-                    manager.on_message(message, simulator_.now()));
-      return;
-    }
-    if (manager.halted()) {
-      halted_msgs_[to].push_back(message);
-      return;
-    }
-    if (message.epoch > engine(message.to).recovery_epoch(message.lock)) {
-      // The sender is fenced into a newer epoch than this node; our fence
-      // is still in flight. Park the message — delivering it now would
-      // make the automaton drop a perfectly valid post-fence message.
-      parked_msgs_[to].push_back(message);
-      return;
-    }
-  }
-  Effects effects = engine(message.to).deliver(message);
-  if (effects.stale_drop) ++stale_drops_[to];
-  apply(message.to, message.lock, std::move(effects));
+  simulator_.schedule_at(at, [this, message = std::move(message)] {
+    Node& to = *nodes_[message.to.value()];
+    if (to.alive) to.core.deliver(message);
+  });
 }
 
 }  // namespace hlock::runtime

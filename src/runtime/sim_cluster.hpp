@@ -2,10 +2,11 @@
 // simulator and a latency model, with metrics collection.
 //
 // This is the harness every evaluation experiment runs on. Application-level
-// drivers (see workload/) issue request/release/upgrade calls; the cluster
-// applies the returned effects — scheduling message deliveries on the
-// simulator with sampled network latency, counting messages, and invoking
-// the registered grant handler when a node enters its critical section.
+// drivers (see workload/) issue request/release/upgrade calls to each
+// node's NodeCore, which applies the returned effects through the cluster:
+// message deliveries are scheduled on the simulator with sampled network
+// latency and counted, and the registered grant handler runs when a node
+// enters its critical section.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include "obs/lamport.hpp"
 #include "recovery/manager.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/node_core.hpp"
 #include "sim/network_model.hpp"
 #include "sim/simulator.hpp"
 #include "stats/metrics.hpp"
@@ -118,7 +120,7 @@ class SimCluster {
   sim::Simulator& simulator() { return simulator_; }
   stats::MetricsRegistry& metrics() { return metrics_; }
   const stats::MetricsRegistry& metrics() const { return metrics_; }
-  std::size_t node_count() const { return engines_.size(); }
+  std::size_t node_count() const { return nodes_.size(); }
   const SimClusterOptions& options() const { return options_; }
   LockEngine& engine(NodeId node);
 
@@ -130,37 +132,32 @@ class SimCluster {
   /// The Raymond automaton of (node, lock); precondition: Raymond protocol.
   raymond::RaymondAutomaton& raymond_automaton(NodeId node, LockId lock);
 
-  /// `node`'s Lamport clock. The cluster runs one clock per node: ticked on
-  /// every automaton step and every send, merged on every delivery, stamped
-  /// onto trace events (TraceEvent::lamport) and messages
-  /// (Message::lamport) — see obs/lamport.hpp.
-  const obs::LamportClock& lamport(NodeId node) const {
-    return clocks_[node.value()];
-  }
-
  private:
-  /// One application operation buffered while its node was halted.
-  struct PendingOp {
-    enum class Kind : std::uint8_t { kRequest, kRelease, kUpgrade };
-    Kind kind = Kind::kRequest;
-    LockId lock{};
-    LockMode mode = LockMode::kNL;
-    std::uint8_t priority = 0;
+  /// One simulated node: its Lamport clock (obs/lamport.hpp) and core,
+  /// bound to the simulator by the NodePort it implements.
+  struct Node final : NodePort {
+    Node(SimCluster& owner, NodeId self, std::unique_ptr<LockEngine> engine);
+
+    SimTime now() override;
+    void send(std::vector<proto::Message>&& messages) override;
+    void sink(std::vector<trace::TraceEvent>&& events) override;
+    void granted(LockId lock, bool upgraded) override;
+
+    SimCluster& cluster;
+    const NodeId id;
+    obs::AtomicLamportClock clock;
+    NodeCore core;
+    /// False once the node's scheduled crash has executed.
+    bool alive = true;
   };
 
-  bool recovery_on() const { return !managers_.empty(); }
-  void apply(NodeId node, LockId lock, Effects&& effects);
-  void transmit(const proto::Message& message);
-  /// Receive-side routing: dead-node drop, failure-detector refresh,
-  /// recovery-kind dispatch, halt/epoch buffering, then engine delivery.
-  void deliver(const proto::Message& message);
-  /// Applies one Manager step: sinks its events, transmits its messages,
-  /// applies its fence effects and replays buffers on unhalt.
-  void apply_outcome(NodeId node, recovery::Outcome&& outcome);
-  /// Re-runs parked and halted-backlog messages plus buffered application
-  /// operations through the normal paths (stale ones drop in the engine).
-  void replay_buffers(NodeId node);
-  void crash(NodeId node);
+  Node& node(NodeId id);
+  const Node& node(NodeId id) const;
+  bool recovery_on() const { return options_.recovery.enabled; }
+  /// Counts, observes and (unless lost) schedules the delivery of one
+  /// message; crashed receivers consume nothing.
+  void transmit(proto::Message&& message);
+  void crash(NodeId id);
   void schedule_recovery_tick();
 
   SimClusterOptions options_;
@@ -168,20 +165,7 @@ class SimCluster {
   sim::NetworkModel network_;
   Rng loss_rng_;
   stats::MetricsRegistry metrics_;
-  std::vector<std::unique_ptr<LockEngine>> engines_;
-  std::vector<obs::LamportClock> clocks_;
-  /// Empty unless options_.recovery.enabled; one manager per node.
-  std::vector<std::unique_ptr<recovery::Manager>> managers_;
-  std::vector<char> alive_;
-  /// Protocol messages received while halted, replayed on unhalt.
-  std::vector<std::vector<proto::Message>> halted_msgs_;
-  /// Messages from a newer recovery epoch than the local automaton's,
-  /// parked until the matching fence lands (delivering early would make
-  /// the automaton stale-drop a post-fence message).
-  std::vector<std::vector<proto::Message>> parked_msgs_;
-  /// Application operations issued while halted, replayed on unhalt.
-  std::vector<std::vector<PendingOp>> halted_ops_;
-  std::vector<std::uint64_t> stale_drops_;
+  std::vector<std::unique_ptr<Node>> nodes_;
   GrantHandler grant_handler_;
   MessageObserver message_observer_;
   EventObserver event_observer_;

@@ -7,29 +7,55 @@
 
 namespace hlock::runtime {
 
-namespace {
+ThreadCluster::Shard::Shard(ThreadCluster& owner, NodeId self,
+                            std::unique_ptr<LockEngine> engine,
+                            obs::AtomicLamportClock& clock,
+                            const ThreadClusterOptions& options)
+    : cluster(owner),
+      core(self, options.node_count, std::move(engine), options.recovery,
+           clock, *this) {}
 
-std::unique_ptr<LockEngine> make_engine(const ThreadClusterOptions& options,
-                                        NodeId self) {
-  std::unique_ptr<LockEngine> engine;
-  if (options.protocol == Protocol::kHierarchical) {
-    engine = std::make_unique<HierEngine>(self, options.initial_root,
-                                          options.hier_config);
-  } else if (options.protocol == Protocol::kRaymond) {
-    HLOCK_REQUIRE(options.initial_root == NodeId{0},
-                  "the Raymond tree is rooted at node 0");
-    engine = std::make_unique<RaymondEngine>(self, options.node_count);
-  } else {
-    engine = std::make_unique<NaimiEngine>(self, options.initial_root);
-  }
-  if (options.metrics != nullptr) {
-    engine = std::make_unique<InstrumentedEngine>(
-        std::move(engine), *options.metrics, options.protocol, self);
-  }
-  return engine;
+SimTime ThreadCluster::Shard::now() { return cluster.wall_now(); }
+
+void ThreadCluster::Shard::send(std::vector<proto::Message>&& messages) {
+  cluster.transport_->send_batch(std::move(messages));
 }
 
-}  // namespace
+void ThreadCluster::Shard::sink(std::vector<trace::TraceEvent>&& events) {
+  // The sink slot is only readable under event_mutex_ — checking it
+  // unguarded raced with set_event_sink().
+  MutexLock guard(cluster.event_mutex_);
+  if (!cluster.event_sink_) return;
+  for (trace::TraceEvent& event : events) {
+    cluster.event_sink_(std::move(event));
+  }
+}
+
+void ThreadCluster::Shard::granted(LockId lock, bool upgraded) {
+  (upgraded ? upgrades : grants).insert(lock);
+  cv.notify_all();
+}
+
+void ThreadCluster::Shard::publish_telemetry() {
+  if (queue_depth != nullptr) {
+    queue_depth->set(static_cast<double>(core.engine().queued_requests()));
+    tokens_held->set(static_cast<double>(core.engine().tokens_held()));
+  }
+  if (epoch_gauge == nullptr) return;
+  const recovery::Manager& manager = *core.manager();
+  const recovery::RecoveryCounters& counters = manager.counters();
+  epoch_gauge->set(static_cast<double>(manager.current_epoch()));
+  suspicions->inc(counters.suspicions - published.suspicions);
+  fences->inc(counters.fences_installed - published.fences_installed);
+  recoveries->inc(counters.recoveries - published.recoveries);
+  stale_drops_metric->inc(core.stale_drops() - published_stale);
+  published = counters;
+  published_stale = core.stale_drops();
+  const std::vector<double>& samples = manager.recovery_durations_ms();
+  for (; published_samples < samples.size(); ++published_samples) {
+    recovery_ms->record(samples[published_samples]);
+  }
+}
 
 ThreadCluster::ThreadCluster(const ThreadClusterOptions& options)
     : metrics_(options.metrics), watchdog_(options.watchdog),
@@ -80,38 +106,38 @@ ThreadCluster::ThreadCluster(const ThreadClusterOptions& options)
     }
     rt->shards.reserve(shard_count_);
     for (std::size_t s = 0; s < shard_count_; ++s) {
-      auto shard = std::make_unique<Shard>();
+      std::unique_ptr<LockEngine> engine =
+          make_engine(options.protocol, self, options.node_count,
+                      options.initial_root, options.hier_config);
       if (metrics_ != nullptr) {
+        engine = std::make_unique<InstrumentedEngine>(
+            std::move(engine), *metrics_, options.protocol, self);
+      }
+      auto shard = std::make_unique<Shard>(*this, self, std::move(engine),
+                                           rt->clock, options);
+      if (metrics_ != nullptr) {
+        const auto name = [&](std::string_view base) {
+          return telemetry::labeled(base, {{"node", std::to_string(i)}});
+        };
         shard->queue_depth = &metrics_->gauge(telemetry::labeled(
             "hlock_engine_queue_depth",
             {{"node", std::to_string(i)}, {"shard", std::to_string(s)}}));
         shard->tokens_held = &metrics_->gauge(telemetry::labeled(
             "hlock_tokens_held",
             {{"node", std::to_string(i)}, {"shard", std::to_string(s)}}));
-      }
-      // No thread can see the node yet, but `engine` is lock-guarded state
-      // of a foreign object as far as the analysis is concerned — take the
-      // (uncontended, once-per-shard) lock rather than suppress.
-      MutexLock guard(shard->mutex);
-      shard->engine = make_engine(options, self);
-      if (options.recovery.enabled && s == 0) {
-        rt->manager = std::make_unique<recovery::Manager>(
-            self, options.node_count, options.recovery,
-            shard->engine.get());
+        if (options.recovery.enabled) {
+          shard->epoch_gauge = &metrics_->gauge(name("hlock_epoch"));
+          shard->suspicions =
+              &metrics_->counter(name("hlock_suspicions_total"));
+          shard->fences = &metrics_->counter(name("hlock_fences_total"));
+          shard->recoveries =
+              &metrics_->counter(name("hlock_recoveries_total"));
+          shard->stale_drops_metric =
+              &metrics_->counter(name("hlock_stale_drops_total"));
+          shard->recovery_ms = &metrics_->histogram(name("hlock_recovery_ms"));
+        }
       }
       rt->shards.push_back(std::move(shard));
-    }
-    if (options.recovery.enabled && metrics_ != nullptr) {
-      const auto name = [&](std::string_view base) {
-        return telemetry::labeled(base, {{"node", std::to_string(i)}});
-      };
-      rt->epoch_gauge = &metrics_->gauge(name("hlock_epoch"));
-      rt->suspicions = &metrics_->counter(name("hlock_suspicions_total"));
-      rt->fences = &metrics_->counter(name("hlock_fences_total"));
-      rt->recoveries = &metrics_->counter(name("hlock_recoveries_total"));
-      rt->stale_drops_metric =
-          &metrics_->counter(name("hlock_stale_drops_total"));
-      rt->recovery_ms = &metrics_->histogram(name("hlock_recovery_ms"));
     }
     nodes_.push_back(std::move(rt));
   }
@@ -239,8 +265,8 @@ void ThreadCluster::receiver_loop(NodeId node) {
     // exactly there).
     sched::yield_point("thread_cluster.recv-batch");
     // Dispatch consecutive same-shard runs under one shard lock
-    // acquisition, moving each message straight into delivery — batches
-    // never cross shards out of order, preserving per-channel FIFO.
+    // acquisition — batches never cross shards out of order, preserving
+    // per-channel FIFO.
     std::size_t i = 0;
     while (i < batch.size()) {
       Shard& shard = shard_of(rt, batch[i].lock);
@@ -250,24 +276,11 @@ void ThreadCluster::receiver_loop(NodeId node) {
         // crashed node cannot keep replying (and emitting old-epoch
         // traffic) for the rest of the batch.
         if (!rt.alive.load(std::memory_order_acquire)) return;
-        proto::Message& message = batch[i];
         // An exception escaping a std::thread calls std::terminate, so a
         // receiver converts failures into a counted, logged error effect
         // and keeps draining its mailbox.
         try {
-          rt.clock.observe(message.lamport);
-          if (recovery_.enabled) {
-            rt.manager->note_alive(message.from, wall_now());
-            if (proto::is_recovery_kind(proto::kind_of(message.payload))) {
-              apply_outcome(rt, shard,
-                            rt.manager->on_message(message, wall_now()));
-            } else {
-              deliver_protocol(rt, shard, message);
-            }
-          } else {
-            Effects effects = shard.engine->deliver(message);
-            apply(rt, shard, message.lock, std::move(effects));
-          }
+          shard.core.deliver(batch[i]);
         } catch (const std::exception& error) {
           receiver_errors_.fetch_add(1, std::memory_order_relaxed);
           HLOCK_LOG(kError, "node " << node.value()
@@ -277,6 +290,7 @@ void ThreadCluster::receiver_loop(NodeId node) {
         ++i;
       } while (i < batch.size() &&
                &shard_of(rt, batch[i].lock) == &shard);
+      shard.publish_telemetry();
     }
   }
 }
@@ -297,100 +311,23 @@ void ThreadCluster::ticker_loop() {
       ticker_cv_.wait_for(ticker_mutex_, interval);
     }
     if (stopping_.load()) return;
-    for (auto& rt_ptr : nodes_) {
-      NodeRuntime& rt = *rt_ptr;
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      NodeRuntime& rt = *nodes_[i];
       if (!rt.alive.load(std::memory_order_acquire)) continue;
       Shard& shard = *rt.shards[0];
       MutexLock guard(shard.mutex);
-      apply_outcome(rt, shard, rt.manager->on_tick(wall_now()));
-    }
-  }
-}
-
-void ThreadCluster::deliver_protocol(NodeRuntime& rt, Shard& shard,
-                                     const proto::Message& message) {
-  if (rt.manager->halted()) {
-    rt.halted_msgs.push_back(message);
-    return;
-  }
-  if (message.epoch > shard.engine->recovery_epoch(message.lock)) {
-    // The sender is fenced into a newer epoch; our fence is still in
-    // flight. Park the message — delivering it now would make the
-    // automaton drop a perfectly valid post-fence message.
-    rt.parked_msgs.push_back(message);
-    return;
-  }
-  Effects effects = shard.engine->deliver(message);
-  if (effects.stale_drop) ++rt.stale_drops;
-  apply(rt, shard, message.lock, std::move(effects));
-}
-
-void ThreadCluster::apply_outcome(NodeRuntime& rt, Shard& shard,
-                                  recovery::Outcome&& outcome) {
-  const std::uint64_t step_time = rt.clock.tick();
-  if (!outcome.events.empty()) {
-    const SimTime at = wall_now();
-    MutexLock sink_guard(event_mutex_);
-    if (event_sink_) {
-      for (trace::TraceEvent& event : outcome.events) {
-        event.at = at;
-        event.lamport = step_time;
-        event_sink_(std::move(event));
+      // An unhalt replays the application calls buffered while halted, and
+      // the engine may reject one (say, a release of a lock not held); as
+      // on the receivers, the error is counted and logged.
+      try {
+        shard.core.tick();
+      } catch (const std::exception& error) {
+        receiver_errors_.fetch_add(1, std::memory_order_relaxed);
+        HLOCK_LOG(kError, "node " << i << ": error in recovery tick: "
+                                  << error.what());
       }
+      shard.publish_telemetry();
     }
-  }
-  if (!outcome.messages.empty()) {
-    for (proto::Message& message : outcome.messages) {
-      message.lamport = rt.clock.tick();
-    }
-    transport_->send_batch(std::move(outcome.messages));
-  }
-  for (auto& [lock, effects] : outcome.fence_effects) {
-    apply(rt, shard, lock, std::move(effects));
-  }
-  if (outcome.unhalted) {
-    // Replay through the same routing (a message can re-park or re-buffer
-    // if another campaign began meanwhile), then wake the client calls
-    // blocked in wait_unhalted().
-    std::vector<proto::Message> parked = std::move(rt.parked_msgs);
-    rt.parked_msgs.clear();
-    std::vector<proto::Message> backlog = std::move(rt.halted_msgs);
-    rt.halted_msgs.clear();
-    for (const proto::Message& message : parked) {
-      deliver_protocol(rt, shard, message);
-    }
-    for (const proto::Message& message : backlog) {
-      deliver_protocol(rt, shard, message);
-    }
-    shard.cv.notify_all();
-  }
-  publish_recovery_metrics(rt);
-}
-
-void ThreadCluster::wait_unhalted(NodeRuntime& rt, Shard& shard) {
-  if (!recovery_.enabled) return;
-  ++shard.waiters;
-  while (!stopping_ && rt.alive.load(std::memory_order_acquire) &&
-         rt.manager->halted()) {
-    shard.cv.wait(shard.mutex);
-  }
-  --shard.waiters;
-  shard.cv.notify_all();  // a tearing-down destructor may drain waiters
-}
-
-void ThreadCluster::publish_recovery_metrics(NodeRuntime& rt) {
-  if (rt.epoch_gauge == nullptr) return;
-  const recovery::RecoveryCounters& counters = rt.manager->counters();
-  rt.epoch_gauge->set(static_cast<double>(rt.manager->current_epoch()));
-  rt.suspicions->inc(counters.suspicions - rt.published.suspicions);
-  rt.fences->inc(counters.fences_installed - rt.published.fences_installed);
-  rt.recoveries->inc(counters.recoveries - rt.published.recoveries);
-  rt.stale_drops_metric->inc(rt.stale_drops - rt.published_stale);
-  rt.published = counters;
-  rt.published_stale = rt.stale_drops;
-  const std::vector<double>& samples = rt.manager->recovery_durations_ms();
-  for (; rt.published_samples < samples.size(); ++rt.published_samples) {
-    rt.recovery_ms->record(samples[rt.published_samples]);
   }
 }
 
@@ -403,9 +340,8 @@ void ThreadCluster::crash_stop(NodeId node) {
   MutexLock guard(shard.mutex);
   rt.alive.store(false, std::memory_order_release);
   // A crash-stop loses all volatile state; wake any of the node's blocked
-  // client calls (they observe !alive and throw).
-  rt.halted_msgs.clear();
-  rt.parked_msgs.clear();
+  // client calls (they observe !alive and return).
+  shard.core.crash();
   shard.cv.notify_all();
 }
 
@@ -414,77 +350,40 @@ bool ThreadCluster::alive(NodeId node) const {
   return nodes_[node.value()]->alive.load(std::memory_order_acquire);
 }
 
-std::uint32_t ThreadCluster::recovery_epoch_of(NodeId node) {
+ThreadCluster::Shard& ThreadCluster::recovery_shard(NodeId node) {
   NodeRuntime& rt = runtime_of(node);
   HLOCK_REQUIRE(recovery_.enabled, "recovery is not enabled on this cluster");
-  MutexLock guard(rt.shards[0]->mutex);
-  return rt.manager->current_epoch();
+  return *rt.shards[0];
+}
+
+std::uint32_t ThreadCluster::recovery_epoch_of(NodeId node) {
+  Shard& shard = recovery_shard(node);
+  MutexLock guard(shard.mutex);
+  return shard.core.manager()->current_epoch();
 }
 
 recovery::RecoveryCounters ThreadCluster::recovery_counters(NodeId node) {
-  NodeRuntime& rt = runtime_of(node);
-  HLOCK_REQUIRE(recovery_.enabled, "recovery is not enabled on this cluster");
-  MutexLock guard(rt.shards[0]->mutex);
-  return rt.manager->counters();
+  Shard& shard = recovery_shard(node);
+  MutexLock guard(shard.mutex);
+  return shard.core.manager()->counters();
 }
 
 std::uint64_t ThreadCluster::stale_drops(NodeId node) {
-  NodeRuntime& rt = runtime_of(node);
-  HLOCK_REQUIRE(recovery_.enabled, "recovery is not enabled on this cluster");
-  MutexLock guard(rt.shards[0]->mutex);
-  return rt.stale_drops;
+  Shard& shard = recovery_shard(node);
+  MutexLock guard(shard.mutex);
+  return shard.core.stale_drops();
 }
 
-void ThreadCluster::apply(NodeRuntime& rt, Shard& shard, LockId lock,
-                          Effects&& effects) {
-  // One Lamport tick per automaton step; every event of the step shares it,
-  // every send ticks further (obs/lamport.hpp).
-  const std::uint64_t step_time = rt.clock.tick();
-  // Events are sunk before the step's messages go out so the sink's global
-  // order respects causality (see set_event_sink). The sink slot is only
-  // readable under event_mutex_ — checking it unguarded raced with
-  // set_event_sink().
-  if (!effects.events.empty()) {
-    const auto elapsed = std::chrono::steady_clock::now() - started_;
-    const SimTime at = SimTime::ns(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-            .count());
-    MutexLock sink_guard(event_mutex_);
-    if (event_sink_) {
-      for (trace::TraceEvent& event : effects.events) {
-        event.at = at;
-        event.lamport = step_time;
-        event_sink_(std::move(event));
-      }
-    }
+void ThreadCluster::await(NodeRuntime& rt, Shard& shard,
+                          std::unordered_set<LockId>& done, LockId lock) {
+  ++shard.waiters;
+  while (!stopping_ && rt.alive.load(std::memory_order_acquire) &&
+         done.count(lock) == 0) {
+    shard.cv.wait(shard.mutex);
   }
-  if (!effects.messages.empty()) {
-    for (proto::Message& message : effects.messages) {
-      message.lamport = rt.clock.tick();
-    }
-    // One transport call for the whole step: the transport coalesces
-    // same-destination runs into batch frames (when batching is on) and
-    // falls back to per-message sends otherwise.
-    transport_->send_batch(std::move(effects.messages));
-  }
-  bool notify = false;
-  if (effects.entered_cs) {
-    shard.granted.insert(lock);
-    notify = true;
-  }
-  if (effects.upgraded) {
-    shard.upgraded.insert(lock);
-    notify = true;
-  }
-  if (notify) shard.cv.notify_all();
-  // Refresh the shard's depth gauges after every step, under the shard
-  // mutex we already hold — value gauges rather than snapshot callbacks to
-  // keep the registry mutex out of the shard-lock order (see Shard).
-  if (shard.queue_depth != nullptr) {
-    shard.queue_depth->set(
-        static_cast<double>(shard.engine->queued_requests()));
-    shard.tokens_held->set(static_cast<double>(shard.engine->tokens_held()));
-  }
+  done.erase(lock);
+  --shard.waiters;
+  shard.cv.notify_all();  // a tearing-down destructor may drain waiters
 }
 
 void ThreadCluster::lock(NodeId node, LockId lock, LockMode mode,
@@ -505,24 +404,13 @@ void ThreadCluster::lock(NodeId node, LockId lock, LockMode mode,
   MutexLock guard(shard.mutex);
   HLOCK_REQUIRE(rt.alive.load(std::memory_order_acquire),
                 "node has crash-stopped");
-  // Halted nodes (suspicion raised, fences pending) block application
-  // progress until recovery completes; a crash or teardown while waiting
-  // returns spuriously, same as the destructor contract.
-  wait_unhalted(rt, shard);
-  if (stopping_ || !rt.alive.load(std::memory_order_acquire)) {
-    if (watchdog_ != nullptr) watchdog_->end(stall_key);
-    return;
+  // Teardown (or a crash while waiting) returns spuriously, as the
+  // destructor contract says.
+  if (!stopping_) {
+    shard.core.request(lock, mode, priority);
+    if (metrics_ != nullptr) shard.publish_telemetry();
+    await(rt, shard, shard.grants, lock);
   }
-  Effects effects = shard.engine->request(lock, mode, priority);
-  apply(rt, shard, lock, std::move(effects));
-  ++shard.waiters;
-  while (!stopping_ && rt.alive.load(std::memory_order_acquire) &&
-         shard.granted.count(lock) == 0) {
-    shard.cv.wait(shard.mutex);
-  }
-  shard.granted.erase(lock);
-  --shard.waiters;
-  shard.cv.notify_all();  // a tearing-down destructor may drain waiters
   if (watchdog_ != nullptr) watchdog_->end(stall_key);
 }
 
@@ -532,10 +420,9 @@ void ThreadCluster::unlock(NodeId node, LockId lock) {
   MutexLock guard(shard.mutex);
   HLOCK_REQUIRE(rt.alive.load(std::memory_order_acquire),
                 "node has crash-stopped");
-  wait_unhalted(rt, shard);
-  if (stopping_ || !rt.alive.load(std::memory_order_acquire)) return;
-  Effects effects = shard.engine->release(lock);
-  apply(rt, shard, lock, std::move(effects));
+  if (stopping_) return;
+  shard.core.release(lock);
+  if (metrics_ != nullptr) shard.publish_telemetry();
 }
 
 void ThreadCluster::upgrade(NodeId node, LockId lock) {
@@ -550,21 +437,11 @@ void ThreadCluster::upgrade(NodeId node, LockId lock) {
   MutexLock guard(shard.mutex);
   HLOCK_REQUIRE(rt.alive.load(std::memory_order_acquire),
                 "node has crash-stopped");
-  wait_unhalted(rt, shard);
-  if (stopping_ || !rt.alive.load(std::memory_order_acquire)) {
-    if (watchdog_ != nullptr) watchdog_->end(stall_key);
-    return;
+  if (!stopping_) {
+    shard.core.upgrade(lock);
+    if (metrics_ != nullptr) shard.publish_telemetry();
+    await(rt, shard, shard.upgrades, lock);
   }
-  Effects effects = shard.engine->upgrade(lock);
-  apply(rt, shard, lock, std::move(effects));
-  ++shard.waiters;
-  while (!stopping_ && rt.alive.load(std::memory_order_acquire) &&
-         shard.upgraded.count(lock) == 0) {
-    shard.cv.wait(shard.mutex);
-  }
-  shard.upgraded.erase(lock);
-  --shard.waiters;
-  shard.cv.notify_all();  // a tearing-down destructor may drain waiters
   if (watchdog_ != nullptr) watchdog_->end(stall_key);
 }
 
@@ -572,7 +449,7 @@ bool ThreadCluster::holds(NodeId node, LockId lock) {
   NodeRuntime& rt = runtime_of(node);
   Shard& shard = shard_of(rt, lock);
   MutexLock guard(shard.mutex);
-  return shard.engine->holds(lock);
+  return shard.core.engine().holds(lock);
 }
 
 }  // namespace hlock::runtime

@@ -3,13 +3,13 @@
 // Each node owns a receiver thread that drains its transport mailbox and
 // feeds the protocol engine; application threads call lock()/unlock()/
 // upgrade() and block until the grant arrives. Per-node protocol state is
-// sharded by lock id: each shard owns its own LockEngine (and therefore its
-// own lazily-created per-lock automaton map) behind its own mutex, so
-// operations on different locks — the airline workload's table lock vs its
-// entry locks — proceed concurrently instead of serializing on one node
-// mutex. Within a shard the automatons' single-threaded contract holds
-// exactly as before, and a given lock maps to the same shard index on every
-// node, so a lock's entire causal chain stays on one shard per node.
+// sharded by lock id: each shard owns its own NodeCore (and therefore its
+// own engine with a lazily-created per-lock automaton map) behind its own
+// mutex, so operations on different locks — the airline workload's table
+// lock vs its entry locks — proceed concurrently instead of serializing on
+// one node mutex. Within a shard the automatons' single-threaded contract
+// holds exactly as before, and a given lock maps to the same shard index on
+// every node, so a lock's entire causal chain stays on one shard per node.
 //
 // The receiver drains every matured message in one transport call
 // (recv_ready) and dispatches consecutive same-shard runs under a single
@@ -29,6 +29,7 @@
 #include "obs/lamport.hpp"
 #include "recovery/manager.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/node_core.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/watchdog.hpp"
 #include "trace/event.hpp"
@@ -112,11 +113,14 @@ class ThreadCluster {
 
   /// Acquires `lock` in `mode` on behalf of `node`; blocks until granted.
   /// Higher `priority` requests overtake queued lower-priority waiters
-  /// (never current holders).
+  /// (never current holders). While the node is halted for a crash
+  /// recovery, application calls are queued and issued when it unhalts
+  /// (docs/recovery.md); lock() and upgrade() still block until granted.
   void lock(NodeId node, LockId lock, LockMode mode,
             std::uint8_t priority = 0);
 
-  /// Releases `lock` held by `node`.
+  /// Releases `lock` held by `node` (while the node is halted: returns
+  /// once the release is queued).
   void unlock(NodeId node, LockId lock);
 
   /// Upgrades `node`'s U hold on `lock` to W; blocks until complete
@@ -147,7 +151,8 @@ class ThreadCluster {
     return faulty_ == nullptr ? nullptr : &faulty_->counters();
   }
 
-  /// Exceptions caught (and survived) on receiver threads so far.
+  /// Exceptions caught (and survived) on receiver threads and the recovery
+  /// ticker so far.
   std::uint64_t receiver_errors() const {
     return receiver_errors_.load(std::memory_order_relaxed);
   }
@@ -181,34 +186,70 @@ class ThreadCluster {
   std::uint64_t stale_drops(NodeId node);
 
  private:
-  /// One lock-id shard of a node: its own engine (and per-lock automaton
-  /// map), grant bookkeeping and mutex, preserving the automatons'
-  /// single-threaded contract per shard while shards run concurrently.
-  struct Shard {
+  /// One lock-id shard of a node: its own NodeCore (engine, per-lock
+  /// automaton map and — on a node's single shard under recovery — the
+  /// recovery state), grant bookkeeping and mutex, preserving the
+  /// automatons' single-threaded contract per shard while shards run
+  /// concurrently. The shard is its core's NodePort.
+  struct Shard final : NodePort {
+    Shard(ThreadCluster& owner, NodeId self,
+          std::unique_ptr<LockEngine> engine, obs::AtomicLamportClock& clock,
+          const ThreadClusterOptions& options);
+
+    SimTime now() override;
+    /// One transport call for the whole step: the transport coalesces
+    /// same-destination runs into batch frames (when batching is on). Runs
+    /// under the shard mutex; a TCP send may wait for socket room, but
+    /// while it waits it drains its own node's sockets, so the peer it
+    /// waits on always makes progress and holding the shard mutex cannot
+    /// deadlock (docs/transports.md §3).
+    void send(std::vector<proto::Message>&& messages) override;
+    /// Sinks before the step's messages go out (NodeCore's order), so the
+    /// sink's global order respects causality (see set_event_sink).
+    void sink(std::vector<trace::TraceEvent>&& events) override
+        HLOCK_EXCLUDES(cluster.event_mutex_);
+    void granted(LockId lock, bool upgraded) override HLOCK_REQUIRES(mutex);
+    /// Refreshes the shard's telemetry after core calls: the depth gauges,
+    /// and the recovery series when this shard carries them. Value gauges
+    /// set under the shard mutex, not snapshot callbacks: a callback would
+    /// acquire shard mutexes under the registry mutex, the reverse of the
+    /// engine's lazy-registration order (InstrumentedEngine::token_gauge)
+    /// — a lock-order cycle.
+    void publish_telemetry() HLOCK_REQUIRES(mutex);
+
+    ThreadCluster& cluster;
     Mutex mutex;
     CondVar cv;
-    std::unique_ptr<LockEngine> engine HLOCK_GUARDED_BY(mutex)
-        HLOCK_PT_GUARDED_BY(mutex);
+    NodeCore core HLOCK_GUARDED_BY(mutex);
     /// Locks whose grant / upgrade-completion arrived but has not been
     /// consumed by the blocked client call yet.
-    std::unordered_set<LockId> granted HLOCK_GUARDED_BY(mutex);
-    std::unordered_set<LockId> upgraded HLOCK_GUARDED_BY(mutex);
+    std::unordered_set<LockId> grants HLOCK_GUARDED_BY(mutex);
+    std::unordered_set<LockId> upgrades HLOCK_GUARDED_BY(mutex);
     /// Client calls currently blocked on `cv`; the destructor waits for
     /// this to reach zero so a woken call never touches freed node state.
     int waiters HLOCK_GUARDED_BY(mutex) = 0;
-    /// Telemetry gauges (nullptr without a registry), refreshed after every
-    /// engine step under this shard's mutex. Value gauges, not callbacks:
-    /// a snapshot-time callback would acquire shard mutexes under the
-    /// registry mutex, the reverse of the engine's lazy-registration order
-    /// (InstrumentedEngine::token_gauge) — a lock-order cycle.
+
+    // Telemetry series (nullptr without a registry; the recovery ones also
+    // without recovery), set before any thread runs and never changed.
     telemetry::Gauge* queue_depth = nullptr;
     telemetry::Gauge* tokens_held = nullptr;
+    telemetry::Gauge* epoch_gauge = nullptr;
+    telemetry::Counter* suspicions = nullptr;
+    telemetry::Counter* fences = nullptr;
+    telemetry::Counter* recoveries = nullptr;
+    telemetry::Counter* stale_drops_metric = nullptr;
+    telemetry::Histogram* recovery_ms = nullptr;
+    /// Cumulative values already published to the recovery series (the
+    /// manager's counters only grow).
+    recovery::RecoveryCounters published HLOCK_GUARDED_BY(mutex);
+    std::size_t published_samples HLOCK_GUARDED_BY(mutex) = 0;
+    std::uint64_t published_stale HLOCK_GUARDED_BY(mutex) = 0;
   };
 
   struct NodeRuntime {
     /// The node's Lamport clock: ticked per step/send, merged per delivery,
     /// stamped onto every event and message (obs/lamport.hpp). Shared by
-    /// every shard of the node, hence the lock-free variant.
+    /// every shard's core, hence the lock-free clock.
     obs::AtomicLamportClock clock;
     std::vector<std::unique_ptr<Shard>> shards;
     /// sched::Thread (not std::thread) so the schedule explorer can
@@ -218,66 +259,27 @@ class ThreadCluster {
     /// Receive-batch-size histogram (nullptr without a registry); set
     /// before the receiver thread starts, recorded only by it.
     telemetry::Histogram* recv_batch = nullptr;
-
-    // ---- Crash recovery (null/unused unless the option is enabled).
-    //      All mutable recovery state below is guarded by the node's
-    //      single shard mutex (recovery forces engine_shards == 1). ----
-
     /// False after crash_stop(); read by receiver, ticker and clients.
     std::atomic<bool> alive{true};
-    std::unique_ptr<recovery::Manager> manager;
-    /// Protocol messages received while halted, replayed on unhalt.
-    std::vector<proto::Message> halted_msgs;
-    /// Messages from a newer recovery epoch than the local automaton's,
-    /// parked until the matching fence lands.
-    std::vector<proto::Message> parked_msgs;
-    std::uint64_t stale_drops = 0;
-
-    /// Telemetry series (nullptr without a registry) and the cumulative
-    /// values already published to them (manager counters only grow).
-    telemetry::Gauge* epoch_gauge = nullptr;
-    telemetry::Counter* suspicions = nullptr;
-    telemetry::Counter* fences = nullptr;
-    telemetry::Counter* recoveries = nullptr;
-    telemetry::Counter* stale_drops_metric = nullptr;
-    telemetry::Histogram* recovery_ms = nullptr;
-    recovery::RecoveryCounters published;
-    std::size_t published_samples = 0;
-    std::uint64_t published_stale = 0;
   };
 
   void receiver_loop(NodeId node);
   /// Registers the transport-level callback series (message/byte totals,
   /// fault/retry counters, per-node mailbox depths) into metrics_.
   void register_transport_metrics(std::size_t node_count);
-  /// Applies effects under the owning shard's mutex (sends after unlocking
-  /// would also be correct). A TCP send may wait for socket room, but while
-  /// it waits it drains its own node's sockets, so the peer it waits on
-  /// always makes progress and holding the shard mutex cannot deadlock
-  /// (docs/transports.md §3).
-  void apply(NodeRuntime& rt, Shard& shard, LockId lock, Effects&& effects)
-      HLOCK_REQUIRES(shard.mutex) HLOCK_EXCLUDES(event_mutex_);
   /// Wall-clock time since cluster start as a SimTime (the recovery
   /// manager's clock domain in this runtime).
   SimTime wall_now() const;
   /// Drives every live node's failure detector roughly each heartbeat
   /// interval; exits when the destructor raises stopping_.
   void ticker_loop();
-  /// Receive-side protocol routing with recovery on: halt buffering,
-  /// newer-epoch parking, stale-drop counting, then normal delivery.
-  void deliver_protocol(NodeRuntime& rt, Shard& shard,
-                        const proto::Message& message)
-      HLOCK_REQUIRES(shard.mutex) HLOCK_EXCLUDES(event_mutex_);
-  /// Applies one Manager step: events, sends, fence effects, buffer
-  /// replay on unhalt, cv wake-ups and telemetry refresh.
-  void apply_outcome(NodeRuntime& rt, Shard& shard,
-                     recovery::Outcome&& outcome)
-      HLOCK_REQUIRES(shard.mutex) HLOCK_EXCLUDES(event_mutex_);
-  /// Blocks while the node is halted (no-op with recovery off).
-  void wait_unhalted(NodeRuntime& rt, Shard& shard)
-      HLOCK_REQUIRES(shard.mutex);
-  void publish_recovery_metrics(NodeRuntime& rt)
-      HLOCK_NO_THREAD_SAFETY_ANALYSIS;
+  /// Blocks a client call until `lock` shows up in `done` (consuming it),
+  /// the node crash-stops or the cluster tears down.
+  void await(NodeRuntime& rt, Shard& shard, std::unordered_set<LockId>& done,
+             LockId lock) HLOCK_REQUIRES(shard.mutex);
+  /// The node's single shard, which carries its recovery state.
+  /// Precondition: recovery is enabled.
+  Shard& recovery_shard(NodeId node);
   NodeRuntime& runtime_of(NodeId node);
   Shard& shard_of(NodeRuntime& rt, LockId lock) {
     return *rt.shards[lock.value() % shard_count_];

@@ -118,11 +118,16 @@ class HLOCK_CAPABILITY("mutex") Mutex {
   }
 
   void unlock() HLOCK_RELEASE() {
-    mu_.unlock();
-    if (sched::SyncObserver* obs = sched::sync_observer();
-        obs != nullptr) [[unlikely]] {
-      obs->released(id_);
+    sched::SyncObserver* obs = sched::sync_observer();
+    if (obs == nullptr) [[likely]] {
+      mu_.unlock();
+      return;
     }
+    // Copy the identity first: once mu_ is released, the thread it wakes
+    // may destroy this mutex before released() reads it.
+    const sched::SyncId id = id_;
+    mu_.unlock();
+    obs->released(id);
   }
 
   bool try_lock() HLOCK_TRY_ACQUIRE(true) {

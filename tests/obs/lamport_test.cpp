@@ -19,7 +19,7 @@ using proto::LockMode;
 using proto::NodeId;
 
 TEST(LamportClock, TickAdvancesByOne) {
-  LamportClock clock;
+  AtomicLamportClock clock;
   EXPECT_EQ(clock.current(), 0u);
   EXPECT_EQ(clock.tick(), 1u);
   EXPECT_EQ(clock.tick(), 2u);
@@ -27,7 +27,7 @@ TEST(LamportClock, TickAdvancesByOne) {
 }
 
 TEST(LamportClock, ObserveMergesToMaxPlusOne) {
-  LamportClock clock;
+  AtomicLamportClock clock;
   clock.tick();              // 1
   clock.observe(10);         // max(1, 10) + 1
   EXPECT_EQ(clock.current(), 11u);
