@@ -1,11 +1,74 @@
 #include "runtime/thread_cluster.hpp"
 
-#include "runtime/instrumented_engine.hpp"
-#include "telemetry/exports.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
 namespace hlock::runtime {
+
+namespace {
+
+double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Brackets a blocking client call in the stall watchdog and ends the
+/// bracket on every exit path, throws included. Without a watchdog it does
+/// nothing, and the label is never built.
+class StallBracket {
+ public:
+  template <typename MakeLabel>
+  StallBracket(telemetry::StallWatchdog* watchdog, MakeLabel&& make_label)
+      : watchdog_(watchdog) {
+    if (watchdog_ != nullptr) key_ = watchdog_->begin(make_label());
+  }
+  StallBracket(const StallBracket&) = delete;
+  StallBracket& operator=(const StallBracket&) = delete;
+  ~StallBracket() {
+    if (watchdog_ != nullptr) watchdog_->end(key_);
+  }
+
+ private:
+  telemetry::StallWatchdog* const watchdog_;
+  std::uint64_t key_ = 0;
+};
+
+}  // namespace
+
+ThreadCluster::EngineSeries::EngineSeries(telemetry::Registry& registry,
+                                          Protocol protocol, NodeId node) {
+  const std::string proto_label = to_string(protocol);
+  const std::string node_label = std::to_string(node.value());
+  const auto name = [&](std::string_view base) {
+    return telemetry::labeled(
+        base, {{"proto", proto_label}, {"node", node_label}});
+  };
+  const auto name_with = [&](std::string_view base, std::string_view key,
+                             std::string value) {
+    return telemetry::labeled(base, {{"proto", proto_label},
+                                     {"node", node_label},
+                                     {key, std::move(value)}});
+  };
+  for (const LockMode mode : proto::kAllModes) {
+    const std::size_t i = proto::mode_index(mode);
+    requests[i] = &registry.counter(name_with(
+        "hlock_engine_requests_total", "mode", proto::to_string(mode)));
+    grants[i] = &registry.counter(name_with(
+        "hlock_engine_grants_total", "mode", proto::to_string(mode)));
+  }
+  for (std::size_t i = 0; i < proto::kMessageKindCount; ++i) {
+    sent[i] = &registry.counter(
+        name_with("hlock_messages_sent_total", "kind",
+                  proto::to_string(static_cast<proto::MessageKind>(i))));
+  }
+  releases = &registry.counter(name("hlock_engine_releases_total"));
+  upgrades = &registry.counter(name("hlock_engine_upgrades_total"));
+  forwards = &registry.counter(name("hlock_engine_forwards_total"));
+  freezes = &registry.counter(name("hlock_engine_freezes_total"));
+  wait_ms = &registry.histogram(name("hlock_wait_ms"));
+  hold_ms = &registry.histogram(name("hlock_hold_ms"));
+}
 
 ThreadCluster::Shard::Shard(ThreadCluster& owner, NodeId self,
                             std::unique_ptr<LockEngine> engine,
@@ -18,6 +81,42 @@ ThreadCluster::Shard::Shard(ThreadCluster& owner, NodeId self,
 SimTime ThreadCluster::Shard::now() { return cluster.wall_now(); }
 
 void ThreadCluster::Shard::send(std::vector<proto::Message>&& messages) {
+  if (series != nullptr) {
+    for (const proto::Message& message : messages) {
+      const proto::MessageKind kind = proto::kind_of(message.payload);
+      series->sent[static_cast<std::size_t>(kind)]->inc();
+      switch (kind) {
+        case proto::MessageKind::kHierRequest:
+          if (std::get<proto::HierRequest>(message.payload).requester !=
+              message.from) {
+            series->forwards->inc();
+          }
+          break;
+        case proto::MessageKind::kNaimiRequest:
+          if (std::get<proto::NaimiRequest>(message.payload).requester !=
+              message.from) {
+            series->forwards->inc();
+          }
+          break;
+        case proto::MessageKind::kHierFreeze:
+          series->freezes->inc();
+          break;
+        case proto::MessageKind::kHierToken:
+        case proto::MessageKind::kNaimiToken: {
+          telemetry::Gauge*& location = token_gauges[message.lock];
+          if (location == nullptr) {
+            location = &cluster.metrics_->gauge(telemetry::labeled(
+                "hlock_token_location",
+                {{"lock", std::to_string(message.lock.value())}}));
+          }
+          location->set(static_cast<double>(message.to.value()));
+          break;
+        }
+        default:
+          break;
+      }
+    }
+  }
   cluster.transport_->send_batch(std::move(messages));
 }
 
@@ -34,6 +133,20 @@ void ThreadCluster::Shard::sink(std::vector<trace::TraceEvent>&& events) {
 void ThreadCluster::Shard::granted(LockId lock, bool upgraded) {
   (upgraded ? upgrades : grants).insert(lock);
   cv.notify_all();
+  if (series == nullptr) return;
+  if (upgraded) {
+    series->upgrades->inc();
+    return;
+  }
+  // A grant with no open wait is a fence re-grant; it counts under NL.
+  LockMode mode = LockMode::kNL;
+  if (const auto it = waits.find(lock); it != waits.end()) {
+    mode = it->second.mode;
+    series->wait_ms->record(ms_since(it->second.since));
+    waits.erase(it);
+  }
+  series->grants[proto::mode_index(mode)]->inc();
+  held_since[lock] = Clock::now();
 }
 
 void ThreadCluster::Shard::publish_telemetry() {
@@ -104,18 +217,19 @@ ThreadCluster::ThreadCluster(const ThreadClusterOptions& options)
                              {{"node", std::to_string(i)}}),
           telemetry::linear_bounds(1.0, 1.0, 16));
     }
+    if (metrics_ != nullptr) {
+      rt->series =
+          std::make_unique<EngineSeries>(*metrics_, options.protocol, self);
+    }
     rt->shards.reserve(shard_count_);
     for (std::size_t s = 0; s < shard_count_; ++s) {
-      std::unique_ptr<LockEngine> engine =
+      auto shard = std::make_unique<Shard>(
+          *this, self,
           make_engine(options.protocol, self, options.node_count,
-                      options.initial_root, options.hier_config);
+                      options.initial_root, options.hier_config),
+          rt->clock, options);
       if (metrics_ != nullptr) {
-        engine = std::make_unique<InstrumentedEngine>(
-            std::move(engine), *metrics_, options.protocol, self);
-      }
-      auto shard = std::make_unique<Shard>(*this, self, std::move(engine),
-                                           rt->clock, options);
-      if (metrics_ != nullptr) {
+        shard->series = rt->series.get();
         const auto name = [&](std::string_view base) {
           return telemetry::labeled(base, {{"node", std::to_string(i)}});
         };
@@ -161,19 +275,24 @@ void ThreadCluster::register_transport_metrics(std::size_t node_count) {
                                 [transport] {
                                   return transport->bytes_sent();
                                 });
-  // Fault/retry counter structs fold in via their X-macro field tables.
-  // With both decorator and TCP present the TCP retry counters get their
-  // own prefix so the two field sets cannot collide.
-  if (faulty_ != nullptr) {
-    telemetry::export_transport_counters(*metrics_, faulty_->counters(),
-                                         "hlock_transport_");
-    if (tcp_ != nullptr) {
-      telemetry::export_transport_counters(*metrics_, tcp_->counters(),
-                                           "hlock_tcp_transport_");
-    }
-  } else if (tcp_ != nullptr) {
-    telemetry::export_transport_counters(*metrics_, tcp_->counters(),
-                                         "hlock_transport_");
+  // One callback series per field of the fault/retry counter structs'
+  // X-macro table, named `<prefix><field>_total`. With both the fault
+  // decorator and TCP present the TCP retry counters get their own prefix
+  // so the two field sets cannot collide.
+  const std::pair<const stats::TransportCounters*, const char*> exported[] = {
+      {faulty_ == nullptr ? nullptr : &faulty_->counters(),
+       "hlock_transport_"},
+      {tcp_ == nullptr ? nullptr : &tcp_->counters(),
+       faulty_ == nullptr ? "hlock_transport_" : "hlock_tcp_transport_"},
+  };
+  for (const auto& [counters, prefix] : exported) {
+    if (counters == nullptr) continue;
+    counters->for_each(
+        [&](const char* field, const std::atomic<std::uint64_t>& value) {
+          metrics_->register_counter_fn(
+              std::string(prefix) + field + "_total",
+              [&value] { return value.load(std::memory_order_relaxed); });
+        });
   }
   // Mailbox depth per node. Safe as a snapshot-time callback: the mailbox
   // mutex is a leaf — nothing acquired under it — so registry -> mailbox
@@ -390,16 +509,13 @@ void ThreadCluster::lock(NodeId node, LockId lock, LockMode mode,
                          std::uint8_t priority) {
   NodeRuntime& rt = runtime_of(node);
   Shard& shard = shard_of(rt, lock);
-  // Watchdog bracket around the whole blocking wait. begin() before the
-  // shard mutex (it takes the watchdog's own); end() under it is fine —
-  // shard -> watchdog is the only order these two ever compose in.
-  std::uint64_t stall_key = 0;
-  if (watchdog_ != nullptr) {
-    stall_key = watchdog_->begin(
-        "node=" + std::to_string(node.value()) +
-        " lock=" + std::to_string(lock.value()) +
-        " mode=" + proto::to_string(mode));
-  }
+  // Watchdog bracket around the whole blocking wait, begun and ended
+  // outside the shard mutex (the watchdog takes its own).
+  const StallBracket stall(watchdog_, [&] {
+    return "node=" + std::to_string(node.value()) +
+           " lock=" + std::to_string(lock.value()) +
+           " mode=" + proto::to_string(mode);
+  });
   sched::yield_point("thread_cluster.lock");
   MutexLock guard(shard.mutex);
   HLOCK_REQUIRE(rt.alive.load(std::memory_order_acquire),
@@ -407,11 +523,14 @@ void ThreadCluster::lock(NodeId node, LockId lock, LockMode mode,
   // Teardown (or a crash while waiting) returns spuriously, as the
   // destructor contract says.
   if (!stopping_) {
+    if (metrics_ != nullptr) {
+      shard.series->requests[proto::mode_index(mode)]->inc();
+      shard.waits[lock] = {mode, Clock::now()};
+    }
     shard.core.request(lock, mode, priority);
     if (metrics_ != nullptr) shard.publish_telemetry();
     await(rt, shard, shard.grants, lock);
   }
-  if (watchdog_ != nullptr) watchdog_->end(stall_key);
 }
 
 void ThreadCluster::unlock(NodeId node, LockId lock) {
@@ -421,6 +540,14 @@ void ThreadCluster::unlock(NodeId node, LockId lock) {
   HLOCK_REQUIRE(rt.alive.load(std::memory_order_acquire),
                 "node has crash-stopped");
   if (stopping_) return;
+  if (metrics_ != nullptr) {
+    shard.series->releases->inc();
+    if (const auto it = shard.held_since.find(lock);
+        it != shard.held_since.end()) {
+      shard.series->hold_ms->record(ms_since(it->second));
+      shard.held_since.erase(it);
+    }
+  }
   shard.core.release(lock);
   if (metrics_ != nullptr) shard.publish_telemetry();
 }
@@ -428,12 +555,10 @@ void ThreadCluster::unlock(NodeId node, LockId lock) {
 void ThreadCluster::upgrade(NodeId node, LockId lock) {
   NodeRuntime& rt = runtime_of(node);
   Shard& shard = shard_of(rt, lock);
-  std::uint64_t stall_key = 0;
-  if (watchdog_ != nullptr) {
-    stall_key = watchdog_->begin("node=" + std::to_string(node.value()) +
-                                 " lock=" + std::to_string(lock.value()) +
-                                 " upgrade");
-  }
+  const StallBracket stall(watchdog_, [&] {
+    return "node=" + std::to_string(node.value()) +
+           " lock=" + std::to_string(lock.value()) + " upgrade";
+  });
   MutexLock guard(shard.mutex);
   HLOCK_REQUIRE(rt.alive.load(std::memory_order_acquire),
                 "node has crash-stopped");
@@ -442,7 +567,6 @@ void ThreadCluster::upgrade(NodeId node, LockId lock) {
     if (metrics_ != nullptr) shard.publish_telemetry();
     await(rt, shard, shard.upgrades, lock);
   }
-  if (watchdog_ != nullptr) watchdog_->end(stall_key);
 }
 
 bool ThreadCluster::holds(NodeId node, LockId lock) {

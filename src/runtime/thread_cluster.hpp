@@ -18,10 +18,12 @@
 // messages into one wire frame. See docs/performance.md.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -74,13 +76,13 @@ struct ThreadClusterOptions {
   /// still makes progress — see docs/faults.md). A zero plan seed inherits
   /// the cluster seed.
   transport::FaultPlan faults;
-  /// When set, the cluster instruments itself into this registry: every
-  /// engine is wrapped in an InstrumentedEngine, per-shard queue-depth /
-  /// tokens-held gauges and per-node mailbox-depth and receive-batch
-  /// series appear, and the transport counters are exported as callback
-  /// series (docs/telemetry.md lists the catalog). The registry must
-  /// outlive the cluster. nullptr = zero telemetry overhead beyond a
-  /// pointer test per operation.
+  /// When set, the cluster instruments itself into this registry: the
+  /// shards count every engine step (requests, grants, messages by kind,
+  /// wait and hold times), per-shard queue-depth / tokens-held gauges and
+  /// per-node mailbox-depth and receive-batch series appear, and the
+  /// transport counters are exported as callback series (docs/telemetry.md
+  /// lists the catalog). The registry must outlive the cluster. nullptr =
+  /// zero telemetry overhead beyond a pointer test per operation.
   telemetry::Registry* metrics = nullptr;
   /// When set, every blocking lock()/upgrade() call brackets its wait with
   /// the stall watchdog, so requests waiting far beyond the observed p99
@@ -186,6 +188,27 @@ class ThreadCluster {
   std::uint64_t stale_drops(NodeId node);
 
  private:
+  using Clock = std::chrono::steady_clock;
+
+  /// One node's engine series (hlock_engine_*, hlock_messages_sent_total,
+  /// hlock_wait_ms, hlock_hold_ms; docs/telemetry.md), shared by its
+  /// shards. Every protocol step crosses a shard's NodePort, so the shards
+  /// count all three engines alike.
+  struct EngineSeries {
+    EngineSeries(telemetry::Registry& registry, Protocol protocol,
+                 NodeId node);
+
+    std::array<telemetry::Counter*, proto::kModeCount> requests{};
+    std::array<telemetry::Counter*, proto::kModeCount> grants{};
+    std::array<telemetry::Counter*, proto::kMessageKindCount> sent{};
+    telemetry::Counter* releases = nullptr;
+    telemetry::Counter* upgrades = nullptr;
+    telemetry::Counter* forwards = nullptr;
+    telemetry::Counter* freezes = nullptr;
+    telemetry::Histogram* wait_ms = nullptr;
+    telemetry::Histogram* hold_ms = nullptr;
+  };
+
   /// One lock-id shard of a node: its own NodeCore (engine, per-lock
   /// automaton map and — on a node's single shard under recovery — the
   /// recovery state), grant bookkeeping and mutex, preserving the
@@ -197,23 +220,27 @@ class ThreadCluster {
           const ThreadClusterOptions& options);
 
     SimTime now() override;
-    /// One transport call for the whole step: the transport coalesces
+    /// Counts the step's messages into the engine series, then makes one
+    /// transport call for the whole step: the transport coalesces
     /// same-destination runs into batch frames (when batching is on). Runs
     /// under the shard mutex; a TCP send may wait for socket room, but
     /// while it waits it drains its own node's sockets, so the peer it
     /// waits on always makes progress and holding the shard mutex cannot
     /// deadlock (docs/transports.md §3).
-    void send(std::vector<proto::Message>&& messages) override;
+    void send(std::vector<proto::Message>&& messages) override
+        HLOCK_REQUIRES(mutex);
     /// Sinks before the step's messages go out (NodeCore's order), so the
     /// sink's global order respects causality (see set_event_sink).
     void sink(std::vector<trace::TraceEvent>&& events) override
         HLOCK_EXCLUDES(cluster.event_mutex_);
+    /// Wakes the blocked client call, and counts the grant (closing its
+    /// wait) or the upgrade.
     void granted(LockId lock, bool upgraded) override HLOCK_REQUIRES(mutex);
     /// Refreshes the shard's telemetry after core calls: the depth gauges,
     /// and the recovery series when this shard carries them. Value gauges
     /// set under the shard mutex, not snapshot callbacks: a callback would
     /// acquire shard mutexes under the registry mutex, the reverse of the
-    /// engine's lazy-registration order (InstrumentedEngine::token_gauge)
+    /// order send() takes them in when it registers a lock's token gauge
     /// — a lock-order cycle.
     void publish_telemetry() HLOCK_REQUIRES(mutex);
 
@@ -231,6 +258,7 @@ class ThreadCluster {
 
     // Telemetry series (nullptr without a registry; the recovery ones also
     // without recovery), set before any thread runs and never changed.
+    const EngineSeries* series = nullptr;
     telemetry::Gauge* queue_depth = nullptr;
     telemetry::Gauge* tokens_held = nullptr;
     telemetry::Gauge* epoch_gauge = nullptr;
@@ -244,6 +272,17 @@ class ThreadCluster {
     recovery::RecoveryCounters published HLOCK_GUARDED_BY(mutex);
     std::size_t published_samples HLOCK_GUARDED_BY(mutex) = 0;
     std::uint64_t published_stale HLOCK_GUARDED_BY(mutex) = 0;
+    /// Open waits and holds by lock, for hlock_wait_ms and hlock_hold_ms.
+    struct Wait {
+      LockMode mode = LockMode::kNL;
+      Clock::time_point since;
+    };
+    std::unordered_map<LockId, Wait> waits HLOCK_GUARDED_BY(mutex);
+    std::unordered_map<LockId, Clock::time_point> held_since
+        HLOCK_GUARDED_BY(mutex);
+    /// hlock_token_location per lock, registered on its first token send.
+    std::unordered_map<LockId, telemetry::Gauge*> token_gauges
+        HLOCK_GUARDED_BY(mutex);
   };
 
   struct NodeRuntime {
@@ -259,6 +298,8 @@ class ThreadCluster {
     /// Receive-batch-size histogram (nullptr without a registry); set
     /// before the receiver thread starts, recorded only by it.
     telemetry::Histogram* recv_batch = nullptr;
+    /// The shards' engine series (null without a registry).
+    std::unique_ptr<const EngineSeries> series;
     /// False after crash_stop(); read by receiver, ticker and clients.
     std::atomic<bool> alive{true};
   };

@@ -21,9 +21,8 @@ namespace hlock::stats {
 
 /// The single source of truth for transport counter fields. Adding a
 /// counter means adding ONE line here; the snapshot struct, the atomic
-/// struct, snapshot(), for_each() and the telemetry registry fold all
-/// derive from this table (previously a new counter was a three-file
-/// edit, and the telemetry export would have made it four).
+/// struct, snapshot(), for_each() and ThreadCluster's telemetry registry
+/// fold (one callback series per field) all derive from this table.
 ///
 ///   X(field_name, "short description")
 ///
@@ -89,8 +88,8 @@ class TransportCounters {
   TransportCounterSnapshot snapshot() const;
 
   /// Calls `fn(field_name, atomic_counter&)` for every counter, in table
-  /// order. The telemetry layer uses this to register one callback series
-  /// per field without naming them twice.
+  /// order. ThreadCluster uses this to register one telemetry callback
+  /// series per field without naming them twice.
   template <typename Fn>
   void for_each(Fn&& fn) const {
 #define HLOCK_TC_VISIT(name, desc) fn(#name, name);

@@ -11,11 +11,11 @@
 // Two kinds of series exist:
 //   * owned instruments (Counter / Gauge / Histogram) allocated by the
 //     registry and written by instrumented code, and
-//   * callback series, polled at snapshot time — the fold that turns
-//     pre-existing atomic counter structs (stats::TransportCounters,
-//     stats::MessageCounter, Transport::messages_sent) into registry
-//     series without double bookkeeping. Callbacks may reference state
-//     owned by a component; the component unregisters them on destruction
+//   * callback series, polled at snapshot time — how ThreadCluster folds
+//     its transport's own atomic counters (Transport::messages_sent,
+//     stats::TransportCounters) into registry series without double
+//     bookkeeping. Callbacks may reference state owned by a component;
+//     the component unregisters them on destruction
 //     (unregister_callbacks), after which snapshots stop polling them.
 //
 // Series names follow Prometheus conventions: `base{label="value",...}`;

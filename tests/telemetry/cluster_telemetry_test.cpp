@@ -16,6 +16,7 @@
 #include "telemetry/registry.hpp"
 #include "telemetry/text_parse.hpp"
 #include "telemetry/watchdog.hpp"
+#include "util/check.hpp"
 
 namespace hlock::runtime {
 namespace {
@@ -64,16 +65,48 @@ std::uint64_t histogram_family_count(const Snapshot& snap,
   return total;
 }
 
-TEST(ClusterTelemetry, EveryOperationIsAccountedFor) {
-  telemetry::Registry registry;
-  telemetry::WatchdogOptions watchdog_options;
-  watchdog_options.floor = std::chrono::seconds(60);  // observe, never flag
-  telemetry::StallWatchdog watchdog{registry, watchdog_options};
+/// Sum of the series of `family` whose name carries `label` (say,
+/// `kind="HEARTBEAT"`).
+double labeled_family_sum(const Snapshot& snap, std::string_view family,
+                          std::string_view label) {
+  double total = 0.0;
+  for (const Sample& sample : snap.samples) {
+    if (telemetry::family_of(sample.name) == family &&
+        sample.name.find(label) != std::string::npos) {
+      total += sample.value;
+    }
+  }
+  return total;
+}
 
-  ThreadClusterOptions options =
-      instrumented_options(registry, Protocol::kHierarchical);
-  options.watchdog = &watchdog;
-  {
+/// Snapshots `registry` until the per-kind message series add up to the
+/// transport's own count, or a deadline passes. Receivers may still be
+/// sending for a moment after the client threads join.
+Snapshot settled_snapshot(telemetry::Registry& registry) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    Snapshot snap = registry.snapshot();
+    if (snap.family_sum("hlock_messages_sent_total") ==
+            snap.family_sum("hlock_transport_messages_sent_total") ||
+        std::chrono::steady_clock::now() > deadline) {
+      return snap;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(ClusterTelemetry, EveryOperationIsAccountedFor) {
+  for (const Protocol protocol :
+       {Protocol::kHierarchical, Protocol::kNaimi, Protocol::kRaymond}) {
+    SCOPED_TRACE(to_string(protocol));
+    telemetry::Registry registry;
+    telemetry::WatchdogOptions watchdog_options;
+    watchdog_options.floor = std::chrono::seconds(60);  // observe, never flag
+    telemetry::StallWatchdog watchdog{registry, watchdog_options};
+
+    ThreadClusterOptions options = instrumented_options(registry, protocol);
+    options.watchdog = &watchdog;
     ThreadCluster cluster{options};
     run_contended_workload(cluster);
 
@@ -94,6 +127,10 @@ TEST(ClusterTelemetry, EveryOperationIsAccountedFor) {
     EXPECT_GT(snap.family_sum("hlock_messages_sent_total"), 0.0);
     EXPECT_EQ(snap.family_sum("hlock_transport_messages_sent_total"),
               static_cast<double>(cluster.messages_sent()));
+    // The per-kind series count every message the transport carried.
+    const Snapshot settled = settled_snapshot(registry);
+    EXPECT_EQ(settled.family_sum("hlock_messages_sent_total"),
+              settled.family_sum("hlock_transport_messages_sent_total"));
 
     // The token settled somewhere legal after the last grant.
     const Sample* token = snap.find(
@@ -127,6 +164,98 @@ TEST(ClusterTelemetry, EveryOperationIsAccountedFor) {
         telemetry::check_exposition(parsed);
     EXPECT_TRUE(violations.empty()) << violations.front();
   }
+}
+
+TEST(ClusterTelemetry, ScriptedHierarchicalRunHasExactEngineSeries) {
+  // One upgrade, one forwarded request, one freeze, nine messages: the
+  // exact values pin where every engine series is counted.
+  telemetry::Registry registry;
+  ThreadCluster cluster{
+      instrumented_options(registry, Protocol::kHierarchical)};
+  const LockId lock{0};
+  cluster.lock(NodeId{1}, lock, LockMode::kU);  // token 0 -> 1
+  cluster.upgrade(NodeId{1}, lock);             // local at the token
+  cluster.unlock(NodeId{1}, lock);
+  cluster.lock(NodeId{1}, lock, LockMode::kR);
+  cluster.lock(NodeId{0}, lock, LockMode::kR);  // granted by node 1
+  // Node 2's W goes through node 0, which forwards it to node 1; node 1
+  // freezes node 0's R and queues the writer.
+  std::thread writer{[&] { cluster.lock(NodeId{2}, lock, LockMode::kW); }};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (registry.snapshot().family_sum("hlock_engine_freezes_total") ==
+             0.0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  cluster.unlock(NodeId{0}, lock);
+  cluster.unlock(NodeId{1}, lock);  // token 1 -> 2
+  writer.join();
+
+  const Snapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.family_sum("hlock_engine_upgrades_total"), 1.0);
+  EXPECT_EQ(snap.family_sum("hlock_engine_forwards_total"), 1.0);
+  EXPECT_EQ(snap.family_sum("hlock_engine_freezes_total"), 1.0);
+  const Sample* token = snap.find(
+      telemetry::labeled("hlock_token_location", {{"lock", "0"}}));
+  ASSERT_NE(token, nullptr);
+  EXPECT_EQ(token->value, 2.0);
+
+  const struct {
+    const char* node;
+    const char* kind;
+    double count;
+  } sent[] = {{"0", "REQUEST", 2}, {"0", "TOKEN", 1}, {"0", "RELEASE", 1},
+              {"1", "REQUEST", 1}, {"1", "TOKEN", 1}, {"1", "GRANT", 1},
+              {"1", "FREEZE", 1},  {"2", "REQUEST", 1}};
+  for (const auto& [node, kind, count] : sent) {
+    const Sample* sample = snap.find(telemetry::labeled(
+        "hlock_messages_sent_total",
+        {{"proto", "hierarchical"}, {"node", node}, {"kind", kind}}));
+    ASSERT_NE(sample, nullptr) << "node " << node << " " << kind;
+    EXPECT_EQ(sample->value, count) << "node " << node << " " << kind;
+  }
+  EXPECT_EQ(snap.family_sum("hlock_messages_sent_total"), 9.0);
+}
+
+TEST(ClusterTelemetry, RecoveryTrafficIsCounted) {
+  // The recovery manager's heartbeats are protocol messages like any
+  // other: they cross the same port and count under their own kind.
+  telemetry::Registry registry;
+  ThreadClusterOptions options =
+      instrumented_options(registry, Protocol::kHierarchical);
+  options.recovery.enabled = true;
+  options.recovery.heartbeat_interval = SimTime::ms(10);
+  ThreadCluster cluster{options};
+  cluster.lock(NodeId{0}, LockId{0}, LockMode::kW);
+  cluster.unlock(NodeId{0}, LockId{0});
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  const Snapshot snap = registry.snapshot();
+  EXPECT_GT(labeled_family_sum(snap, "hlock_messages_sent_total",
+                               "kind=\"HEARTBEAT\""),
+            0.0);
+}
+
+TEST(ClusterTelemetry, RejectedCallsCloseTheirWatchdogBracket) {
+  telemetry::Registry registry;
+  telemetry::WatchdogOptions watchdog_options;
+  watchdog_options.floor = std::chrono::milliseconds(1);
+  telemetry::StallWatchdog watchdog{registry, watchdog_options};
+  ThreadClusterOptions options =
+      instrumented_options(registry, Protocol::kHierarchical);
+  options.watchdog = &watchdog;
+  ThreadCluster cluster{options};
+
+  cluster.lock(NodeId{0}, LockId{0}, LockMode::kW);
+  // The engine rejects both calls; neither may leave a pending request.
+  EXPECT_THROW(cluster.lock(NodeId{0}, LockId{0}, LockMode::kW), UsageError);
+  EXPECT_THROW(cluster.upgrade(NodeId{0}, LockId{0}), UsageError);
+  cluster.unlock(NodeId{0}, LockId{0});
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(watchdog.check_now(), 0u);
+  EXPECT_EQ(registry.snapshot().find("hlock_pending_requests")->value, 0.0);
 }
 
 TEST(ClusterTelemetry, TransportCallbacksUnregisterWithTheCluster) {
