@@ -3,18 +3,18 @@
 // The in-process transports could pass Message structs by value, but a real
 // deployment ships bytes; encoding through this codec keeps the protocol
 // honest about what information actually crosses the network (the threaded
-// transport round-trips every message through it by default). The format is
-// a fixed little-endian layout with a length-prefixed queue section — no
-// pointers, no padding, portable across platforms. A leading version byte
+// transports ship every message through it). The format is a fixed
+// little-endian layout with a length-prefixed queue section — no pointers,
+// no padding, portable across platforms. A leading version byte
 // rejects frames from incompatible peers; version 2 added the per-request
 // causal id and the Lamport timestamp to the envelope (src/obs).
 //
 // Hot-path API: encode() allocates a fresh buffer per call, which is the
 // convenient form for tests and one-off frames. Transports on the hot path
 // use encode_into() with a caller-owned scratch buffer that amortizes the
-// allocation across messages, and the batch envelope (encode_batch_into /
-// decode_batch) that coalesces every same-destination message of one
-// automaton step into a single framed unit — see docs/performance.md.
+// allocation across messages. The batch envelope (encode_batch_into /
+// decode_batch) frames several messages as one unit; the TCP receiver
+// accepts it, though no transport sends it — see docs/performance.md.
 #pragma once
 
 #include <cstddef>

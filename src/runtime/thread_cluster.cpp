@@ -172,19 +172,16 @@ void ThreadCluster::Shard::publish_telemetry() {
 
 ThreadCluster::ThreadCluster(const ThreadClusterOptions& options)
     : metrics_(options.metrics), watchdog_(options.watchdog),
+      shard_count_(options.recovery.enabled ? 1 : kDefaultEngineShards),
       recovery_(options.recovery) {
   if (options.transport == TransportKind::kTcp) {
-    transport::TcpOptions tcp_options;
-    tcp_options.batching = options.batching;
-    auto tcp = std::make_unique<transport::TcpTransport>(options.node_count,
-                                                         tcp_options);
+    auto tcp = std::make_unique<transport::TcpTransport>(options.node_count);
     tcp_ = tcp.get();
     transport_ = std::move(tcp);
   } else {
     transport_ = std::make_unique<transport::InProcTransport>(
         transport::InProcOptions{options.node_count, options.message_latency,
-                                 options.seed, options.codec_roundtrip,
-                                 options.batching});
+                                 options.seed});
   }
   if (options.faults.any()) {
     transport::FaultPlan plan = options.faults;
@@ -200,12 +197,6 @@ ThreadCluster::ThreadCluster(const ThreadClusterOptions& options)
   HLOCK_REQUIRE(
       !(options.recovery.enabled && options.protocol == Protocol::kRaymond),
       "crash recovery is not supported for the Raymond baseline");
-  HLOCK_REQUIRE(!(options.recovery.enabled && options.engine_shards > 1),
-                "crash recovery requires engine_shards <= 1: the manager "
-                "reports over the node's whole lock space");
-  shard_count_ = options.engine_shards == 0 ? kDefaultEngineShards
-                                            : options.engine_shards;
-  if (options.recovery.enabled) shard_count_ = 1;
   if (metrics_ != nullptr) register_transport_metrics(options.node_count);
   nodes_.reserve(options.node_count);
   for (std::size_t i = 0; i < options.node_count; ++i) {

@@ -13,9 +13,8 @@
 //
 // The receiver drains every matured message in one transport call
 // (recv_ready) and dispatches consecutive same-shard runs under a single
-// shard lock acquisition; outgoing step effects ship through
-// Transport::send_batch so the transport can coalesce same-destination
-// messages into one wire frame. See docs/performance.md.
+// shard lock acquisition; each step's outgoing messages leave through one
+// Transport::send_batch call. See docs/performance.md.
 #pragma once
 
 #include <array>
@@ -58,18 +57,6 @@ struct ThreadClusterOptions {
   /// its own genuine latency).
   DurationDist message_latency = DurationDist::constant(SimTime::ns(0));
   std::uint64_t seed = 1;
-  /// Round-trip messages through the wire codec (kInProc only; TCP always
-  /// ships real encoded frames).
-  bool codec_roundtrip = true;
-  /// Coalesce same-destination messages of one automaton step into a
-  /// single batch wire frame (both transports). Protocol-invisible — the
-  /// lint / span streams are identical either way; the toggle exists for
-  /// the transparency tests and A/B benchmarking (docs/performance.md).
-  bool batching = true;
-  /// Engine shards per node (lock ids route to shard `lock % shards`).
-  /// 0 picks the default; 1 reproduces the legacy one-mutex-per-node
-  /// behavior.
-  std::size_t engine_shards = 0;
   NodeId initial_root = NodeId{0};
   /// Fault-injection plan; when it injects anything the chosen transport is
   /// wrapped in a transport::FaultyTransport (self-healing, so the cluster
@@ -93,13 +80,14 @@ struct ThreadClusterOptions {
   /// node runs a recovery::Manager driven by a cluster ticker thread,
   /// crash_stop() becomes available, and (with `metrics` set) the
   /// hlock_epoch / hlock_recovery_ms / hlock_stale_drops_total series
-  /// export. Requires engine_shards <= 1 — the manager reports over the
-  /// node's whole lock space, which must live in one engine — and is not
-  /// supported for the Raymond baseline.
+  /// export. Each node then runs one engine shard — the manager reports
+  /// over the node's whole lock space, which must live in one engine.
+  /// Not supported for the Raymond baseline.
   recovery::Options recovery;
 };
 
-/// Engine shards per node when ThreadClusterOptions::engine_shards is 0.
+/// Engine shards per node (lock ids route to shard `lock % shards`);
+/// a cluster with recovery enabled runs one.
 inline constexpr std::size_t kDefaultEngineShards = 8;
 
 /// See file comment.
@@ -135,8 +123,7 @@ class ThreadCluster {
   /// Total protocol messages sent so far.
   std::uint64_t messages_sent() const { return transport_->messages_sent(); }
 
-  /// Total encoded wire bytes shipped so far (0 when nothing encodes —
-  /// kInProc with codec_roundtrip off).
+  /// Total encoded wire bytes shipped so far.
   std::uint64_t bytes_sent() const { return transport_->bytes_sent(); }
 
   std::size_t node_count() const { return nodes_.size(); }
@@ -220,13 +207,12 @@ class ThreadCluster {
           const ThreadClusterOptions& options);
 
     SimTime now() override;
-    /// Counts the step's messages into the engine series, then makes one
-    /// transport call for the whole step: the transport coalesces
-    /// same-destination runs into batch frames (when batching is on). Runs
-    /// under the shard mutex; a TCP send may wait for socket room, but
-    /// while it waits it drains its own node's sockets, so the peer it
-    /// waits on always makes progress and holding the shard mutex cannot
-    /// deadlock (docs/transports.md §3).
+    /// Counts the step's messages into the engine series, then hands the
+    /// whole step to Transport::send_batch, which sends each message on its
+    /// own. Runs under the shard mutex; a TCP send may wait for socket
+    /// room, but while it waits it drains its own node's sockets, so the
+    /// peer it waits on always makes progress and holding the shard mutex
+    /// cannot deadlock (docs/transports.md §3).
     void send(std::vector<proto::Message>&& messages) override
         HLOCK_REQUIRES(mutex);
     /// Sinks before the step's messages go out (NodeCore's order), so the
@@ -341,7 +327,7 @@ class ThreadCluster {
   /// Telemetry hooks from the options (nullptr = uninstrumented).
   telemetry::Registry* metrics_ = nullptr;
   telemetry::StallWatchdog* watchdog_ = nullptr;
-  std::size_t shard_count_ = kDefaultEngineShards;
+  const std::size_t shard_count_;
   /// Recovery configuration; recovery_.enabled gates every recovery path.
   recovery::Options recovery_;
   /// Heartbeat ticker (joinable only when recovery is enabled); its cv

@@ -1,7 +1,5 @@
 #include "transport/inproc_transport.hpp"
 
-#include <algorithm>
-
 #include "proto/codec.hpp"
 #include "util/check.hpp"
 
@@ -37,82 +35,20 @@ Mailbox::Clock::time_point InProcTransport::schedule_delivery(
 }
 
 void InProcTransport::send(const proto::Message& message) {
-  proto::Message to_deliver = message;
-  if (options_.codec_roundtrip) {
-    // One scratch buffer per sending thread: capacity persists across
-    // sends, so the steady state allocates nothing for the wire image.
-    thread_local std::vector<std::byte> scratch;
-    scratch.clear();
-    proto::encode_into(message, scratch);
-    std::optional<proto::Message> decoded = proto::decode(scratch);
-    HLOCK_INVARIANT(decoded.has_value() && *decoded == message,
-                    "codec round-trip corrupted a message");
-    to_deliver = std::move(*decoded);
-    bytes_.fetch_add(scratch.size(), std::memory_order_relaxed);
-  }
+  // One scratch buffer per sending thread: capacity persists across
+  // sends, so the steady state allocates nothing for the wire image.
+  thread_local std::vector<std::byte> scratch;
+  scratch.clear();
+  proto::encode_into(message, scratch);
+  std::optional<proto::Message> decoded = proto::decode(scratch);
+  HLOCK_INVARIANT(decoded.has_value() && *decoded == message,
+                  "codec round-trip corrupted a message");
+  bytes_.fetch_add(scratch.size(), std::memory_order_relaxed);
 
   const Mailbox::Clock::time_point deliver_at =
       schedule_delivery(message.from, message.to);
-  mailbox(message.to).push(std::move(to_deliver), deliver_at);
+  mailbox(message.to).push(std::move(*decoded), deliver_at);
   sent_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void InProcTransport::send_coalesced(std::vector<proto::Message>& messages,
-                                     std::size_t begin, std::size_t end) {
-  const proto::NodeId from = messages[begin].from;
-  const proto::NodeId to = messages[begin].to;
-  std::vector<proto::Message> group;
-  if (options_.codec_roundtrip) {
-    thread_local std::vector<std::byte> scratch;
-    scratch.clear();
-    proto::encode_batch_into(
-        std::span<const proto::Message>{messages.data() + begin,
-                                        end - begin},
-        scratch);
-    std::optional<std::vector<proto::Message>> decoded =
-        proto::decode_batch(scratch);
-    HLOCK_INVARIANT(decoded.has_value() && decoded->size() == end - begin &&
-                        std::equal(decoded->begin(), decoded->end(),
-                                   messages.begin() +
-                                       static_cast<std::ptrdiff_t>(begin)),
-                    "codec round-trip corrupted a batch");
-    group = std::move(*decoded);
-    bytes_.fetch_add(scratch.size(), std::memory_order_relaxed);
-  } else {
-    group.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      group.push_back(std::move(messages[i]));
-    }
-  }
-  // One latency sample for the whole batch: it travels as one frame.
-  const Mailbox::Clock::time_point deliver_at = schedule_delivery(from, to);
-  mailbox(to).push_all(std::move(group), deliver_at);
-  sent_.fetch_add(end - begin, std::memory_order_relaxed);
-}
-
-void InProcTransport::send_batch(std::vector<proto::Message> messages) {
-  if (messages.empty()) return;
-  if (!options_.batching) {
-    for (const proto::Message& message : messages) send(message);
-    return;
-  }
-  // Coalesce consecutive same-channel runs; runs never reorder relative to
-  // each other, so per-channel FIFO is exactly what per-message sends give.
-  std::size_t begin = 0;
-  while (begin < messages.size()) {
-    std::size_t end = begin + 1;
-    while (end < messages.size() &&
-           messages[end].from == messages[begin].from &&
-           messages[end].to == messages[begin].to) {
-      ++end;
-    }
-    if (end - begin == 1) {
-      send(messages[begin]);
-    } else {
-      send_coalesced(messages, begin, end);
-    }
-    begin = end;
-  }
 }
 
 std::optional<proto::Message> InProcTransport::recv(proto::NodeId node) {

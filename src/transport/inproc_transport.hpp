@@ -3,19 +3,12 @@
 // The simulated-cluster harness (runtime/sim_cluster.hpp) validates the
 // protocol under modelled time; this transport validates it under real
 // concurrency: every node runs on its own thread, messages cross true
-// thread boundaries, and (by default) every message round-trips through
-// the binary wire codec, exactly as a socket deployment would ship it.
-// Injected latency is optional and small — the goal here is races, not
-// timing realism.
+// thread boundaries, and every message round-trips through the binary wire
+// codec, exactly as a socket deployment would ship it. Injected latency is
+// optional and small — the goal here is races, not timing realism.
 //
 // Channels are FIFO per ordered (from, to) pair, matching TCP/MPI and the
 // simulator's network model.
-//
-// With batching enabled (the default), send_batch() coalesces the
-// same-destination messages of one burst into a single batch envelope: one
-// codec round-trip over a reused scratch buffer and one mailbox lock
-// acquisition instead of one of each per message. Batching never changes
-// what is delivered or in which order — see docs/performance.md.
 #pragma once
 
 #include <atomic>
@@ -42,12 +35,6 @@ struct InProcOptions {
   /// Injected one-way latency (real time); zero by default.
   DurationDist latency = DurationDist::constant(SimTime::ns(0));
   std::uint64_t seed = 1;
-  /// Round-trip every message through the binary codec (encode + decode)
-  /// to keep the protocol honest about its wire representation.
-  bool codec_roundtrip = true;
-  /// Coalesce same-destination messages of one send_batch() call into a
-  /// single batch envelope (protocol-invisible; off = per-message path).
-  bool batching = true;
 };
 
 /// See file comment.
@@ -55,15 +42,10 @@ class InProcTransport final : public Transport {
  public:
   explicit InProcTransport(const InProcOptions& options);
 
-  /// Routes a message to its destination mailbox. Thread-safe. Throws
-  /// InvariantError if the codec round-trip corrupts the message.
+  /// Round-trips a message through the codec and routes the decoded copy
+  /// to its destination mailbox. Thread-safe. Throws InvariantError if the
+  /// codec round-trip corrupts the message.
   void send(const proto::Message& message) override
-      HLOCK_EXCLUDES(latency_mutex_);
-
-  /// Routes a burst, coalescing same-channel runs into batch envelopes
-  /// when options.batching is set (falls back to per-message sends
-  /// otherwise). Thread-safe.
-  void send_batch(std::vector<proto::Message> messages) override
       HLOCK_EXCLUDES(latency_mutex_);
 
   /// Blocks for the next deliverable message for `node` (nullopt once the
@@ -81,11 +63,10 @@ class InProcTransport final : public Transport {
   /// Closes all mailboxes; blocked receivers wake up.
   void shutdown() override;
 
-  /// Total messages accepted by send()/send_batch().
+  /// Total messages accepted by send().
   std::uint64_t messages_sent() const override { return sent_.load(); }
 
-  /// Encoded bytes shipped (0 when codec_roundtrip is off — nothing is
-  /// encoded then).
+  /// Encoded bytes shipped.
   std::uint64_t bytes_sent() const override { return bytes_.load(); }
 
   std::size_t node_count() const { return mailboxes_.size(); }
@@ -99,14 +80,11 @@ class InProcTransport final : public Transport {
 
  private:
   Mailbox& mailbox(proto::NodeId node);
-  /// Computes the delivery time of the next message/batch on (from, to),
+  /// Computes the delivery time of the next message on (from, to),
   /// maintaining per-channel FIFO under injected latency.
   Mailbox::Clock::time_point schedule_delivery(proto::NodeId from,
                                                proto::NodeId to)
       HLOCK_EXCLUDES(latency_mutex_);
-  /// Ships one same-channel run [begin, end) as a single batch envelope.
-  void send_coalesced(std::vector<proto::Message>& messages,
-                      std::size_t begin, std::size_t end);
 
   /// Immutable after construction (mailboxes themselves are thread-safe).
   InProcOptions options_;

@@ -4,13 +4,6 @@
 
 namespace hlock::transport {
 
-void Mailbox::push_locked(proto::Message&& message,
-                          Clock::time_point deliver_at) {
-  heap_.push_back(Entry{deliver_at, next_seq_++, std::move(message)});
-  std::push_heap(heap_.begin(), heap_.end());
-  ++pushed_;
-}
-
 proto::Message Mailbox::pop_top_locked() {
   // pop_heap moves the earliest entry to the back, where it can be
   // extracted by move — the payload's queue buffer travels, not copies.
@@ -27,21 +20,9 @@ void Mailbox::push(proto::Message message, Clock::time_point deliver_at) {
   {
     MutexLock guard(mutex_);
     if (closed_) return;
-    push_locked(std::move(message), deliver_at);
-  }
-  cv_.notify_one();
-}
-
-void Mailbox::push_all(std::vector<proto::Message> messages,
-                       Clock::time_point deliver_at) {
-  if (messages.empty()) return;
-  sched::yield_point("mailbox.push-all");
-  {
-    MutexLock guard(mutex_);
-    if (closed_) return;
-    for (proto::Message& message : messages) {
-      push_locked(std::move(message), deliver_at);
-    }
+    heap_.push_back(Entry{deliver_at, next_seq_++, std::move(message)});
+    std::push_heap(heap_.begin(), heap_.end());
+    ++pushed_;
   }
   cv_.notify_one();
 }

@@ -34,11 +34,6 @@ class Mailbox {
   void push(proto::Message message, Clock::time_point deliver_at)
       HLOCK_EXCLUDES(mutex_);
 
-  /// Deposits a burst of messages sharing one delivery time under a single
-  /// lock acquisition, preserving their order. No-op after close().
-  void push_all(std::vector<proto::Message> messages,
-                Clock::time_point deliver_at) HLOCK_EXCLUDES(mutex_);
-
   /// Blocks until a message is deliverable or the mailbox is closed and
   /// empty. Returns std::nullopt only in the latter case.
   std::optional<proto::Message> pop() HLOCK_EXCLUDES(mutex_);
@@ -77,8 +72,6 @@ class Mailbox {
     }
   };
 
-  void push_locked(proto::Message&& message, Clock::time_point deliver_at)
-      HLOCK_REQUIRES(mutex_);
   /// Removes and returns the earliest entry's message by move (no payload
   /// buffer is copied). Precondition: the heap is non-empty.
   proto::Message pop_top_locked() HLOCK_REQUIRES(mutex_);

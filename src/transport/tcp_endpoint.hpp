@@ -7,7 +7,7 @@
 // connection without blocking into that connection's buffer, and decodes
 // every complete frame — in stream order — into the ready queue it then
 // returns from. TCP's in-order streams give per-channel FIFO, and a batch
-// frame unpacks in emission order, so coalescing stays invisible.
+// frame unpacks in emission order.
 //
 // Because the sockets drain only while someone receives, a frame write
 // that would block must keep its own node's inbound moving, or two nodes

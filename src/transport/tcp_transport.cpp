@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <span>
 #include <thread>
 
 #include "proto/codec.hpp"
@@ -36,8 +35,7 @@ std::uint16_t TcpTransport::port_of(proto::NodeId node) const {
 }
 
 bool TcpTransport::send_frame(proto::NodeId from, proto::NodeId to,
-                              std::vector<std::byte>& frame,
-                              std::uint64_t message_count) {
+                              std::vector<std::byte>& frame) {
   if (!finish_frame(frame)) {
     counters_.send_failures.fetch_add(1, std::memory_order_relaxed);
     HLOCK_LOG(kError, "tcp: a " << frame.size() << "-byte frame to node "
@@ -78,7 +76,7 @@ bool TcpTransport::send_frame(proto::NodeId from, proto::NodeId to,
       }
     }
     if (own.send_frame(channel.fd, frame)) {
-      sent_.fetch_add(message_count, std::memory_order_relaxed);
+      sent_.fetch_add(1, std::memory_order_relaxed);
       bytes_.fetch_add(frame.size(), std::memory_order_relaxed);
       return true;
     }
@@ -92,55 +90,17 @@ bool TcpTransport::send_frame(proto::NodeId from, proto::NodeId to,
   return false;
 }
 
-void TcpTransport::check_channel(const proto::Message& message) const {
+void TcpTransport::send(const proto::Message& message) {
+  if (stopping_.load()) return;
   HLOCK_REQUIRE(message.to.value() < nodes_.size(), "unknown node id");
   HLOCK_REQUIRE(message.from.value() < nodes_.size(),
                 "message without a known sender");
-}
-
-void TcpTransport::send(const proto::Message& message) {
-  if (stopping_.load()) return;
-  check_channel(message);
   // One scratch buffer per sending thread: the wire image of the steady
   // state allocates nothing.
   thread_local std::vector<std::byte> scratch;
   begin_frame(scratch);
   proto::encode_into(message, scratch);
-  send_frame(message.from, message.to, scratch, 1);
-}
-
-void TcpTransport::send_batch(std::vector<proto::Message> messages) {
-  if (messages.empty()) return;
-  if (!options_.batching) {
-    for (const proto::Message& message : messages) send(message);
-    return;
-  }
-  if (stopping_.load()) return;
-  // Coalesce consecutive same-channel runs into one batch frame each; runs
-  // never reorder, so TCP's in-order channel keeps per-channel FIFO intact.
-  std::size_t begin = 0;
-  while (begin < messages.size()) {
-    std::size_t end = begin + 1;
-    while (end < messages.size() &&
-           messages[end].from == messages[begin].from &&
-           messages[end].to == messages[begin].to) {
-      ++end;
-    }
-    if (end - begin == 1) {
-      send(messages[begin]);
-    } else {
-      const proto::Message& head = messages[begin];
-      check_channel(head);
-      thread_local std::vector<std::byte> scratch;
-      begin_frame(scratch);
-      proto::encode_batch_into(
-          std::span<const proto::Message>{messages.data() + begin,
-                                          end - begin},
-          scratch);
-      send_frame(head.from, head.to, scratch, end - begin);
-    }
-    begin = end;
-  }
+  send_frame(message.from, message.to, scratch);
 }
 
 bool TcpTransport::sever_channel(proto::NodeId from, proto::NodeId to) {

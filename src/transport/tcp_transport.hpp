@@ -3,17 +3,16 @@
 // Each node binds a listening socket on 127.0.0.1 (ephemeral port);
 // senders open one persistent connection per ordered (from, to) channel on
 // first use, matching the paper's Linux-testbed deployment ("connected by
-// a full-duplex FastEther switch utilized through TCP/IP"). Messages are
-// wire frames: a 4-byte little-endian length prefix followed by either one
-// binary codec encoding or a batch envelope coalescing the same-channel
-// messages of one burst (proto::kBatchMarker) — one frame, one send(),
-// instead of one per message. Each node's TcpEndpoint is read by the
-// thread that receives for the node: it waits in epoll_wait over the
-// node's listener and connections and decodes frames straight into the
-// batch it returns, so no socket thread sits between the wire and the
-// receiver. TCP's in-order delivery provides the per-channel FIFO the
-// protocol relies on, and batches unpack in emission order so coalescing
-// is invisible above the transport.
+// a full-duplex FastEther switch utilized through TCP/IP"). Every message
+// travels as its own wire frame — a 4-byte little-endian length prefix
+// followed by one binary codec encoding — written with one send(). The
+// receiver also accepts a batch envelope (proto::kBatchMarker) in a frame
+// and unpacks it in order, though this transport never sends one. Each
+// node's TcpEndpoint is read by the thread that receives for the node: it
+// waits in epoll_wait over the node's listener and connections and decodes
+// frames straight into the batch it returns, so no socket thread sits
+// between the wire and the receiver. TCP's in-order delivery provides the
+// per-channel FIFO the protocol relies on.
 //
 // All nodes live in one process here (the testing substrate for a real
 // distributed deployment); nothing in the wire format or the socket
@@ -42,9 +41,6 @@ struct TcpOptions {
   /// Backoff before the first retry; doubles per retry up to `max_backoff`.
   std::chrono::milliseconds initial_backoff{1};
   std::chrono::milliseconds max_backoff{50};
-  /// Coalesce same-channel messages of one send_batch() call into a single
-  /// batch frame (protocol-invisible; off = one frame per message).
-  bool batching = true;
 };
 
 /// See file comment.
@@ -58,9 +54,6 @@ class TcpTransport final : public Transport {
   ~TcpTransport() override;
 
   void send(const proto::Message& message) override;
-  /// Ships a burst; same-channel runs travel as single batch frames when
-  /// options.batching is set.
-  void send_batch(std::vector<proto::Message> messages) override;
   std::optional<proto::Message> recv(proto::NodeId node) override;
   /// Reads `node`'s sockets on the calling thread and returns every message
   /// decoded so far (empty once shut down and drained). One receiving
@@ -104,14 +97,11 @@ class TcpTransport final : public Transport {
     return channels_[from.value() * nodes_.size() + to.value()];
   }
   TcpEndpoint& endpoint_of(proto::NodeId node);
-  /// Rejects a message whose sender or destination is not a node here.
-  void check_channel(const proto::Message& message) const;
-  /// Finishes the frame begun in `frame` and writes it on the channel with
-  /// the retry / backoff / reconnect policy; counts `message_count` logical
-  /// messages on success. False once every attempt failed (frame dropped +
-  /// counted).
+  /// Finishes the one-message frame begun in `frame` and writes it on the
+  /// channel with the retry / backoff / reconnect policy. False once every
+  /// attempt failed (frame dropped + counted).
   bool send_frame(proto::NodeId from, proto::NodeId to,
-                  std::vector<std::byte>& frame, std::uint64_t message_count);
+                  std::vector<std::byte>& frame);
 
   /// Options, endpoints and the channel table are fixed at construction
   /// (each endpoint and channel synchronizes itself).

@@ -7,13 +7,12 @@
 // transport guarantee — the protocol's release/request ordering analysis
 // depends on it.
 //
-// The batch entry points (send_batch / recv_ready) exist purely for
-// throughput: one automaton step often emits several messages, and a busy
-// receiver often has several matured messages waiting. Default
-// implementations fall back to the one-message forms, so batching is an
-// optional optimization with identical observable semantics — transports
-// that coalesce must preserve per-channel FIFO order exactly as if each
-// message had been sent individually (docs/performance.md).
+// Every message travels on its own: send() is the one send path, and
+// send_batch() only loops over it for callers that hold one automaton
+// step's output. A step almost never emits two messages toward the same
+// node, so there is nothing to coalesce (docs/performance.md). The receive
+// side does batch: a busy receiver often has several matured messages
+// waiting, and recv_ready() returns them all in one call.
 #pragma once
 
 #include <chrono>
@@ -35,10 +34,8 @@ class Transport {
   virtual void send(const proto::Message& message) = 0;
 
   /// Routes a burst of messages (typically the output of one automaton
-  /// step), preserving per-ordered-channel FIFO order. Implementations may
-  /// coalesce same-destination messages into one wire frame; the default
-  /// sends one by one. Thread-safe.
-  virtual void send_batch(std::vector<proto::Message> messages) {
+  /// step) one send() at a time, in order. Thread-safe.
+  void send_batch(std::vector<proto::Message> messages) {
     for (const proto::Message& message : messages) send(message);
   }
 
@@ -68,8 +65,7 @@ class Transport {
   virtual std::uint64_t messages_sent() const = 0;
 
   /// Encoded payload bytes shipped so far (framing included where the
-  /// transport frames). Zero for transports that never encode — the
-  /// bytes-per-request metric of bench/throughput_hotpath.cpp.
+  /// transport frames). Zero for transports that do not count them.
   virtual std::uint64_t bytes_sent() const { return 0; }
 
   /// Messages queued toward `node` but not yet received — the telemetry

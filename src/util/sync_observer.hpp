@@ -14,8 +14,8 @@
 //     scheduler, so rare interleavings become reproducible test inputs.
 //
 // Cost when no observer is installed: one relaxed atomic load per
-// operation, nothing else — the PR 5 hot path is untouched (the bench-smoke
-// gate runs with the slot empty). See docs/sched.md.
+// operation, nothing else — the hot path is untouched (the lock benchmark,
+// perfbench/, runs with the slot empty). See docs/sched.md.
 #pragma once
 
 #include <atomic>

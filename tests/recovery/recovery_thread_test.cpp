@@ -5,6 +5,15 @@
 // generous so loaded CI machines do not false-suspect live nodes.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "runtime/thread_cluster.hpp"
 #include "telemetry/registry.hpp"
 #include "util/check.hpp"
@@ -83,12 +92,77 @@ TEST(RecoveryThread, CrashStopRequiresRecovery) {
 }
 
 TEST(RecoveryThread, RecoveryForcesSingleShard) {
-  ThreadClusterOptions options = recovery_options(Protocol::kHierarchical);
-  options.engine_shards = 4;
-  EXPECT_THROW(ThreadCluster cluster(options), UsageError);
-  options.engine_shards = 0;
-  ThreadCluster cluster(options);
+  ThreadCluster cluster(recovery_options(Protocol::kHierarchical));
   EXPECT_EQ(cluster.engine_shards(), 1u);
+}
+
+// A holder of several locks crash-stops. Each survivor then halts and
+// reports every lock to the coordinator, and the coordinator fences every
+// lock at each survivor: runs of same-destination messages, one per lock.
+// Both survivors must regain every lock.
+class RecoveryThreadTransport
+    : public ::testing::TestWithParam<runtime::TransportKind> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Transports, RecoveryThreadTransport,
+    ::testing::Values(runtime::TransportKind::kInProc,
+                      runtime::TransportKind::kTcp),
+    [](const ::testing::TestParamInfo<runtime::TransportKind>& param_info) {
+      return std::string{param_info.param == runtime::TransportKind::kTcp
+                             ? "tcp"
+                             : "inproc"};
+    });
+
+TEST_P(RecoveryThreadTransport, HolderOfManyLocksIsFencedOutOfEach) {
+  constexpr std::uint32_t kLocks = 8;
+  ThreadClusterOptions options = recovery_options(Protocol::kHierarchical);
+  options.transport = GetParam();
+  ThreadCluster cluster(options);
+
+  for (std::uint32_t node = 0; node < 3; ++node) {
+    for (std::uint32_t lock = 0; lock < kLocks; ++lock) {
+      cluster.lock(NodeId{node}, LockId{lock}, LockMode::kW);
+      cluster.unlock(NodeId{node}, LockId{lock});
+    }
+  }
+  for (std::uint32_t lock = 0; lock < kLocks; ++lock) {
+    cluster.lock(NodeId{1}, LockId{lock}, LockMode::kW);
+  }
+  cluster.crash_stop(NodeId{1});
+
+  // Client threads and a timed wait: a wedged recovery fails the test
+  // instead of hanging it. A wedged client can be neither joined nor woken
+  // without tearing the cluster down under it, so that failure ends the
+  // process.
+  std::mutex mutex;
+  std::condition_variable done_cv;
+  int done = 0;
+  std::vector<std::thread> clients;
+  for (const std::uint32_t node : {0u, 2u}) {
+    clients.emplace_back([&, node] {
+      for (std::uint32_t lock = 0; lock < kLocks; ++lock) {
+        cluster.lock(NodeId{node}, LockId{lock}, LockMode::kW);
+        cluster.unlock(NodeId{node}, LockId{lock});
+      }
+      const std::lock_guard<std::mutex> guard(mutex);
+      ++done;
+      done_cv.notify_all();
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (!done_cv.wait_for(lock, std::chrono::seconds(30),
+                          [&done] { return done == 2; })) {
+      std::fputs("survivors did not regain every lock within 30 s\n",
+                 stderr);
+      std::_Exit(1);
+    }
+  }
+  for (std::thread& client : clients) client.join();
+
+  EXPECT_GT(cluster.recovery_epoch_of(NodeId{0}), 0u);
+  EXPECT_GT(cluster.recovery_epoch_of(NodeId{2}), 0u);
+  EXPECT_EQ(cluster.receiver_errors(), 0u);
 }
 
 }  // namespace

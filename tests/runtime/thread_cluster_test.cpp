@@ -246,28 +246,20 @@ TEST(ThreadCluster, ManyLocksInParallel) {
 }
 
 TEST(ThreadCluster, DefaultsToShardedEnginesAndHonorsOverrides) {
-  ThreadCluster defaulted{options_for(Protocol::kHierarchical, 2)};
-  EXPECT_EQ(defaulted.engine_shards(), kDefaultEngineShards);
-
-  ThreadClusterOptions legacy = options_for(Protocol::kHierarchical, 2);
-  legacy.engine_shards = 1;
-  EXPECT_EQ(ThreadCluster{legacy}.engine_shards(), 1u);
-
-  ThreadClusterOptions wide = options_for(Protocol::kHierarchical, 2);
-  wide.engine_shards = 3;
-  EXPECT_EQ(ThreadCluster{wide}.engine_shards(), 3u);
+  ThreadCluster cluster{options_for(Protocol::kHierarchical, 2)};
+  EXPECT_EQ(cluster.engine_shards(), kDefaultEngineShards);
 }
 
 /// Shard-correctness workload: many locks striped across shards, every
-/// counter protected only by its lock. Run for each shard count so the
-/// single-shard legacy path and the sharded path prove the same exclusion.
-void run_sharded_counters(std::size_t engine_shards, bool batching) {
+/// counter protected only by its lock. Run with recovery off (sharded
+/// engines) and on (one shard per node), so both routings prove the same
+/// exclusion.
+void run_sharded_counters(bool recovery) {
   constexpr std::size_t kNodes = 4;
   constexpr int kOpsPerNode = 25;
   constexpr std::uint32_t kLocks = 16;  // spans shard indices 0..7 twice
   ThreadClusterOptions options = options_for(Protocol::kHierarchical, kNodes);
-  options.engine_shards = engine_shards;
-  options.batching = batching;
+  options.recovery.enabled = recovery;
   ThreadCluster cluster{options};
 
   std::vector<long> counters(kLocks, 0);  // each guarded by its lock alone
@@ -288,27 +280,16 @@ void run_sharded_counters(std::size_t engine_shards, bool batching) {
   long total = 0;
   for (long c : counters) total += c;
   EXPECT_EQ(total, static_cast<long>(kNodes) * kOpsPerNode)
-      << "lost increments with engine_shards=" << engine_shards
-      << " batching=" << batching;
+      << "lost increments with recovery=" << recovery;
   EXPECT_EQ(cluster.receiver_errors(), 0u);
 }
 
 TEST(ThreadCluster, ShardedEnginesPreserveExclusionAcrossManyLocks) {
-  run_sharded_counters(/*engine_shards=*/8, /*batching=*/true);
+  run_sharded_counters(/*recovery=*/false);
 }
 
 TEST(ThreadCluster, SingleShardLegacyModeStillCorrect) {
-  run_sharded_counters(/*engine_shards=*/1, /*batching=*/true);
-}
-
-TEST(ThreadCluster, BatchingOffStillCorrect) {
-  run_sharded_counters(/*engine_shards=*/8, /*batching=*/false);
-}
-
-TEST(ThreadCluster, OddShardCountStillRoutesEveryLock) {
-  // 16 locks modulo 5 shards exercises uneven routing (shards 0 holds 4
-  // locks, the rest 3) including wraparound.
-  run_sharded_counters(/*engine_shards=*/5, /*batching=*/true);
+  run_sharded_counters(/*recovery=*/true);
 }
 
 TEST(ThreadCluster, CountsEncodedWireBytes) {
@@ -318,13 +299,6 @@ TEST(ThreadCluster, CountsEncodedWireBytes) {
   EXPECT_GT(cluster.messages_sent(), 0u);
   // Every message is >= the 34-byte codec minimum once encoded.
   EXPECT_GE(cluster.bytes_sent(), cluster.messages_sent() * 34u);
-
-  ThreadClusterOptions raw = options_for(Protocol::kHierarchical, 2);
-  raw.codec_roundtrip = false;  // nothing encodes, so nothing counts
-  ThreadCluster raw_cluster{raw};
-  raw_cluster.lock(NodeId{1}, LockId{0}, LockMode::kW);
-  raw_cluster.unlock(NodeId{1}, LockId{0});
-  EXPECT_EQ(raw_cluster.bytes_sent(), 0u);
 }
 
 TEST(ThreadCluster, WithInjectedLatency) {

@@ -41,7 +41,6 @@ TEST(SchedExploration, ThreadClusterLockUnlockAndShutdown) {
       [] {
         runtime::ThreadClusterOptions cluster_options;
         cluster_options.node_count = 2;
-        cluster_options.engine_shards = 2;
         runtime::ThreadCluster cluster{cluster_options};
         sched::Thread client("client", [&cluster] {
           for (int i = 0; i < 2; ++i) {

@@ -66,10 +66,14 @@ TEST(HlockSimCli, ChaosModeReportsMutualExclusionAndFaults) {
 }
 
 TEST(HlockSimCli, ChaosModeRejectsBadTransport) {
-  const auto [status, output] = run_command(
-      tool("hlock_sim") + " --chaos --chaos-transport carrier-pigeon");
-  EXPECT_NE(status, 0);
-  EXPECT_NE(output.find("--chaos-transport must be"), std::string::npos);
+  // Both live-cluster modes: --chaos and the schedule explorer.
+  for (const char* mode : {" --chaos", " --sched-seeds 1 --nodes 2 --ops 1"}) {
+    const auto [status, output] = run_command(
+        tool("hlock_sim") + mode + " --chaos-transport carrier-pigeon");
+    EXPECT_NE(status, 0) << mode;
+    EXPECT_NE(output.find("--chaos-transport must be"), std::string::npos)
+        << mode;
+  }
 }
 
 TEST(HlockSimCli, BadArgumentsFailWithHelp) {

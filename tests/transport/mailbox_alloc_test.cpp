@@ -95,13 +95,13 @@ TEST(MailboxAlloc, PopAllocatesNothing) {
 
 TEST(MailboxAlloc, PopAllReadyMakesOneAllocationForTheBatchVector) {
   Mailbox mailbox;
-  std::vector<proto::Message> burst;
   std::vector<const proto::QueuedRequest*> buffers;
+  const Mailbox::Clock::time_point now = Mailbox::Clock::now();
   for (int i = 0; i < 16; ++i) {
-    burst.push_back(token_message(16));
-    buffers.push_back(queue_of(burst.back()).data());
+    proto::Message message = token_message(16);
+    buffers.push_back(queue_of(message).data());
+    mailbox.push(std::move(message), now);
   }
-  mailbox.push_all(std::move(burst), Mailbox::Clock::now());
 
   const std::uint64_t before = allocations();
   const std::vector<proto::Message> drained = mailbox.pop_all_ready();

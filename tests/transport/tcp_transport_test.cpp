@@ -16,6 +16,7 @@
 
 #include "proto/codec.hpp"
 #include "runtime/thread_cluster.hpp"
+#include "tests/transport/wire_burst.hpp"
 #include "transport/tcp_socket.hpp"
 #include "util/check.hpp"
 
@@ -67,6 +68,21 @@ TEST(TcpTransport, RoundTripsEveryPayloadKind) {
   };
   for (const Message& message : messages) transport.send(message);
   for (const Message& message : messages) {
+    const auto received =
+        transport.recv_for(NodeId{1}, std::chrono::milliseconds(2000));
+    ASSERT_TRUE(received.has_value());
+    EXPECT_EQ(*received, message);
+  }
+}
+
+TEST(TcpTransport, SendBatchShipsEachMessageAsItsOwnFrame) {
+  TcpTransport transport{2};
+  const std::vector<Message> burst = transport_test::wire_burst();
+  transport.send_batch(burst);
+  // 788 bytes of codec encodings plus a 4-byte length prefix per frame.
+  EXPECT_EQ(transport.bytes_sent(), 852u);
+  EXPECT_EQ(transport.messages_sent(), 16u);
+  for (const Message& message : burst) {
     const auto received =
         transport.recv_for(NodeId{1}, std::chrono::milliseconds(2000));
     ASSERT_TRUE(received.has_value());

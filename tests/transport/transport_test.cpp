@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "tests/transport/wire_burst.hpp"
 #include "transport/mailbox.hpp"
 #include "util/check.hpp"
 
@@ -162,19 +163,6 @@ TEST(InProcTransport, UnknownDestinationRejected) {
   EXPECT_THROW(transport.send(make_message(0, 9)), UsageError);
 }
 
-TEST(Mailbox, PushAllPreservesBurstOrder) {
-  Mailbox box;
-  std::vector<Message> burst;
-  for (std::uint32_t i = 1; i <= 8; ++i) burst.push_back(make_message(i, 0));
-  box.push_all(std::move(burst), Mailbox::Clock::now());
-  EXPECT_EQ(box.pushed(), 8u);
-  for (std::uint32_t i = 1; i <= 8; ++i) {
-    const auto message = box.pop();
-    ASSERT_TRUE(message.has_value());
-    EXPECT_EQ(message->from, NodeId{i});
-  }
-}
-
 TEST(Mailbox, PopAllReadyDrainsOnlyMaturedMessages) {
   Mailbox box;
   const auto now = Mailbox::Clock::now();
@@ -208,21 +196,11 @@ TEST(Mailbox, PopAllReadyBlocksUntilFirstMessageMatures) {
   EXPECT_GE(Mailbox::Clock::now() - start, std::chrono::milliseconds(19));
 }
 
-// send_batch must look identical to per-message send from the receiver's
-// point of view, with batching on or off. The protocol layers never learn
-// which path shipped their messages.
-class InProcBatchTest : public ::testing::TestWithParam<bool> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    BatchingOnOff, InProcBatchTest, ::testing::Values(true, false),
-    [](const ::testing::TestParamInfo<bool>& param_info) {
-      return std::string{param_info.param ? "Batched" : "PerMessage"};
-    });
-
-TEST_P(InProcBatchTest, SendBatchPreservesChannelFifo) {
+// send_batch hands a burst to send() one message at a time: the receiver
+// sees each message intact, in per-channel order, wherever it was headed.
+TEST(InProcBatchTest, SendBatchPreservesChannelFifo) {
   InProcOptions options;
   options.node_count = 2;
-  options.batching = GetParam();
   InProcTransport transport{options};
   std::vector<Message> burst;
   for (std::uint64_t i = 0; i < 32; ++i) {
@@ -238,17 +216,16 @@ TEST_P(InProcBatchTest, SendBatchPreservesChannelFifo) {
     for (const auto& message : ready) {
       const auto* request = std::get_if<proto::NaimiRequest>(&message.payload);
       ASSERT_NE(request, nullptr);
-      EXPECT_EQ(request->seq, expected++) << "FIFO violated under batching";
+      EXPECT_EQ(request->seq, expected++) << "FIFO violated by send_batch";
     }
   }
 }
 
-TEST_P(InProcBatchTest, SendBatchSplitsMixedDestinations) {
+TEST(InProcBatchTest, SendBatchSplitsMixedDestinations) {
   InProcOptions options;
   options.node_count = 3;
-  options.batching = GetParam();
   InProcTransport transport{options};
-  // Alternating destinations force run boundaries inside the burst.
+  // Alternating destinations: each message reaches its own node.
   transport.send_batch({make_message(0, 1), make_message(0, 2),
                         make_message(0, 1), make_message(0, 2),
                         make_message(0, 1)});
@@ -261,10 +238,9 @@ TEST_P(InProcBatchTest, SendBatchSplitsMixedDestinations) {
   EXPECT_EQ(transport.messages_sent(), 5u);
 }
 
-TEST_P(InProcBatchTest, SendBatchRoundTripsEveryPayloadIntact) {
+TEST(InProcBatchTest, SendBatchRoundTripsEveryPayloadIntact) {
   InProcOptions options;
   options.node_count = 2;
-  options.batching = GetParam();
   InProcTransport transport{options};
   const Message token{NodeId{0}, NodeId{1}, LockId{7},
                       proto::HierToken{LockMode::kW, LockMode::kIR,
@@ -284,10 +260,10 @@ TEST_P(InProcBatchTest, SendBatchRoundTripsEveryPayloadIntact) {
 
 TEST(InProcTransport, BatchingCountsEncodedBytes) {
   InProcTransport transport{InProcOptions{2}};
-  transport.send_batch({make_message(0, 1), make_message(0, 1)});
-  // Batch envelope: 1-byte marker + u32 count + per message u32 length
-  // prefix on top of each encoded message (>= 34 bytes each).
-  EXPECT_GE(transport.bytes_sent(), 2u * (4u + 34u) + 5u);
+  transport.send_batch(transport_test::wire_burst());
+  // Each message's own codec encoding, and nothing else.
+  EXPECT_EQ(transport.bytes_sent(), 788u);
+  EXPECT_EQ(transport.messages_sent(), 16u);
 }
 
 TEST(InProcTransport, EmptySendBatchIsANoOp) {

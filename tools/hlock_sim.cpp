@@ -147,25 +147,25 @@ void print_span_report(const obs::SpanCollector& collector) {
               obs::render_phase_table(collector.phase_breakdown()).c_str());
 }
 
+/// The --chaos-transport value, for both live-cluster modes (--chaos and
+/// --sched-seeds / --sched-seed).
+runtime::TransportKind chaos_transport(const CliParser& cli) {
+  const std::string transport = cli.get_string("chaos-transport");
+  if (transport == "tcp") return runtime::TransportKind::kTcp;
+  if (transport == "inproc") return runtime::TransportKind::kInProc;
+  throw UsageError("--chaos-transport must be inproc or tcp");
+}
+
 /// Runs the --chaos scenario: an exclusive-counter workload on a live
 /// ThreadCluster with the requested fault plan. Returns the process exit
 /// code (0 = mutual exclusion and full progress).
 int run_chaos(const CliParser& cli) {
   runtime::ThreadClusterOptions options;
   options.node_count = static_cast<std::size_t>(cli.get_int("nodes", 1, 256));
+  options.transport = chaos_transport(cli);
   const std::string transport = cli.get_string("chaos-transport");
-  if (transport == "tcp") {
-    options.transport = runtime::TransportKind::kTcp;
-  } else if (transport == "inproc") {
-    options.transport = runtime::TransportKind::kInProc;
-  } else {
-    throw UsageError("--chaos-transport must be inproc or tcp");
-  }
   options.seed = static_cast<std::uint64_t>(
       cli.get_int("seed", 0, std::numeric_limits<std::int64_t>::max()));
-  options.batching = !cli.get_flag("no-batching");
-  options.engine_shards = static_cast<std::size_t>(
-      cli.get_int("engine-shards", 0, 4096));
 
   // Crash-stop injection (docs/recovery.md): --kill-rate random crash-stops
   // per second. The exact-counter mutual-exclusion check does not survive
@@ -536,12 +536,7 @@ int run_chaos(const CliParser& cli) {
 int run_sched(const CliParser& cli) {
   runtime::ThreadClusterOptions options;
   options.node_count = static_cast<std::size_t>(cli.get_int("nodes", 1, 64));
-  options.transport = cli.get_string("chaos-transport") == "tcp"
-                          ? runtime::TransportKind::kTcp
-                          : runtime::TransportKind::kInProc;
-  options.batching = !cli.get_flag("no-batching");
-  options.engine_shards =
-      static_cast<std::size_t>(cli.get_int("engine-shards", 0, 4096));
+  options.transport = chaos_transport(cli);
   const int ops = static_cast<int>(cli.get_int("ops", 1, 100000));
   const long expected = static_cast<long>(options.node_count) * ops;
 
@@ -666,12 +661,6 @@ int main(int argc, char** argv) {
                "instead of the simulator");
   cli.add_option("chaos-transport", "inproc",
                  "chaos transport: inproc | tcp");
-  cli.add_flag("no-batching",
-               "chaos: disable same-destination message batching "
-               "(protocol-invisible; for A/B runs — docs/performance.md)");
-  cli.add_option("engine-shards", "0",
-                 "chaos: engine shards per node (0 = default, 1 = legacy "
-                 "single-mutex)");
   cli.add_option("fault-drop", "0", "chaos: wire loss probability [0,1]");
   cli.add_option("fault-delay", "0", "chaos: extra-delay probability [0,1]");
   cli.add_option("fault-delay-us", "1000",
