@@ -35,7 +35,6 @@
 #include "runtime/sim_cluster.hpp"      // IWYU pragma: export
 #include "runtime/thread_cluster.hpp"   // IWYU pragma: export
 #include "transport/inproc_transport.hpp" // IWYU pragma: export
-#include "transport/tcp_node.hpp"       // IWYU pragma: export
 #include "transport/tcp_transport.hpp"  // IWYU pragma: export
 
 // Simulation, workload, analysis and diagnostics.

@@ -180,8 +180,7 @@ ThreadCluster::ThreadCluster(const ThreadClusterOptions& options)
     transport_ = std::move(tcp);
   } else {
     transport_ = std::make_unique<transport::InProcTransport>(
-        transport::InProcOptions{options.node_count, options.message_latency,
-                                 options.seed});
+        transport::InProcOptions{options.node_count});
   }
   if (options.faults.any()) {
     transport::FaultPlan plan = options.faults;
@@ -360,7 +359,7 @@ ThreadCluster::NodeRuntime& ThreadCluster::runtime_of(NodeId node) {
 void ThreadCluster::receiver_loop(NodeId node) {
   NodeRuntime& rt = runtime_of(node);
   for (;;) {
-    // One transport call drains every matured message (one mailbox lock
+    // One transport call drains every deliverable message (one mailbox lock
     // acquisition for the whole burst); an empty batch means shutdown.
     std::vector<proto::Message> batch = transport_->recv_ready(node);
     if (batch.empty()) return;

@@ -11,7 +11,7 @@
 // holds exactly as before, and a given lock maps to the same shard index on
 // every node, so a lock's entire causal chain stays on one shard per node.
 //
-// The receiver drains every matured message in one transport call
+// The receiver drains every deliverable message in one transport call
 // (recv_ready) and dispatches consecutive same-shard runs under a single
 // shard lock acquisition; each step's outgoing messages leave through one
 // Transport::send_batch call. See docs/performance.md.
@@ -43,7 +43,7 @@ namespace hlock::runtime {
 
 /// Which transport carries the cluster's messages.
 enum class TransportKind {
-  kInProc,  ///< in-process mailboxes (fast; supports injected latency)
+  kInProc,  ///< in-process mailboxes (fast; immediate delivery)
   kTcp,     ///< real TCP sockets over loopback (paper's Linux testbed)
 };
 
@@ -53,9 +53,6 @@ struct ThreadClusterOptions {
   Protocol protocol = Protocol::kHierarchical;
   core::HierConfig hier_config = {};
   TransportKind transport = TransportKind::kInProc;
-  /// Injected one-way message latency (real time; kInProc only — TCP has
-  /// its own genuine latency).
-  DurationDist message_latency = DurationDist::constant(SimTime::ns(0));
   std::uint64_t seed = 1;
   NodeId initial_root = NodeId{0};
   /// Fault-injection plan; when it injects anything the chosen transport is

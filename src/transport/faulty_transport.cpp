@@ -80,7 +80,11 @@ bool FaultyTransport::crosses_partition(std::uint32_t from, std::uint32_t to,
 }
 
 void FaultyTransport::send(const proto::Message& message) {
-  HLOCK_REQUIRE(!message.from.is_none(), "message without a sender");
+  // Checked here: the pump thread's inner send would throw past its loop
+  // and terminate the process.
+  HLOCK_REQUIRE(message.from.value() < node_count(),
+                "message without a known sender");
+  HLOCK_REQUIRE(message.to.value() < node_count(), "unknown node id");
   {
     MutexLock lock(mutex_);
     if (stopping_) return;
@@ -213,26 +217,9 @@ void FaultyTransport::pump_loop() {
   }
 }
 
-std::vector<proto::Message> FaultyTransport::recv_ready(proto::NodeId node) {
-  return inner_->recv_ready(node);
-}
-
-std::optional<proto::Message> FaultyTransport::recv(proto::NodeId node) {
-  return inner_->recv(node);
-}
-
-std::optional<proto::Message> FaultyTransport::recv_for(
-    proto::NodeId node, std::chrono::milliseconds timeout) {
-  return inner_->recv_for(node, timeout);
-}
-
-void FaultyTransport::partition(const std::vector<proto::NodeId>& side_a,
-                                SimTime heal_after) {
-  ActivePartition active;
-  for (proto::NodeId node : side_a) active.side_a.insert(node.value());
-  active.heal_at = Clock::now() + chrono_ns(heal_after);
-  MutexLock lock(mutex_);
-  partitions_.push_back(std::move(active));
+std::vector<proto::Message> FaultyTransport::recv_ready(
+    proto::NodeId node, Clock::time_point deadline) {
+  return inner_->recv_ready(node, deadline);
 }
 
 void FaultyTransport::shutdown() {

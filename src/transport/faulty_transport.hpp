@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <queue>
 #include <unordered_set>
 #include <vector>
@@ -92,19 +91,22 @@ class FaultyTransport final : public Transport {
   ~FaultyTransport() override;
 
   /// Accepts a message onto the (possibly faulty) wire. Thread-safe.
+  /// Throws UsageError, in the caller's thread, if the sender or the
+  /// destination is not one of the inner transport's nodes.
   void send(const proto::Message& message) override
       HLOCK_EXCLUDES(mutex_);
 
-  std::optional<proto::Message> recv(proto::NodeId node) override;
-  /// Batch drain, delegated to the inner transport (fault decisions happen
-  /// on the send side; by delivery time the batch is already fault-shaped).
-  std::vector<proto::Message> recv_ready(proto::NodeId node) override;
-  std::optional<proto::Message> recv_for(
-      proto::NodeId node, std::chrono::milliseconds timeout) override;
+  /// Delegated to the inner transport (fault decisions happen on the send
+  /// side; by delivery time the batch is already fault-shaped).
+  std::vector<proto::Message> recv_ready(
+      proto::NodeId node,
+      Clock::time_point deadline = Clock::time_point::max()) override;
 
   /// Drops undelivered wire entries, stops the delivery thread, and shuts
   /// the inner transport down.
   void shutdown() override HLOCK_EXCLUDES(mutex_);
+
+  std::size_t node_count() const override { return inner_->node_count(); }
 
   /// Messages accepted by send() — logical messages, not wire copies.
   std::uint64_t messages_sent() const override {
@@ -120,20 +122,12 @@ class FaultyTransport final : public Transport {
     return inner_->inbox_depth(node);
   }
 
-  /// Splits the cluster into `side_a` vs everyone else for `heal_after`
-  /// (wall time from now). Crossing messages are buffered until the heal.
-  /// Callable while traffic flows.
-  void partition(const std::vector<proto::NodeId>& side_a,
-                 SimTime heal_after) HLOCK_EXCLUDES(mutex_);
-
   /// Fault and healing counters, live.
   const stats::TransportCounters& counters() const { return counters_; }
 
   Transport& inner() { return *inner_; }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
   /// One copy of a message travelling the simulated wire.
   struct WireEntry {
     Clock::time_point deliver_at;

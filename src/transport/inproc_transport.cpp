@@ -5,8 +5,7 @@
 
 namespace hlock::transport {
 
-InProcTransport::InProcTransport(const InProcOptions& options)
-    : options_(options), latency_rng_(Rng{options.seed}.split(0x7A57u)) {
+InProcTransport::InProcTransport(const InProcOptions& options) {
   HLOCK_REQUIRE(options.node_count >= 1,
                 "a transport needs at least one node");
   mailboxes_.reserve(options.node_count);
@@ -20,20 +19,6 @@ Mailbox& InProcTransport::mailbox(proto::NodeId node) {
   return *mailboxes_[node.value()];
 }
 
-Mailbox::Clock::time_point InProcTransport::schedule_delivery(
-    proto::NodeId from, proto::NodeId to) {
-  MutexLock guard(latency_mutex_);
-  const SimTime latency = options_.latency.sample(latency_rng_);
-  Mailbox::Clock::time_point deliver_at =
-      Mailbox::Clock::now() + std::chrono::nanoseconds(latency.count_ns());
-  auto& front = channel_front_[{from, to}];
-  if (deliver_at <= front) {
-    deliver_at = front + std::chrono::nanoseconds(1);
-  }
-  front = deliver_at;
-  return deliver_at;
-}
-
 void InProcTransport::send(const proto::Message& message) {
   // One scratch buffer per sending thread: capacity persists across
   // sends, so the steady state allocates nothing for the wire image.
@@ -44,24 +29,13 @@ void InProcTransport::send(const proto::Message& message) {
   HLOCK_INVARIANT(decoded.has_value() && *decoded == message,
                   "codec round-trip corrupted a message");
   bytes_.fetch_add(scratch.size(), std::memory_order_relaxed);
-
-  const Mailbox::Clock::time_point deliver_at =
-      schedule_delivery(message.from, message.to);
-  mailbox(message.to).push(std::move(*decoded), deliver_at);
+  mailbox(message.to).push(std::move(*decoded));
   sent_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::optional<proto::Message> InProcTransport::recv(proto::NodeId node) {
-  return mailbox(node).pop();
-}
-
-std::vector<proto::Message> InProcTransport::recv_ready(proto::NodeId node) {
-  return mailbox(node).pop_all_ready();
-}
-
-std::optional<proto::Message> InProcTransport::recv_for(
-    proto::NodeId node, std::chrono::milliseconds timeout) {
-  return mailbox(node).pop_until(Mailbox::Clock::now() + timeout);
+std::vector<proto::Message> InProcTransport::recv_ready(
+    proto::NodeId node, Clock::time_point deadline) {
+  return mailbox(node).pop_all_ready(deadline);
 }
 
 void InProcTransport::shutdown() {

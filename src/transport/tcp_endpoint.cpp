@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <iterator>
 #include <limits>
 #include <string>
 
@@ -74,40 +73,19 @@ TcpEndpoint::~TcpEndpoint() {
   ::close(wake_fd_);
 }
 
-std::vector<proto::Message> TcpEndpoint::recv_ready() {
+std::vector<proto::Message> TcpEndpoint::recv_ready(
+    Clock::time_point deadline) {
   MutexLock guard(mutex_);
-  wait_locked(Clock::time_point::max());
+  wait_locked(deadline);
   std::vector<proto::Message> out;
-  if (ready_head_ == 0) {
-    out.swap(ready_);
-  } else {
-    const auto head = static_cast<std::ptrdiff_t>(ready_head_);
-    out.assign(std::make_move_iterator(ready_.begin() + head),
-               std::make_move_iterator(ready_.end()));
-    ready_.clear();
-  }
-  ready_head_ = 0;
+  out.swap(ready_);
   publish_depth_locked();
   return out;
 }
 
-std::optional<proto::Message> TcpEndpoint::recv_until(
-    Clock::time_point deadline) {
-  MutexLock guard(mutex_);
-  wait_locked(deadline);
-  if (ready_head_ == ready_.size()) return std::nullopt;
-  proto::Message message = std::move(ready_[ready_head_++]);
-  if (ready_head_ == ready_.size()) {
-    ready_.clear();
-    ready_head_ = 0;
-  }
-  publish_depth_locked();
-  return message;
-}
-
 void TcpEndpoint::wait_locked(Clock::time_point deadline) {
   for (;;) {
-    if (ready_head_ < ready_.size() || stopping_.load()) return;
+    if (!ready_.empty() || stopping_.load()) return;
     int timeout_ms = -1;
     if (deadline != Clock::time_point::max()) {
       const auto left = std::chrono::ceil<std::chrono::milliseconds>(
@@ -256,7 +234,7 @@ void TcpEndpoint::close_locked(Connection& connection) {
 }
 
 void TcpEndpoint::publish_depth_locked() {
-  depth_.store(ready_.size() - ready_head_, std::memory_order_relaxed);
+  depth_.store(ready_.size(), std::memory_order_relaxed);
 }
 
 bool TcpEndpoint::send_frame(int fd, std::span<const std::byte> frame) {

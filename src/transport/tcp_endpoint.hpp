@@ -17,14 +17,14 @@
 // block; if the lock is taken, its holder is already draining
 // (docs/transports.md §3).
 //
-// TcpTransport keeps one endpoint per node; TcpNode owns exactly one.
+// TcpTransport keeps one endpoint per node it hosts: every node, or only
+// its own in a one-node-per-process deployment.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -55,14 +55,11 @@ class TcpEndpoint {
   /// The loopback port the listener is bound to.
   std::uint16_t port() const { return port_; }
 
-  /// Blocks until a message is decoded or the endpoint is shut down, then
-  /// returns every decoded message in delivery order — empty only once
-  /// shut down and drained. One receiving thread at a time.
-  std::vector<proto::Message> recv_ready() HLOCK_EXCLUDES(mutex_);
-
-  /// The next message, waiting at most until `deadline`; std::nullopt on
-  /// timeout or once shut down and drained.
-  std::optional<proto::Message> recv_until(Clock::time_point deadline)
+  /// Blocks until a message is decoded, `deadline` passes, or the
+  /// endpoint is shut down, then returns every decoded message in delivery
+  /// order — empty on timeout, or once shut down and drained. One
+  /// receiving thread at a time.
+  std::vector<proto::Message> recv_ready(Clock::time_point deadline)
       HLOCK_EXCLUDES(mutex_);
 
   /// Writes a whole frame on `fd` (a connection to another endpoint),
@@ -119,9 +116,8 @@ class TcpEndpoint {
   Mutex mutex_;
   std::vector<std::unique_ptr<Connection>> connections_
       HLOCK_GUARDED_BY(mutex_);
-  /// Decoded messages; [ready_head_, size) are not yet returned.
+  /// Decoded messages not yet returned.
   std::vector<proto::Message> ready_ HLOCK_GUARDED_BY(mutex_);
-  std::size_t ready_head_ HLOCK_GUARDED_BY(mutex_) = 0;
   std::atomic<std::size_t> depth_{0};
   std::atomic<bool> stopping_{false};
 };

@@ -1,4 +1,4 @@
-// Low-level loopback TCP helpers shared by the socket transports:
+// Low-level loopback TCP helpers of the TCP transport and its tests:
 // listener setup, connection, and the length-prefixed message framing.
 //
 // Wire frame: 4-byte little-endian payload length, then either the binary
@@ -47,7 +47,7 @@ bool finish_frame(std::vector<std::byte>& out);
 std::uint32_t frame_body_size(const std::byte* prefix);
 
 /// Writes one framed message with a blocking send; false on error or peer
-/// close. For hand-rolled peers (tests, tools); the transports write
+/// close. For hand-rolled peers (tests, tools); the transport writes
 /// through TcpEndpoint::send_frame.
 bool write_frame(int fd, const proto::Message& message);
 

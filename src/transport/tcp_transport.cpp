@@ -15,23 +15,38 @@
 namespace hlock::transport {
 
 TcpTransport::TcpTransport(std::size_t node_count, TcpOptions options)
-    : options_(options), channels_(node_count * node_count) {
+    : options_(options), ports_(node_count), nodes_(node_count),
+      channels_(node_count * node_count) {
   HLOCK_REQUIRE(node_count >= 1, "a transport needs at least one node");
   HLOCK_REQUIRE(options_.max_send_attempts >= 1,
                 "a send needs at least one attempt");
-  nodes_.reserve(node_count);
   for (std::size_t i = 0; i < node_count; ++i) {
-    nodes_.push_back(std::make_unique<TcpEndpoint>(
+    nodes_[i] = std::make_unique<TcpEndpoint>(
         proto::NodeId{static_cast<std::uint32_t>(i)}, listen_loopback(0),
-        &counters_));
+        &counters_);
+    ports_[i] = nodes_[i]->port();
   }
+}
+
+TcpTransport::TcpTransport(proto::NodeId self, int listen_fd,
+                           std::vector<std::uint16_t> ports,
+                           TcpOptions options)
+    : options_(options), ports_(std::move(ports)), nodes_(ports_.size()),
+      channels_(ports_.size() * ports_.size()) {
+  // The endpoint owns the listener from here on: a throw below closes it.
+  auto endpoint = std::make_unique<TcpEndpoint>(self, listen_fd, &counters_);
+  HLOCK_REQUIRE(self.value() < ports_.size(),
+                "a one-node transport's node must be in the port table");
+  HLOCK_REQUIRE(options_.max_send_attempts >= 1,
+                "a send needs at least one attempt");
+  nodes_[self.value()] = std::move(endpoint);
 }
 
 TcpTransport::~TcpTransport() { shutdown(); }
 
 std::uint16_t TcpTransport::port_of(proto::NodeId node) const {
-  HLOCK_REQUIRE(node.value() < nodes_.size(), "unknown node id");
-  return nodes_[node.value()]->port();
+  HLOCK_REQUIRE(node.value() < ports_.size(), "unknown node id");
+  return ports_[node.value()];
 }
 
 bool TcpTransport::send_frame(proto::NodeId from, proto::NodeId to,
@@ -67,7 +82,7 @@ bool TcpTransport::send_frame(proto::NodeId from, proto::NodeId to,
     if (channel.fd < 0) {
       try {
         sched::BlockingRegion region;
-        channel.fd = connect_loopback(nodes_[to.value()]->port());
+        channel.fd = connect_loopback(ports_[to.value()]);
         if (attempt > 0) {
           counters_.reconnects.fetch_add(1, std::memory_order_relaxed);
         }
@@ -92,9 +107,9 @@ bool TcpTransport::send_frame(proto::NodeId from, proto::NodeId to,
 
 void TcpTransport::send(const proto::Message& message) {
   if (stopping_.load()) return;
-  HLOCK_REQUIRE(message.to.value() < nodes_.size(), "unknown node id");
-  HLOCK_REQUIRE(message.from.value() < nodes_.size(),
-                "message without a known sender");
+  HLOCK_REQUIRE(message.to.value() < ports_.size(), "unknown node id");
+  HLOCK_REQUIRE(hosts(message.from),
+                "a message from a node this transport does not host");
   // One scratch buffer per sending thread: the wire image of the steady
   // state allocates nothing.
   thread_local std::vector<std::byte> scratch;
@@ -117,27 +132,22 @@ bool TcpTransport::sever_channel(proto::NodeId from, proto::NodeId to) {
 }
 
 TcpEndpoint& TcpTransport::endpoint_of(proto::NodeId node) {
-  HLOCK_REQUIRE(node.value() < nodes_.size(), "unknown node id");
+  HLOCK_REQUIRE(hosts(node),
+                to_string(node) + " is not hosted by this transport");
   return *nodes_[node.value()];
 }
 
-std::optional<proto::Message> TcpTransport::recv(proto::NodeId node) {
-  return endpoint_of(node).recv_until(TcpEndpoint::Clock::time_point::max());
-}
-
-std::vector<proto::Message> TcpTransport::recv_ready(proto::NodeId node) {
-  return endpoint_of(node).recv_ready();
-}
-
-std::optional<proto::Message> TcpTransport::recv_for(
-    proto::NodeId node, std::chrono::milliseconds timeout) {
-  return endpoint_of(node).recv_until(TcpEndpoint::Clock::now() + timeout);
+std::vector<proto::Message> TcpTransport::recv_ready(
+    proto::NodeId node, Clock::time_point deadline) {
+  return endpoint_of(node).recv_ready(deadline);
 }
 
 void TcpTransport::shutdown() {
   if (stopping_.exchange(true)) return;
   // Wakes every receiver and every write waiting for room.
-  for (auto& endpoint : nodes_) endpoint->shutdown();
+  for (auto& endpoint : nodes_) {
+    if (endpoint != nullptr) endpoint->shutdown();
+  }
   for (Channel& channel : channels_) {
     MutexLock guard(channel.send_mutex);
     if (channel.fd >= 0) {

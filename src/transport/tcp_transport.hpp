@@ -14,9 +14,12 @@
 // between the wire and the receiver. TCP's in-order delivery provides the
 // per-channel FIFO the protocol relies on.
 //
-// All nodes live in one process here (the testing substrate for a real
-// distributed deployment); nothing in the wire format or the socket
-// handling assumes shared memory.
+// A transport hosts either every node of the cluster in one process (the
+// testing substrate the threaded runtime uses) or exactly one node, given
+// every node's port: each OS process of a multi-process deployment then
+// builds its own, and the processes share nothing but the sockets
+// (tests/transport/multiprocess_test.cpp). Nothing in the wire format or
+// the socket handling assumes shared memory.
 #pragma once
 
 #include <atomic>
@@ -46,22 +49,30 @@ struct TcpOptions {
 /// See file comment.
 class TcpTransport final : public Transport {
  public:
-  /// Binds `node_count` listeners on loopback, each with its receive
-  /// epoll set. Throws UsageError if sockets cannot be created.
+  /// Hosts all `node_count` nodes: binds a listener on loopback for each,
+  /// each with its receive epoll set. Throws UsageError if sockets cannot
+  /// be created.
   explicit TcpTransport(std::size_t node_count, TcpOptions options = {});
+
+  /// Hosts node `self` alone, on `listen_fd` (a bound, listening socket
+  /// whose ownership transfers); `ports` lists every node's loopback port,
+  /// `self`'s included. Only `self` may send, and only `self` receives.
+  /// Throws UsageError if `self` is not in the port table.
+  TcpTransport(proto::NodeId self, int listen_fd,
+               std::vector<std::uint16_t> ports, TcpOptions options = {});
 
   /// Shuts down and closes every socket.
   ~TcpTransport() override;
 
+  /// Sends from a hosted node; throws UsageError for any other sender.
   void send(const proto::Message& message) override;
-  std::optional<proto::Message> recv(proto::NodeId node) override;
   /// Reads `node`'s sockets on the calling thread and returns every message
-  /// decoded so far (empty once shut down and drained). One receiving
-  /// thread per node.
-  std::vector<proto::Message> recv_ready(proto::NodeId node) override;
-  std::optional<proto::Message> recv_for(
-      proto::NodeId node, std::chrono::milliseconds timeout) override;
+  /// decoded by then. Throws UsageError if `node` is not hosted here.
+  std::vector<proto::Message> recv_ready(
+      proto::NodeId node,
+      Clock::time_point deadline = Clock::time_point::max()) override;
   void shutdown() override;
+  std::size_t node_count() const override { return ports_.size(); }
   std::uint64_t messages_sent() const override { return sent_.load(); }
   /// Frame bytes written (length prefixes included).
   std::uint64_t bytes_sent() const override { return bytes_.load(); }
@@ -69,15 +80,13 @@ class TcpTransport final : public Transport {
   /// The loopback port node `node` listens on (diagnostics).
   std::uint16_t port_of(proto::NodeId node) const;
 
-  std::size_t node_count() const { return nodes_.size(); }
-
   /// Retry, reconnect, and bad-frame counters, live.
   const stats::TransportCounters& counters() const { return counters_; }
 
   /// Messages decoded from `node`'s sockets but not yet received. Never
   /// blocks on the receive path.
   std::size_t inbox_depth(proto::NodeId node) const override {
-    return node.value() < nodes_.size() ? nodes_[node.value()]->depth() : 0;
+    return hosts(node) ? nodes_[node.value()]->depth() : 0;
   }
 
   /// Chaos hook: severs the established (from, to) connection at the
@@ -94,8 +103,12 @@ class TcpTransport final : public Transport {
   };
 
   Channel& channel_of(proto::NodeId from, proto::NodeId to) {
-    return channels_[from.value() * nodes_.size() + to.value()];
+    return channels_[from.value() * ports_.size() + to.value()];
   }
+  bool hosts(proto::NodeId node) const {
+    return node.value() < nodes_.size() && nodes_[node.value()] != nullptr;
+  }
+  /// `node`'s endpoint; throws UsageError unless `node` is hosted here.
   TcpEndpoint& endpoint_of(proto::NodeId node);
   /// Finishes the one-message frame begun in `frame` and writes it on the
   /// channel with the retry / backoff / reconnect policy. False once every
@@ -103,11 +116,14 @@ class TcpTransport final : public Transport {
   bool send_frame(proto::NodeId from, proto::NodeId to,
                   std::vector<std::byte>& frame);
 
-  /// Options, endpoints and the channel table are fixed at construction
-  /// (each endpoint and channel synchronizes itself).
+  /// Options, ports, endpoints and the channel table are fixed at
+  /// construction (each endpoint and channel synchronizes itself).
   TcpOptions options_;
   /// Declared before the endpoints, which count into it.
   stats::TransportCounters counters_;
+  /// Every node's listening port, indexed by node id.
+  std::vector<std::uint16_t> ports_;
+  /// One slot per node; null for a node another process hosts.
   std::vector<std::unique_ptr<TcpEndpoint>> nodes_;
   /// n×n, indexed from * n + to.
   std::vector<Channel> channels_;

@@ -1,23 +1,23 @@
 // Abstract message transport.
 //
 // The threaded runtime runs over any Transport: the in-process mailbox
-// transport (fast, latency-injectable) or the TCP loopback transport
+// transport (fast, immediate delivery) or the TCP loopback transport
 // (real sockets, real wire format). Implementations must provide reliable
 // per-ordered-channel FIFO delivery, which both TCP and the mailbox
 // transport guarantee — the protocol's release/request ordering analysis
-// depends on it.
+// depends on it. Injected delay, loss and the like come from the
+// FaultyTransport decorator, which works over either.
 //
 // Every message travels on its own: send() is the one send path, and
 // send_batch() only loops over it for callers that hold one automaton
 // step's output. A step almost never emits two messages toward the same
 // node, so there is nothing to coalesce (docs/performance.md). The receive
-// side does batch: a busy receiver often has several matured messages
-// waiting, and recv_ready() returns them all in one call.
+// side does batch: a busy receiver often has several messages waiting,
+// and recv_ready() — the one receive call — returns them all at once.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "proto/ids.hpp"
@@ -28,9 +28,12 @@ namespace hlock::transport {
 /// See file comment.
 class Transport {
  public:
+  using Clock = std::chrono::steady_clock;
+
   virtual ~Transport() = default;
 
-  /// Routes a message to its destination. Thread-safe.
+  /// Routes a message to its destination. Thread-safe. Throws UsageError
+  /// if the sender or the destination is not one of the transport's nodes.
   virtual void send(const proto::Message& message) = 0;
 
   /// Routes a burst of messages (typically the output of one automaton
@@ -39,27 +42,19 @@ class Transport {
     for (const proto::Message& message : messages) send(message);
   }
 
-  /// Blocks for the next message addressed to `node`; std::nullopt once
-  /// the transport is shut down and drained.
-  virtual std::optional<proto::Message> recv(proto::NodeId node) = 0;
-
-  /// Blocks like recv(), then returns every message for `node` that is
-  /// already deliverable, in delivery order — an empty vector only once the
-  /// transport is shut down and drained. The default returns at most one.
-  virtual std::vector<proto::Message> recv_ready(proto::NodeId node) {
-    std::vector<proto::Message> out;
-    if (std::optional<proto::Message> message = recv(node)) {
-      out.push_back(std::move(*message));
-    }
-    return out;
-  }
-
-  /// Like recv() but bounded; std::nullopt on timeout too.
-  virtual std::optional<proto::Message> recv_for(
-      proto::NodeId node, std::chrono::milliseconds timeout) = 0;
+  /// Blocks until a message for `node` is deliverable, `deadline` passes,
+  /// or the transport shuts down; then returns every deliverable message
+  /// for `node`, in delivery order. Empty on timeout, or once the
+  /// transport is shut down and drained. One receiving thread per node.
+  virtual std::vector<proto::Message> recv_ready(
+      proto::NodeId node,
+      Clock::time_point deadline = Clock::time_point::max()) = 0;
 
   /// Unblocks all receivers; subsequent sends are dropped.
   virtual void shutdown() = 0;
+
+  /// Nodes the transport addresses: ids 0 .. node_count() - 1.
+  virtual std::size_t node_count() const = 0;
 
   /// Messages accepted by send() so far.
   virtual std::uint64_t messages_sent() const = 0;

@@ -1,7 +1,7 @@
 // Concurrent stress over the two internally synchronized building blocks
 // the threaded runtime leans on hardest: trace::TraceRecorder (shared by
 // receiver threads as the cluster's event sink) and transport::Mailbox
-// (multi-producer delivery with close() racing pop_until()). These run in
+// (multi-producer delivery with close() racing pop_all_ready()). These run in
 // both the ASan/UBSan and TSan CI jobs; under TSan they double as the
 // dynamic counterpart of the compile-time capability annotations
 // (docs/static-analysis.md).
@@ -81,11 +81,10 @@ TEST(ConcurrencyStress, TraceRecorderHammeredFromManyThreads) {
 }
 
 TEST(ConcurrencyStress, MailboxPopUntilUnderConcurrentPushAndClose) {
-  // Multi-producer traffic with sub-millisecond delivery deadlines while
-  // the (single) consumer alternates between deadline-bounded and blocking
-  // pops, and a fourth thread closes the mailbox mid-stream. Close keeps
-  // pending messages poppable and drops later pushes, so however the race
-  // lands, drained == accepted.
+  // Multi-producer traffic while the (single) consumer alternates between
+  // deadline-bounded and blocking drains, and a fourth thread closes the
+  // mailbox mid-stream. Close keeps pending messages poppable and drops
+  // later pushes, so however the race lands, drained == accepted.
   constexpr int kProducers = 3;
   constexpr std::uint64_t kPerProducer = 4000;
   transport::Mailbox box;
@@ -98,14 +97,7 @@ TEST(ConcurrencyStress, MailboxPopUntilUnderConcurrentPushAndClose) {
       message.from = proto::NodeId{static_cast<std::uint32_t>(p)};
       message.to = proto::NodeId{0};
       message.lock = proto::LockId{0};
-      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-        // A mix of already-due and near-future deliveries exercises both
-        // the immediate-pop path and the matured-head wait path.
-        const auto deliver_at =
-            transport::Mailbox::Clock::now() +
-            (i % 8 == 0 ? 200us : 0us);
-        box.push(message, deliver_at);
-      }
+      for (std::uint64_t i = 0; i < kPerProducer; ++i) box.push(message);
       producers_done.fetch_add(1, std::memory_order_relaxed);
     });
   }
@@ -120,25 +112,20 @@ TEST(ConcurrencyStress, MailboxPopUntilUnderConcurrentPushAndClose) {
   });
 
   std::uint64_t drained = 0;
-  for (;;) {
-    auto popped =
-        drained % 2 == 0
-            ? box.pop_until(transport::Mailbox::Clock::now() + 1ms)
-            : box.pop();
-    if (popped.has_value()) {
-      ++drained;
-      continue;
-    }
-    // nullopt from pop() means closed-and-empty; pop_until may also time
-    // out, so only stop once the producers and the closer are finished.
-    if (producers_done.load(std::memory_order_relaxed) == kProducers) {
-      if (!box.pop_until(transport::Mailbox::Clock::now() + 2ms)) break;
-      ++drained;
-    }
+  for (std::uint64_t round = 0;; ++round) {
+    const bool timed = round % 2 == 0;
+    const std::size_t batch =
+        timed ? box.pop_all_ready(transport::Mailbox::Clock::now() + 1ms)
+                    .size()
+              : box.pop_all_ready().size();
+    drained += batch;
+    // An empty untimed drain means closed and empty: nothing lands after
+    // the close. An empty timed one may only have timed out.
+    if (batch == 0 && !timed) break;
   }
   for (std::thread& producer : producers) producer.join();
   closer.join();
-  while (auto popped = box.pop()) ++drained;  // anything the race left
+  EXPECT_TRUE(box.pop_all_ready().empty()) << "a push landed after the close";
 
   EXPECT_EQ(drained, box.pushed());
   EXPECT_LE(box.pushed(), kProducers * kPerProducer);

@@ -303,7 +303,8 @@ TEST(ThreadCluster, CountsEncodedWireBytes) {
 
 TEST(ThreadCluster, WithInjectedLatency) {
   ThreadClusterOptions options = options_for(Protocol::kHierarchical, 3);
-  options.message_latency = DurationDist::uniform(SimTime::us(200), 0.5);
+  options.faults.delay_probability = 1.0;
+  options.faults.delay = DurationDist::uniform(SimTime::us(200), 0.5);
   ThreadCluster cluster{options};
   long counter = 0;
   std::vector<std::thread> workers;

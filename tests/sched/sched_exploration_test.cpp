@@ -5,7 +5,6 @@
 // are walked systematically — and any interleaving that deadlocks or
 // fails prints its replay seed. See docs/sched.md.
 #include <chrono>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,6 +12,7 @@
 
 #include "runtime/thread_cluster.hpp"
 #include "tests/sched/sched_test.hpp"
+#include "tests/transport/receive.hpp"
 #include "trace/recorder.hpp"
 #include "transport/faulty_transport.hpp"
 #include "transport/inproc_transport.hpp"
@@ -60,20 +60,21 @@ TEST(SchedExploration, ThreadClusterLockUnlockAndShutdown) {
 TEST(SchedExploration, MailboxPopUntilRacesPushAndClose) {
   sched_test::explore([] {
     transport::Mailbox mailbox;
-    std::optional<Message> popped;
+    std::vector<Message> popped;
     sched::Thread consumer("consumer", [&mailbox, &popped] {
-      popped = mailbox.pop_until(transport::Mailbox::Clock::now() +
-                                 std::chrono::milliseconds(250));
+      popped = mailbox.pop_all_ready(transport::Mailbox::Clock::now() +
+                                     std::chrono::milliseconds(250));
     });
-    mailbox.push(make_message(0, 1, 1), transport::Mailbox::Clock::now());
+    mailbox.push(make_message(0, 1, 1));
     sched::yield_point("test.before-close");
     mailbox.close();
     consumer.join();
     // Whatever the interleaving, the consumer must come back; it may see
     // the message or the close, but a pushed-before-close message that it
     // kept waiting past is a lost wakeup.
-    if (popped.has_value()) {
-      EXPECT_EQ(std::get<proto::NaimiRequest>(popped->payload).seq, 1u);
+    if (!popped.empty()) {
+      ASSERT_EQ(popped.size(), 1u);
+      EXPECT_EQ(std::get<proto::NaimiRequest>(popped[0].payload).seq, 1u);
     }
   });
 }
@@ -84,7 +85,7 @@ TEST(SchedExploration, MailboxCloseWakesBlockedPop) {
     sched::Thread consumer("consumer", [&mailbox] {
       // Untimed pop: only the close can unblock it. A schedule where the
       // close's notify is lost deadlocks here — and the explorer proves it.
-      EXPECT_FALSE(mailbox.pop().has_value());
+      EXPECT_TRUE(mailbox.pop_all_ready().empty());
     });
     mailbox.close();
     consumer.join();
@@ -127,14 +128,14 @@ TEST(SchedExploration, FaultyTransportPumpRacesSendAndShutdown) {
             transport.send(make_message(0, 1, seq));
           }
         });
+        const std::vector<Message> received =
+            transport_test::receive(transport, NodeId{1}, 3);
+        sender.join();
+        ASSERT_EQ(received.size(), 3u);
         for (std::uint64_t seq = 0; seq < 3; ++seq) {
-          const auto received =
-              transport.recv_for(NodeId{1}, std::chrono::milliseconds(5000));
-          ASSERT_TRUE(received.has_value()) << "message " << seq;
-          EXPECT_EQ(std::get<proto::NaimiRequest>(received->payload).seq,
+          EXPECT_EQ(std::get<proto::NaimiRequest>(received[seq].payload).seq,
                     seq);
         }
-        sender.join();
         // Destructor shutdown races the pump thread's forwarding loop.
       },
       options);
@@ -150,18 +151,16 @@ TEST(SchedExploration, TcpReconnectAfterSeveredChannel) {
       [] {
         transport::TcpTransport transport{2};
         transport.send(make_message(0, 1, 1));
-        const auto first =
-            transport.recv_for(NodeId{1}, std::chrono::milliseconds(5000));
-        ASSERT_TRUE(first.has_value());
+        ASSERT_EQ(transport_test::receive(transport, NodeId{1}, 1).size(), 1u);
         ASSERT_TRUE(transport.sever_channel(NodeId{0}, NodeId{1}));
         sched::Thread sender("sender", [&transport] {
           transport.send(make_message(0, 1, 2));
         });
-        const auto second =
-            transport.recv_for(NodeId{1}, std::chrono::milliseconds(5000));
-        ASSERT_TRUE(second.has_value()) << "send did not recover";
-        EXPECT_EQ(std::get<proto::NaimiRequest>(second->payload).seq, 2u);
+        const std::vector<Message> second =
+            transport_test::receive(transport, NodeId{1}, 1);
         sender.join();
+        ASSERT_EQ(second.size(), 1u) << "send did not recover";
+        EXPECT_EQ(std::get<proto::NaimiRequest>(second[0].payload).seq, 2u);
       },
       options);
 }

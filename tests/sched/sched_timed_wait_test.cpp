@@ -7,7 +7,7 @@
 // and the race case is explored across seeds instead of being timed just
 // so. See docs/sched.md.
 #include <chrono>
-#include <optional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -34,7 +34,7 @@ TEST(SchedTimedWait, PopUntilDeadlineExpiresWithNoProducer) {
         Mailbox mailbox;
         const auto before = Mailbox::Clock::now();
         const auto deadline = before + std::chrono::milliseconds(20);
-        EXPECT_FALSE(mailbox.pop_until(deadline).has_value());
+        EXPECT_TRUE(mailbox.pop_all_ready(deadline).empty());
         EXPECT_GE(Mailbox::Clock::now(), deadline);
       },
       options);
@@ -43,41 +43,22 @@ TEST(SchedTimedWait, PopUntilDeadlineExpiresWithNoProducer) {
 TEST(SchedTimedWait, PopUntilDeadlineVersusWakeupRace) {
   sched_test::explore([] {
     Mailbox mailbox;
-    std::optional<proto::Message> popped;
+    std::vector<proto::Message> popped;
     sched::Thread consumer("consumer", [&mailbox, &popped] {
-      popped = mailbox.pop_until(Mailbox::Clock::now() +
-                                 std::chrono::milliseconds(200));
+      popped = mailbox.pop_all_ready(Mailbox::Clock::now() +
+                                     std::chrono::milliseconds(200));
     });
     // The push races the consumer's wait. Schedules where the push lands
     // first hand the message over without any wait; schedules where the
     // consumer parks first must wake it via the push's notify — 200ms of
     // deadline means a lost wakeup would surface as the expiry path
-    // (nullopt), which the assertion below rejects.
-    mailbox.push(make_message(42), Mailbox::Clock::now());
+    // (an empty batch), which the assertion below rejects.
+    mailbox.push(make_message(42));
     consumer.join();
-    ASSERT_TRUE(popped.has_value()) << "wakeup lost: deadline won a race "
-                                       "it should never win";
-    EXPECT_EQ(std::get<proto::NaimiRequest>(popped->payload).seq, 42u);
+    ASSERT_EQ(popped.size(), 1u) << "wakeup lost: deadline won a race "
+                                    "it should never win";
+    EXPECT_EQ(std::get<proto::NaimiRequest>(popped[0].payload).seq, 42u);
   });
-}
-
-TEST(SchedTimedWait, MaturingHeadBeatsLaterDeadline) {
-  sched_test::ExploreOptions options;
-  options.seeds = 8;
-  sched_test::explore(
-      [] {
-        Mailbox mailbox;
-        // The head matures 10ms from now; the pop deadline is far later.
-        // The waiter must wake on the head's maturity (the inner
-        // wait_until on `due`), not sit until its own deadline.
-        mailbox.push(make_message(7),
-                     Mailbox::Clock::now() + std::chrono::milliseconds(10));
-        const auto popped = mailbox.pop_until(
-            Mailbox::Clock::now() + std::chrono::seconds(5));
-        ASSERT_TRUE(popped.has_value());
-        EXPECT_EQ(std::get<proto::NaimiRequest>(popped->payload).seq, 7u);
-      },
-      options);
 }
 
 TEST(SchedTimedWait, CondVarWaitForTimesOutUnderTheScheduler) {

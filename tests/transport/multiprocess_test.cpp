@@ -2,10 +2,10 @@
 //
 // The parent binds one loopback listener per node (so every port is known
 // before any child exists), then forks one child per node. Each child
-// adopts its listener, builds a TcpNode + HierEngine, and runs a small
-// event loop: serve incoming protocol messages, perform K exclusive
-// critical sections of its own, and keep serving until every process is
-// done. Mutual exclusion is verified the only way that matters across
+// adopts its listener, builds a one-node TcpTransport + HierEngine, and
+// runs a small event loop: serve incoming protocol messages, perform K
+// exclusive critical sections of its own, and keep serving until every
+// process is done. Mutual exclusion is verified the only way that matters across
 // processes: a non-atomic counter in a MAP_SHARED page. Any overlap of
 // critical sections loses increments.
 //
@@ -21,8 +21,9 @@
 #include <vector>
 
 #include "runtime/engine.hpp"
-#include "transport/tcp_node.hpp"
+#include "tests/transport/receive.hpp"
 #include "transport/tcp_socket.hpp"
+#include "transport/tcp_transport.hpp"
 #include "util/check.hpp"
 
 namespace hlock::transport {
@@ -48,13 +49,8 @@ struct SharedPage {
                              const std::vector<std::uint16_t>& ports,
                              SharedPage* shared) {
   const NodeId self{self_value};
-  std::vector<TcpPeer> peers;
-  for (std::uint32_t i = 0; i < ports.size(); ++i) {
-    if (i != self_value) peers.push_back({NodeId{i}, ports[i]});
-  }
-
   try {
-    TcpNode transport{self, listen_fd, peers};
+    TcpTransport transport{self, listen_fd, ports};
     runtime::HierEngine engine{self, NodeId{0}};
 
     bool in_cs = false;
@@ -98,14 +94,14 @@ struct SharedPage {
       }
 
       // Serve protocol traffic (also our only wait point).
-      if (auto message =
-              transport.recv_for(self, std::chrono::milliseconds(20))) {
-        apply(engine.deliver(*message));
-      } else if (completed >= kIncrementsPerProcess &&
-                 __atomic_load_n(
-                     const_cast<long*>(&shared->done_processes),
-                     __ATOMIC_SEQ_CST) ==
-                     static_cast<long>(kProcesses)) {
+      const std::vector<proto::Message> batch = transport.recv_ready(
+          self, transport_test::after(std::chrono::milliseconds(20)));
+      for (const proto::Message& message : batch) {
+        apply(engine.deliver(message));
+      }
+      if (batch.empty() && completed >= kIncrementsPerProcess &&
+          __atomic_load_n(const_cast<long*>(&shared->done_processes),
+                          __ATOMIC_SEQ_CST) == static_cast<long>(kProcesses)) {
         // Everyone finished and the wire went quiet: safe to leave.
         break;
       }
@@ -160,28 +156,34 @@ TEST(MultiProcess, MutualExclusionAcrossForkedProcesses) {
   ::munmap(page, sizeof(SharedPage));
 }
 
-TEST(TcpNode, PairwiseMessagingWithinOneProcess) {
-  // Two endpoints, no shared state beyond the port table.
-  TcpNode a{NodeId{0}};
-  TcpNode b{NodeId{1}};
-  a.add_peer({NodeId{1}, b.port()});
-  b.add_peer({NodeId{0}, a.port()});
+TEST(TcpTransportOneNode, PairwiseMessagingWithinOneProcess) {
+  // Two one-node transports, no shared state beyond the port table.
+  const int listen_a = listen_loopback(0);
+  const int listen_b = listen_loopback(0);
+  const std::vector<std::uint16_t> ports{local_port(listen_a),
+                                         local_port(listen_b)};
+  TcpTransport a{NodeId{0}, listen_a, ports};
+  TcpTransport b{NodeId{1}, listen_b, ports};
 
   a.send(proto::Message{NodeId{0}, NodeId{1}, kLock,
                         proto::NaimiRequest{NodeId{0}, 1}});
-  const auto at_b = b.recv_for(NodeId{1}, std::chrono::milliseconds(2000));
-  ASSERT_TRUE(at_b.has_value());
+  ASSERT_EQ(transport_test::receive(b, NodeId{1}, 1).size(), 1u);
   b.send(proto::Message{NodeId{1}, NodeId{0}, kLock, proto::NaimiToken{}});
-  const auto at_a = a.recv_for(NodeId{0}, std::chrono::milliseconds(2000));
-  ASSERT_TRUE(at_a.has_value());
-  EXPECT_TRUE(
-      std::holds_alternative<proto::NaimiToken>(at_a->payload));
+  const std::vector<proto::Message> at_a =
+      transport_test::receive(a, NodeId{0}, 1);
+  ASSERT_EQ(at_a.size(), 1u);
+  EXPECT_TRUE(std::holds_alternative<proto::NaimiToken>(at_a[0].payload));
 }
 
-TEST(TcpNode, Contracts) {
-  TcpNode node{NodeId{3}};
-  EXPECT_THROW(node.recv_for(NodeId{1}, std::chrono::milliseconds(1)),
-               UsageError);
+TEST(TcpTransportOneNode, Contracts) {
+  const int listen_fd = listen_loopback(0);
+  std::vector<std::uint16_t> ports(4, 0);
+  ports[3] = local_port(listen_fd);
+  TcpTransport node{NodeId{3}, listen_fd, ports};
+  EXPECT_THROW(node.recv_ready(NodeId{1}, transport_test::after(
+                                              std::chrono::milliseconds(1))),
+               UsageError)
+      << "receiving for a remote node";
   EXPECT_THROW(node.send(proto::Message{NodeId{1}, NodeId{3}, kLock,
                                         proto::NaimiToken{}}),
                UsageError)
@@ -189,9 +191,12 @@ TEST(TcpNode, Contracts) {
   EXPECT_THROW(node.send(proto::Message{NodeId{3}, NodeId{9}, kLock,
                                         proto::NaimiToken{}}),
                UsageError)
-      << "unknown peer";
-  EXPECT_THROW(node.add_peer({NodeId{3}, 1}), UsageError) << "self peer";
-  EXPECT_GT(node.port(), 0);
+      << "unknown destination";
+  EXPECT_THROW((TcpTransport{NodeId{4}, listen_loopback(0), ports}),
+               UsageError)
+      << "self outside the port table";
+  EXPECT_EQ(node.port_of(NodeId{3}), ports[3]);
+  EXPECT_EQ(node.node_count(), 4u);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 
 #include "proto/codec.hpp"
 #include "runtime/thread_cluster.hpp"
+#include "tests/transport/receive.hpp"
 #include "tests/transport/wire_burst.hpp"
 #include "transport/tcp_socket.hpp"
 #include "util/check.hpp"
@@ -27,6 +28,9 @@ using proto::LockId;
 using proto::LockMode;
 using proto::Message;
 using proto::NodeId;
+using transport_test::after;
+using transport_test::receive;
+using namespace std::chrono_literals;
 
 Message make_message(std::uint32_t from, std::uint32_t to,
                      std::uint64_t seq = 0) {
@@ -44,10 +48,8 @@ TEST(TcpTransport, BindsDistinctLoopbackPorts) {
 TEST(TcpTransport, DeliversAcrossRealSockets) {
   TcpTransport transport{2};
   transport.send(make_message(0, 1, 42));
-  const auto received =
-      transport.recv_for(NodeId{1}, std::chrono::milliseconds(2000));
-  ASSERT_TRUE(received.has_value());
-  EXPECT_EQ(*received, make_message(0, 1, 42));
+  EXPECT_EQ(receive(transport, NodeId{1}, 1),
+            std::vector<Message>{make_message(0, 1, 42)});
   EXPECT_EQ(transport.messages_sent(), 1u);
 }
 
@@ -67,12 +69,7 @@ TEST(TcpTransport, RoundTripsEveryPayloadKind) {
       {NodeId{0}, NodeId{1}, LockId{3}, proto::NaimiToken{}},
   };
   for (const Message& message : messages) transport.send(message);
-  for (const Message& message : messages) {
-    const auto received =
-        transport.recv_for(NodeId{1}, std::chrono::milliseconds(2000));
-    ASSERT_TRUE(received.has_value());
-    EXPECT_EQ(*received, message);
-  }
+  EXPECT_EQ(receive(transport, NodeId{1}, messages.size()), messages);
 }
 
 TEST(TcpTransport, SendBatchShipsEachMessageAsItsOwnFrame) {
@@ -82,12 +79,7 @@ TEST(TcpTransport, SendBatchShipsEachMessageAsItsOwnFrame) {
   // 788 bytes of codec encodings plus a 4-byte length prefix per frame.
   EXPECT_EQ(transport.bytes_sent(), 852u);
   EXPECT_EQ(transport.messages_sent(), 16u);
-  for (const Message& message : burst) {
-    const auto received =
-        transport.recv_for(NodeId{1}, std::chrono::milliseconds(2000));
-    ASSERT_TRUE(received.has_value());
-    EXPECT_EQ(*received, message);
-  }
+  EXPECT_EQ(receive(transport, NodeId{1}, burst.size()), burst);
 }
 
 TEST(TcpTransport, ChannelIsFifoUnderVolume) {
@@ -98,42 +90,38 @@ TEST(TcpTransport, ChannelIsFifoUnderVolume) {
       transport.send(make_message(0, 1, i));
     }
   });
+  const std::vector<Message> received = receive(transport, NodeId{1}, kCount);
+  sender.join();
+  ASSERT_EQ(received.size(), kCount);
   for (std::uint64_t i = 0; i < kCount; ++i) {
-    const auto received =
-        transport.recv_for(NodeId{1}, std::chrono::milliseconds(5000));
-    ASSERT_TRUE(received.has_value());
-    const auto* request = std::get_if<proto::NaimiRequest>(&received->payload);
+    const auto* request =
+        std::get_if<proto::NaimiRequest>(&received[i].payload);
     ASSERT_NE(request, nullptr);
     ASSERT_EQ(request->seq, i) << "TCP channel reordered frames";
   }
-  sender.join();
 }
 
 TEST(TcpTransport, ConcurrentSendersToOneReceiver) {
   TcpTransport transport{4};
-  constexpr int kPerSender = 300;
+  constexpr std::size_t kPerSender = 300;
   std::vector<std::thread> senders;
   for (std::uint32_t s = 1; s < 4; ++s) {
     senders.emplace_back([&transport, s] {
-      for (int i = 0; i < kPerSender; ++i) {
-        transport.send(make_message(s, 0, static_cast<std::uint64_t>(i)));
+      for (std::uint64_t i = 0; i < kPerSender; ++i) {
+        transport.send(make_message(s, 0, i));
       }
     });
   }
-  int received = 0;
-  while (received < 3 * kPerSender) {
-    const auto message =
-        transport.recv_for(NodeId{0}, std::chrono::milliseconds(5000));
-    ASSERT_TRUE(message.has_value()) << "after " << received << " messages";
-    ++received;
-  }
+  const std::size_t received =
+      receive(transport, NodeId{0}, 3 * kPerSender).size();
   for (std::thread& t : senders) t.join();
+  EXPECT_EQ(received, 3u * kPerSender);
 }
 
 TEST(TcpTransport, ShutdownUnblocksReceivers) {
   TcpTransport transport{2};
   std::thread receiver([&transport] {
-    EXPECT_FALSE(transport.recv(NodeId{1}).has_value());
+    EXPECT_TRUE(transport.recv_ready(NodeId{1}).empty());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   transport.shutdown();
@@ -153,18 +141,15 @@ std::uint64_t seq_of(const Message& message) {
 TEST(TcpTransport, SendRecoversAfterChannelSevered) {
   TcpTransport transport{2};
   transport.send(make_message(0, 1, 1));
-  const auto first =
-      transport.recv_for(NodeId{1}, std::chrono::milliseconds(2000));
-  ASSERT_TRUE(first.has_value());
+  ASSERT_EQ(receive(transport, NodeId{1}, 1).size(), 1u);
 
   // Kill the established connection mid-run, behind the sender's back.
   ASSERT_TRUE(transport.sever_channel(NodeId{0}, NodeId{1}));
   transport.send(make_message(0, 1, 2));
 
-  const auto second =
-      transport.recv_for(NodeId{1}, std::chrono::milliseconds(2000));
-  ASSERT_TRUE(second.has_value()) << "sender did not recover the channel";
-  EXPECT_EQ(seq_of(*second), 2u);
+  const std::vector<Message> second = receive(transport, NodeId{1}, 1);
+  ASSERT_EQ(second.size(), 1u) << "sender did not recover the channel";
+  EXPECT_EQ(seq_of(second[0]), 2u);
   EXPECT_EQ(transport.messages_sent(), 2u);
   const auto counters = transport.counters().snapshot();
   EXPECT_GE(counters.send_retries, 1u);
@@ -189,14 +174,12 @@ TEST(TcpTransport, ExhaustedRetriesDropTheFrameWithoutThrowing) {
     transport.sever_channel(NodeId{0}, NodeId{1});
   }
   // Drain whatever made it through; the transport itself must stay usable.
-  while (transport.recv_for(NodeId{1}, std::chrono::milliseconds(200))
-             .has_value()) {
+  while (!transport.recv_ready(NodeId{1}, after(200ms)).empty()) {
   }
   transport.send(make_message(0, 1, 99));
-  const auto last =
-      transport.recv_for(NodeId{1}, std::chrono::milliseconds(2000));
-  ASSERT_TRUE(last.has_value());
-  EXPECT_EQ(seq_of(*last), 99u);
+  const std::vector<Message> last = receive(transport, NodeId{1}, 1);
+  ASSERT_EQ(last.size(), 1u);
+  EXPECT_EQ(seq_of(last[0]), 99u);
 }
 
 TEST(TcpTransport, MisaddressedFrameIsDiscardedConnectionSurvives) {
@@ -205,16 +188,13 @@ TEST(TcpTransport, MisaddressedFrameIsDiscardedConnectionSurvives) {
   const int fd = connect_loopback(transport.port_of(NodeId{0}));
   ASSERT_TRUE(write_frame(fd, make_message(1, 1, 7)));  // to node 1!
   ASSERT_TRUE(write_frame(fd, make_message(1, 0, 8)));  // correct
-  const auto received =
-      transport.recv_for(NodeId{0}, std::chrono::milliseconds(2000));
-  ASSERT_TRUE(received.has_value())
+  const std::vector<Message> received = receive(transport, NodeId{0}, 1);
+  ASSERT_EQ(received.size(), 1u)
       << "reader dropped the connection on a bad frame";
-  EXPECT_EQ(seq_of(*received), 8u);
+  EXPECT_EQ(seq_of(received[0]), 8u);
   EXPECT_EQ(transport.counters().snapshot().misaddressed_frames, 1u);
   // The misaddressed frame never surfaced anywhere.
-  EXPECT_FALSE(
-      transport.recv_for(NodeId{1}, std::chrono::milliseconds(50))
-          .has_value());
+  EXPECT_TRUE(transport.recv_ready(NodeId{1}, after(50ms)).empty());
   ::close(fd);
 }
 
@@ -236,14 +216,13 @@ TEST(TcpTransport, CrossedBacklogsAboveTheSocketBuffersBothArrive) {
       transport.send(Message{NodeId{self}, NodeId{peer}, LockId{i}, token});
     }
     while (*received < kTokens) {
-      const auto message =
-          transport.recv_for(NodeId{self}, std::chrono::milliseconds(100));
-      if (!message) {
-        if (finished.load() < 0) break;  // the watchdog gave up
-        continue;
+      const std::vector<Message> batch =
+          transport.recv_ready(NodeId{self}, after(100ms));
+      if (batch.empty() && finished.load() < 0) break;  // the watchdog gave up
+      for (const Message& message : batch) {
+        EXPECT_EQ(message.lock, LockId{*received}) << "reordered at " << self;
+        ++*received;
       }
-      EXPECT_EQ(message->lock, LockId{*received}) << "reordered at " << self;
-      ++*received;
     }
     finished.fetch_add(1);
   };
@@ -315,18 +294,15 @@ TEST(TcpStream, FrameSplitAtEveryOffsetReassembles) {
       const std::span<const std::byte> bytes{frame};
       write_raw(fd, bytes.first(split));
       // The receiver reads the first part and must not deliver anything.
-      EXPECT_FALSE(transport.recv_for(NodeId{1}, std::chrono::milliseconds(2))
-                       .has_value())
+      EXPECT_TRUE(transport.recv_ready(NodeId{1}, after(2ms)).empty())
           << "partial frame delivered at split " << split;
       write_raw(fd, bytes.subspan(split));
-      for (const Message& expected :
-           batch ? std::span<const Message>{batch_part}
-                 : std::span<const Message>{&single, 1}) {
-        const auto received =
-            transport.recv_for(NodeId{1}, std::chrono::milliseconds(2000));
-        ASSERT_TRUE(received.has_value()) << "lost at split " << split;
-        EXPECT_EQ(*received, expected) << "at split " << split;
-      }
+      const std::span<const Message> expected =
+          batch ? std::span<const Message>{batch_part}
+                : std::span<const Message>{&single, 1};
+      EXPECT_EQ(receive(transport, NodeId{1}, expected.size()),
+                std::vector<Message>(expected.begin(), expected.end()))
+          << "at split " << split;
     }
   }
   ::close(fd);
@@ -347,11 +323,10 @@ TEST(TcpStream, SeveralFramesInOneWriteArriveInOrder) {
     burst.insert(burst.end(), frame.begin(), frame.end());
   }
   write_raw(fd, burst);
+  const std::vector<Message> received = receive(transport, NodeId{1}, 8);
+  ASSERT_EQ(received.size(), 8u);
   for (std::uint64_t seq = 1; seq <= 8; ++seq) {
-    const auto received =
-        transport.recv_for(NodeId{1}, std::chrono::milliseconds(2000));
-    ASSERT_TRUE(received.has_value()) << "missing seq " << seq;
-    EXPECT_EQ(seq_of(*received), seq);
+    EXPECT_EQ(seq_of(received[seq - 1]), seq);
   }
   EXPECT_EQ(transport.inbox_depth(NodeId{1}), 0u);
   ::close(fd);
@@ -375,28 +350,26 @@ TEST(TcpStream, BadFrameClosesOnlyItsConnection) {
     const int doomed = connect_loopback(transport.port_of(NodeId{0}));
     const int healthy = connect_loopback(transport.port_of(NodeId{0}));
     write_raw(healthy, frame_of(make_message(1, 0, 1)));
-    auto received =
-        transport.recv_for(NodeId{0}, std::chrono::milliseconds(2000));
-    ASSERT_TRUE(received.has_value());
-    EXPECT_EQ(seq_of(*received), 1u);
+    std::vector<Message> received = receive(transport, NodeId{0}, 1);
+    ASSERT_EQ(received.size(), 1u);
+    EXPECT_EQ(seq_of(received[0]), 1u);
 
     // A valid frame ahead of the bad bytes still arrives; nothing after.
     std::vector<std::byte> poisoned = frame_of(make_message(1, 0, 2));
     poisoned.insert(poisoned.end(), bad.begin(), bad.end());
-    const std::vector<std::byte> after = frame_of(make_message(1, 0, 99));
-    poisoned.insert(poisoned.end(), after.begin(), after.end());
+    const std::vector<std::byte> trailing = frame_of(make_message(1, 0, 99));
+    poisoned.insert(poisoned.end(), trailing.begin(), trailing.end());
     write_raw(doomed, poisoned);
-    received = transport.recv_for(NodeId{0}, std::chrono::milliseconds(2000));
-    ASSERT_TRUE(received.has_value());
-    EXPECT_EQ(seq_of(*received), 2u);
-    EXPECT_FALSE(transport.recv_for(NodeId{0}, std::chrono::milliseconds(50))
-                     .has_value());
+    received = receive(transport, NodeId{0}, 1);
+    ASSERT_EQ(received.size(), 1u);
+    EXPECT_EQ(seq_of(received[0]), 2u);
+    EXPECT_TRUE(transport.recv_ready(NodeId{0}, after(50ms)).empty());
     EXPECT_TRUE(closed_by_peer(doomed)) << "bad connection left open";
 
     write_raw(healthy, frame_of(make_message(1, 0, 3)));
-    received = transport.recv_for(NodeId{0}, std::chrono::milliseconds(2000));
-    ASSERT_TRUE(received.has_value()) << "the healthy connection went too";
-    EXPECT_EQ(seq_of(*received), 3u);
+    received = receive(transport, NodeId{0}, 1);
+    ASSERT_EQ(received.size(), 1u) << "the healthy connection went too";
+    EXPECT_EQ(seq_of(received[0]), 3u);
     ::close(doomed);
     ::close(healthy);
   }
@@ -410,19 +383,17 @@ TEST(TcpStream, EofMidFrameDropsOnlyThePartialFrame) {
   bytes.insert(bytes.end(), cut.begin(), cut.begin() + 6);
   write_raw(fd, bytes);
   ::close(fd);
-  auto received =
-      transport.recv_for(NodeId{1}, std::chrono::milliseconds(2000));
-  ASSERT_TRUE(received.has_value());
-  EXPECT_EQ(seq_of(*received), 1u);
-  EXPECT_FALSE(transport.recv_for(NodeId{1}, std::chrono::milliseconds(50))
-                   .has_value())
+  std::vector<Message> received = receive(transport, NodeId{1}, 1);
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(seq_of(received[0]), 1u);
+  EXPECT_TRUE(transport.recv_ready(NodeId{1}, after(50ms)).empty())
       << "the partial frame surfaced";
 
   // The node keeps serving its other connections.
   transport.send(make_message(0, 1, 3));
-  received = transport.recv_for(NodeId{1}, std::chrono::milliseconds(2000));
-  ASSERT_TRUE(received.has_value());
-  EXPECT_EQ(seq_of(*received), 3u);
+  received = receive(transport, NodeId{1}, 1);
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(seq_of(received[0]), 3u);
 }
 
 TEST(TcpCluster, HierarchicalProtocolOverRealSockets) {

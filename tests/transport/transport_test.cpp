@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "tests/transport/receive.hpp"
 #include "tests/transport/wire_burst.hpp"
 #include "transport/mailbox.hpp"
 #include "util/check.hpp"
@@ -17,70 +18,24 @@ namespace {
 using proto::LockId;
 using proto::LockMode;
 using proto::Message;
-using proto::NaimiToken;
 using proto::NodeId;
+using namespace std::chrono_literals;
 
 Message make_message(std::uint32_t from, std::uint32_t to) {
   return Message{NodeId{from}, NodeId{to}, LockId{0},
                  proto::HierRequest{NodeId{from}, LockMode::kR, 0}};
 }
 
-TEST(Mailbox, DeliversInDeliveryTimeOrder) {
-  Mailbox box;
-  const auto now = Mailbox::Clock::now();
-  box.push(make_message(2, 0), now + std::chrono::microseconds(200));
-  box.push(make_message(1, 0), now + std::chrono::microseconds(100));
-  const auto first = box.pop();
-  const auto second = box.pop();
-  ASSERT_TRUE(first && second);
-  EXPECT_EQ(first->from, NodeId{1});
-  EXPECT_EQ(second->from, NodeId{2});
-}
-
-TEST(Mailbox, PopBlocksUntilMessageMatures) {
-  Mailbox box;
-  const auto start = Mailbox::Clock::now();
-  box.push(make_message(1, 0), start + std::chrono::milliseconds(20));
-  const auto message = box.pop();
-  ASSERT_TRUE(message.has_value());
-  EXPECT_GE(Mailbox::Clock::now() - start, std::chrono::milliseconds(19));
-}
-
 TEST(Mailbox, PopUntilTimesOut) {
   Mailbox box;
-  const auto result =
-      box.pop_until(Mailbox::Clock::now() + std::chrono::milliseconds(10));
-  EXPECT_FALSE(result.has_value());
-}
-
-TEST(Mailbox, PopUntilDeliversMessageDueExactlyAtDeadline) {
-  // Deadline edge: when the head's delivery time coincides with the
-  // caller's deadline, the matured message wins over the timeout.
-  Mailbox box;
-  const auto deadline =
-      Mailbox::Clock::now() + std::chrono::milliseconds(25);
-  box.push(make_message(1, 0), deadline);
-  const auto message = box.pop_until(deadline);
-  ASSERT_TRUE(message.has_value()) << "due == deadline returned timeout";
-  EXPECT_EQ(message->from, NodeId{1});
-}
-
-TEST(Mailbox, PopUntilTimesOutWhenHeadMaturesAfterDeadline) {
-  Mailbox box;
-  const auto deadline =
-      Mailbox::Clock::now() + std::chrono::milliseconds(15);
-  box.push(make_message(1, 0), deadline + std::chrono::milliseconds(30));
-  EXPECT_FALSE(box.pop_until(deadline).has_value());
-  // The unripe message stays deliverable afterwards.
-  EXPECT_TRUE(box.pop().has_value());
+  EXPECT_TRUE(
+      box.pop_all_ready(Mailbox::Clock::now() + std::chrono::milliseconds(10))
+          .empty());
 }
 
 TEST(Mailbox, CloseWakesBlockedConsumer) {
   Mailbox box;
-  std::thread consumer([&box] {
-    const auto result = box.pop();
-    EXPECT_FALSE(result.has_value());
-  });
+  std::thread consumer([&box] { EXPECT_TRUE(box.pop_all_ready().empty()); });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   box.close();
   consumer.join();
@@ -88,25 +43,27 @@ TEST(Mailbox, CloseWakesBlockedConsumer) {
 
 TEST(Mailbox, CloseDropsNewPushesButDrainsExisting) {
   Mailbox box;
-  box.push(make_message(1, 0), Mailbox::Clock::now());
+  box.push(make_message(1, 0));
   box.close();
-  box.push(make_message(2, 0), Mailbox::Clock::now());
-  EXPECT_TRUE(box.pop().has_value());
-  EXPECT_FALSE(box.pop().has_value());
+  box.push(make_message(2, 0));
+  EXPECT_EQ(box.pop_all_ready().size(), 1u);
+  EXPECT_TRUE(box.pop_all_ready().empty());
   EXPECT_EQ(box.pushed(), 1u);
 }
 
 TEST(Mailbox, CrossThreadProducerConsumer) {
   Mailbox box;
-  constexpr int kMessages = 500;
+  constexpr std::size_t kMessages = 500;
   std::thread producer([&box] {
-    for (int i = 0; i < kMessages; ++i) {
-      box.push(make_message(1, 0), Mailbox::Clock::now());
-    }
+    for (std::size_t i = 0; i < kMessages; ++i) box.push(make_message(1, 0));
     box.close();
   });
-  int received = 0;
-  while (box.pop().has_value()) ++received;
+  std::size_t received = 0;
+  for (;;) {
+    const std::vector<Message> batch = box.pop_all_ready();
+    if (batch.empty()) break;
+    received += batch.size();
+  }
   producer.join();
   EXPECT_EQ(received, kMessages);
 }
@@ -114,14 +71,14 @@ TEST(Mailbox, CrossThreadProducerConsumer) {
 TEST(InProcTransport, RoutesToDestination) {
   InProcTransport transport{InProcOptions{3}};
   transport.send(make_message(0, 2));
-  const auto received =
-      transport.recv_for(NodeId{2}, std::chrono::milliseconds(100));
-  ASSERT_TRUE(received.has_value());
-  EXPECT_EQ(received->from, NodeId{0});
+  const std::vector<Message> received =
+      transport_test::receive(transport, NodeId{2}, 1);
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(received[0].from, NodeId{0});
   EXPECT_EQ(transport.messages_sent(), 1u);
   // Nothing for node 1.
-  EXPECT_FALSE(
-      transport.recv_for(NodeId{1}, std::chrono::milliseconds(1)).has_value());
+  EXPECT_TRUE(
+      transport.recv_ready(NodeId{1}, transport_test::after(1ms)).empty());
 }
 
 TEST(InProcTransport, CodecRoundTripPreservesAllPayloads) {
@@ -131,30 +88,35 @@ TEST(InProcTransport, CodecRoundTripPreservesAllPayloads) {
                                        {proto::QueuedRequest{
                                            NodeId{0}, LockMode::kR, 3}}}};
   transport.send(token);
-  const auto received =
-      transport.recv_for(NodeId{1}, std::chrono::milliseconds(100));
-  ASSERT_TRUE(received.has_value());
-  EXPECT_EQ(*received, token);
+  EXPECT_EQ(transport_test::receive(transport, NodeId{1}, 1),
+            std::vector<Message>{token});
 }
 
-TEST(InProcTransport, ChannelFifoUnderRandomLatency) {
-  InProcOptions options;
-  options.node_count = 2;
-  options.latency = DurationDist::uniform(SimTime::us(300), 0.9);
-  InProcTransport transport{options};
-  constexpr std::uint64_t kCount = 64;
-  for (std::uint64_t i = 0; i < kCount; ++i) {
-    transport.send(Message{NodeId{0}, NodeId{1}, LockId{0},
-                           proto::NaimiRequest{NodeId{0}, i}});
+TEST(InProcTransport, ChannelFifoUnderConcurrentSenders) {
+  // Two sender threads, two channels into node 2: the mailbox interleaves
+  // the channels arbitrarily, but each one's sequence arrives in order.
+  InProcTransport transport{InProcOptions{3}};
+  constexpr std::uint64_t kCount = 500;
+  std::vector<std::thread> senders;
+  for (std::uint32_t from = 0; from < 2; ++from) {
+    senders.emplace_back([&transport, from] {
+      for (std::uint64_t i = 0; i < kCount; ++i) {
+        transport.send(Message{NodeId{from}, NodeId{2}, LockId{0},
+                               proto::NaimiRequest{NodeId{from}, i}});
+      }
+    });
   }
-  for (std::uint64_t i = 0; i < kCount; ++i) {
-    const auto received =
-        transport.recv_for(NodeId{1}, std::chrono::milliseconds(500));
-    ASSERT_TRUE(received.has_value());
-    const auto* request =
-        std::get_if<proto::NaimiRequest>(&received->payload);
+  const std::vector<Message> received =
+      transport_test::receive(transport, NodeId{2}, 2 * kCount);
+  for (std::thread& sender : senders) sender.join();
+  ASSERT_EQ(received.size(), 2 * kCount);
+  std::uint64_t next[2] = {0, 0};
+  for (const Message& message : received) {
+    const auto* request = std::get_if<proto::NaimiRequest>(&message.payload);
     ASSERT_NE(request, nullptr);
-    EXPECT_EQ(request->seq, i) << "FIFO violated on the channel";
+    ASSERT_LT(message.from.value(), 2u);
+    EXPECT_EQ(request->seq, next[message.from.value()]++)
+        << "FIFO violated on the channel from " << message.from.value();
   }
 }
 
@@ -163,35 +125,39 @@ TEST(InProcTransport, UnknownDestinationRejected) {
   EXPECT_THROW(transport.send(make_message(0, 9)), UsageError);
 }
 
-TEST(Mailbox, PopAllReadyDrainsOnlyMaturedMessages) {
+TEST(Mailbox, PopAllReadyDrainsInArrivalOrder) {
   Mailbox box;
-  const auto now = Mailbox::Clock::now();
-  box.push(make_message(1, 0), now);
-  box.push(make_message(2, 0), now);
-  // Not yet deliverable: must stay behind after the drain.
-  box.push(make_message(3, 0), now + std::chrono::seconds(60));
+  box.push(make_message(1, 0));
+  box.push(make_message(2, 0));
+  box.push(make_message(3, 0));
   const auto drained = box.pop_all_ready();
-  ASSERT_EQ(drained.size(), 2u);
+  ASSERT_EQ(drained.size(), 3u);
   EXPECT_EQ(drained[0].from, NodeId{1});
   EXPECT_EQ(drained[1].from, NodeId{2});
-  EXPECT_FALSE(
-      box.pop_until(Mailbox::Clock::now() + std::chrono::milliseconds(5))
-          .has_value());
+  EXPECT_EQ(drained[2].from, NodeId{3});
+  EXPECT_EQ(box.size(), 0u);
+  EXPECT_TRUE(
+      box.pop_all_ready(Mailbox::Clock::now() + std::chrono::milliseconds(5))
+          .empty());
 }
 
 TEST(Mailbox, PopAllReadyReturnsEmptyOnlyWhenClosedAndDrained) {
   Mailbox box;
-  box.push(make_message(1, 0), Mailbox::Clock::now());
+  box.push(make_message(1, 0));
   box.close();
   EXPECT_EQ(box.pop_all_ready().size(), 1u);
   EXPECT_TRUE(box.pop_all_ready().empty());
 }
 
-TEST(Mailbox, PopAllReadyBlocksUntilFirstMessageMatures) {
+TEST(Mailbox, PopAllReadyBlocksUntilAnotherThreadPushes) {
   Mailbox box;
   const auto start = Mailbox::Clock::now();
-  box.push(make_message(1, 0), start + std::chrono::milliseconds(20));
+  std::thread producer([&box] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    box.push(make_message(1, 0));
+  });
   const auto drained = box.pop_all_ready();
+  producer.join();
   ASSERT_EQ(drained.size(), 1u);
   EXPECT_GE(Mailbox::Clock::now() - start, std::chrono::milliseconds(19));
 }
@@ -290,7 +256,7 @@ TEST(InProcTransport, RecvReadyReturnsEmptyAfterShutdown) {
 TEST(InProcTransport, ShutdownUnblocksReceivers) {
   InProcTransport transport{InProcOptions{2}};
   std::thread receiver([&transport] {
-    EXPECT_FALSE(transport.recv(NodeId{1}).has_value());
+    EXPECT_TRUE(transport.recv_ready(NodeId{1}).empty());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   transport.shutdown();
