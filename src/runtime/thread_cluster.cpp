@@ -1,5 +1,7 @@
 #include "runtime/thread_cluster.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -33,6 +35,17 @@ class StallBracket {
   telemetry::StallWatchdog* const watchdog_;
   std::uint64_t key_ = 0;
 };
+
+/// A receiver thread's pending hand-offs: the in-process nodes it has sent
+/// to without a wake-up and not claimed since.
+struct HandOffs {
+  const ThreadCluster* cluster = nullptr;
+  std::vector<NodeId> owed;
+};
+
+/// Set only on the receiver threads of a cluster that runs straight on
+/// InProcTransport; client calls and the recovery ticker send as usual.
+thread_local HandOffs* t_hand_offs = nullptr;
 
 }  // namespace
 
@@ -117,6 +130,19 @@ void ThreadCluster::Shard::send(std::vector<proto::Message>&& messages) {
       }
     }
   }
+  if (HandOffs* hand_offs = t_hand_offs;
+      hand_offs != nullptr && hand_offs->cluster == &cluster) {
+    // A receiver thread: push without waking the destination's receiver,
+    // and claim the destination once no shard lock is held (hand_off()).
+    std::vector<NodeId>& owed = hand_offs->owed;
+    for (const proto::Message& message : messages) {
+      cluster.inproc_->send_quiet(message);
+      if (std::find(owed.begin(), owed.end(), message.to) == owed.end()) {
+        owed.push_back(message.to);
+      }
+    }
+    return;
+  }
   cluster.transport_->send_batch(std::move(messages));
 }
 
@@ -179,8 +205,12 @@ ThreadCluster::ThreadCluster(const ThreadClusterOptions& options)
     tcp_ = tcp.get();
     transport_ = std::move(tcp);
   } else {
-    transport_ = std::make_unique<transport::InProcTransport>(
+    auto inproc = std::make_unique<transport::InProcTransport>(
         transport::InProcOptions{options.node_count});
+    // Receivers hand off only where they reach the mailboxes directly: a
+    // fault plan's pump sits between every send and its mailbox.
+    if (!options.faults.any()) inproc_ = inproc.get();
+    transport_ = std::move(inproc);
   }
   if (options.faults.any()) {
     transport::FaultPlan plan = options.faults;
@@ -358,48 +388,78 @@ ThreadCluster::NodeRuntime& ThreadCluster::runtime_of(NodeId node) {
 
 void ThreadCluster::receiver_loop(NodeId node) {
   NodeRuntime& rt = runtime_of(node);
-  for (;;) {
+  HandOffs hand_offs{this, {}};
+  if (inproc_ != nullptr) t_hand_offs = &hand_offs;
+  for (bool alive = true; alive;) {
     // One transport call drains every deliverable message (one mailbox lock
     // acquisition for the whole burst); an empty batch means shutdown.
     std::vector<proto::Message> batch = transport_->recv_ready(node);
-    if (batch.empty()) return;
-    // Crash-stop: the receiver discards the batch unread and exits — the
-    // node consumes nothing ever again (docs/recovery.md).
-    if (!rt.alive.load(std::memory_order_acquire)) return;
-    if (rt.recv_batch != nullptr) {
-      rt.recv_batch->record(static_cast<double>(batch.size()));
-    }
+    if (batch.empty()) break;
     // Explicit schedule point: under the explorer a client thread may slip
     // in between the drain and the dispatch (shutdown/close races live
     // exactly there).
     sched::yield_point("thread_cluster.recv-batch");
-    // Dispatch consecutive same-shard runs under one shard lock
-    // acquisition — batches never cross shards out of order, preserving
-    // per-channel FIFO.
-    std::size_t i = 0;
-    while (i < batch.size()) {
-      Shard& shard = shard_of(rt, batch[i].lock);
-      MutexLock guard(shard.mutex);
-      do {
-        // Crash-stop taken mid-batch: stop dispatching immediately so the
-        // crashed node cannot keep replying (and emitting old-epoch
-        // traffic) for the rest of the batch.
-        if (!rt.alive.load(std::memory_order_acquire)) return;
-        // An exception escaping a std::thread calls std::terminate, so a
-        // receiver converts failures into a counted, logged error effect
-        // and keeps draining its mailbox.
-        try {
-          shard.core.deliver(batch[i]);
-        } catch (const std::exception& error) {
-          receiver_errors_.fetch_add(1, std::memory_order_relaxed);
-          HLOCK_LOG(kError, "node " << node.value()
-                                    << ": error applying message: "
-                                    << error.what());
-        }
-        ++i;
-      } while (i < batch.size() &&
-               &shard_of(rt, batch[i].lock) == &shard);
-      shard.publish_telemetry();
+    alive = dispatch(rt, node, batch);
+    // Explicit schedule point: a crash-stop, the shutdown or the receivers
+    // of the nodes just sent to may slip in before the claims.
+    sched::yield_point("thread_cluster.hand-off");
+    // Hands off even when the node has crash-stopped: what it sent before
+    // still has to reach nodes nobody else will wake.
+    hand_off(hand_offs.owed);
+  }
+  t_hand_offs = nullptr;
+}
+
+bool ThreadCluster::dispatch(NodeRuntime& rt, NodeId node,
+                             const std::vector<proto::Message>& batch) {
+  // Crash-stop: the batch is discarded unread — the node consumes nothing
+  // ever again (docs/recovery.md).
+  if (!rt.alive.load(std::memory_order_acquire)) return false;
+  if (rt.recv_batch != nullptr) {
+    rt.recv_batch->record(static_cast<double>(batch.size()));
+  }
+  // Dispatch consecutive same-shard runs under one shard lock
+  // acquisition — batches never cross shards out of order, preserving
+  // per-channel FIFO.
+  std::size_t i = 0;
+  while (i < batch.size()) {
+    Shard& shard = shard_of(rt, batch[i].lock);
+    MutexLock guard(shard.mutex);
+    do {
+      // Crash-stop taken mid-batch: stop dispatching immediately so the
+      // crashed node cannot keep replying (and emitting old-epoch
+      // traffic) for the rest of the batch.
+      if (!rt.alive.load(std::memory_order_acquire)) return false;
+      // An exception escaping a std::thread calls std::terminate, so a
+      // receiver converts failures into a counted, logged error effect
+      // and keeps draining its mailbox.
+      try {
+        shard.core.deliver(batch[i]);
+      } catch (const std::exception& error) {
+        receiver_errors_.fetch_add(1, std::memory_order_relaxed);
+        HLOCK_LOG(kError, "node " << node.value()
+                                  << ": error applying message: "
+                                  << error.what());
+      }
+      ++i;
+    } while (i < batch.size() &&
+             &shard_of(rt, batch[i].lock) == &shard);
+    shard.publish_telemetry();
+  }
+  return true;
+}
+
+void ThreadCluster::hand_off(std::vector<NodeId>& owed) {
+  // Applying a peer's messages may owe further peers, which join the list.
+  // A claim that misses leaves the messages to the thread already draining
+  // that inbox.
+  while (!owed.empty()) {
+    const NodeId peer = owed.back();
+    owed.pop_back();
+    NodeRuntime& rt = runtime_of(peer);
+    for (std::vector<proto::Message> batch = inproc_->claim(peer);
+         !batch.empty(); batch = inproc_->next_or_release(peer)) {
+      dispatch(rt, peer, batch);
     }
   }
 }
@@ -422,9 +482,11 @@ void ThreadCluster::ticker_loop() {
     if (stopping_.load()) return;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       NodeRuntime& rt = *nodes_[i];
-      if (!rt.alive.load(std::memory_order_acquire)) continue;
       Shard& shard = *rt.shards[0];
       MutexLock guard(shard.mutex);
+      // Checked under the mutex crash_stop() holds while it marks the node
+      // dead, so a crash-stopped node never ticks (or sends) again.
+      if (!rt.alive.load(std::memory_order_acquire)) continue;
       // An unhalt replays the application calls buffered while halted, and
       // the engine may reject one (say, a release of a lock not held); as
       // on the receivers, the error is counted and logged.

@@ -14,7 +14,13 @@
 // The receiver drains every deliverable message in one transport call
 // (recv_ready) and dispatches consecutive same-shard runs under a single
 // shard lock acquisition; each step's outgoing messages leave through one
-// Transport::send_batch call. See docs/performance.md.
+// Transport::send_batch call. Over a bare InProcTransport a receiver's own
+// sends skip that path: it pushes them without waking their destinations,
+// and once it holds no shard lock it claims each destination's inbox and
+// applies what it finds there itself, so a reply costs no receiver
+// wake-up. The mailbox's drain claim keeps one thread at a time applying a
+// node's messages, in push order. Client calls, the recovery ticker, TCP
+// and fault-injected transports send as before. See docs/performance.md.
 #pragma once
 
 #include <array>
@@ -206,10 +212,12 @@ class ThreadCluster {
     SimTime now() override;
     /// Counts the step's messages into the engine series, then hands the
     /// whole step to Transport::send_batch, which sends each message on its
-    /// own. Runs under the shard mutex; a TCP send may wait for socket
-    /// room, but while it waits it drains its own node's sockets, so the
-    /// peer it waits on always makes progress and holding the shard mutex
-    /// cannot deadlock (docs/transports.md §3).
+    /// own — or, on a receiver thread over a bare InProcTransport, pushes
+    /// each without a wake-up and owes its destination a hand-off
+    /// (ThreadCluster::hand_off). Runs under the shard mutex; a TCP send
+    /// may wait for socket room, but while it waits it drains its own
+    /// node's sockets, so the peer it waits on always makes progress and
+    /// holding the shard mutex cannot deadlock (docs/transports.md §3).
     void send(std::vector<proto::Message>&& messages) override
         HLOCK_REQUIRES(mutex);
     /// Sinks before the step's messages go out (NodeCore's order), so the
@@ -279,7 +287,8 @@ class ThreadCluster {
     /// std::thread when no observer is installed.
     sched::Thread receiver;
     /// Receive-batch-size histogram (nullptr without a registry); set
-    /// before the receiver thread starts, recorded only by it.
+    /// before the receiver threads start, recorded for every batch applied
+    /// at the node, by its own receiver or a peer's hand-off.
     telemetry::Histogram* recv_batch = nullptr;
     /// The shards' engine series (null without a registry).
     std::unique_ptr<const EngineSeries> series;
@@ -288,6 +297,16 @@ class ThreadCluster {
   };
 
   void receiver_loop(NodeId node);
+  /// Applies one batch of `node`'s messages, each same-shard run under one
+  /// shard lock acquisition. Returns false, the rest of the batch
+  /// discarded unread, once the node has crash-stopped. Takes shard locks
+  /// of `node` only, one at a time: the caller holds none.
+  bool dispatch(NodeRuntime& rt, NodeId node,
+                const std::vector<proto::Message>& batch);
+  /// Claims each node in `owed` and dispatches what it takes there, until
+  /// the inbox is empty; nodes owed meanwhile join the list. Receiver
+  /// threads only, with no shard lock held.
+  void hand_off(std::vector<NodeId>& owed);
   /// Registers the transport-level callback series (message/byte totals,
   /// fault/retry counters, per-node mailbox depths) into metrics_.
   void register_transport_metrics(std::size_t node_count);
@@ -318,6 +337,9 @@ class ThreadCluster {
       std::chrono::steady_clock::now();
   /// Non-owning view of transport_ when the options wrapped it in faults.
   transport::FaultyTransport* faulty_ = nullptr;
+  /// Non-owning view of the in-process transport when it carries the
+  /// cluster unwrapped — the receivers' hand-off path (null otherwise).
+  transport::InProcTransport* inproc_ = nullptr;
   /// Non-owning view of the TCP transport when one carries the cluster
   /// (possibly underneath the faulty wrapper) — its retry counters export.
   transport::TcpTransport* tcp_ = nullptr;

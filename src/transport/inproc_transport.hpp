@@ -2,7 +2,7 @@
 //
 // The simulated-cluster harness (runtime/sim_cluster.hpp) validates the
 // protocol under modelled time; this transport validates it under real
-// concurrency: every node runs on its own thread, messages cross true
+// concurrency: every node has its own receiving thread, messages cross true
 // thread boundaries, and every message round-trips through the binary wire
 // codec, exactly as a socket deployment would ship it. Delivery is
 // immediate — the goal here is races, not timing realism; wrap the
@@ -10,7 +10,10 @@
 //
 // Each node has one FIFO mailbox, and send() pushes before it returns, so
 // every ordered (from, to) channel is FIFO, matching TCP/MPI and the
-// simulator's network model.
+// simulator's network model. Beyond the Transport interface, the threaded
+// runtime's receivers use the mailbox's drain claim: a receiver that sends
+// to an idle node pushes without a wake-up (send_quiet), then claims that
+// node's inbox and applies its messages itself (docs/transports.md §2).
 #pragma once
 
 #include <atomic>
@@ -40,6 +43,19 @@ class InProcTransport final : public Transport {
   /// the codec round-trip corrupts the message.
   void send(const proto::Message& message) override;
 
+  /// As send(), but wakes nobody: for a sender that claims the destination
+  /// next (Mailbox::push_quiet).
+  void send_quiet(const proto::Message& message);
+
+  /// Claims `node`'s inbox for the calling thread and returns every queued
+  /// message, or nothing if the inbox is empty or already being drained
+  /// (Mailbox::claim).
+  std::vector<proto::Message> claim(proto::NodeId node);
+
+  /// The claimer's next take from `node`'s inbox; nothing, with the claim
+  /// given up, once it is empty (Mailbox::next_or_release).
+  std::vector<proto::Message> next_or_release(proto::NodeId node);
+
   /// Drains `node`'s mailbox in one lock acquisition.
   std::vector<proto::Message> recv_ready(
       proto::NodeId node,
@@ -65,6 +81,9 @@ class InProcTransport final : public Transport {
 
  private:
   Mailbox& mailbox(proto::NodeId node);
+  /// Encodes and decodes `message`, checks the copy equals it, counts the
+  /// encoded bytes and returns the decoded copy.
+  proto::Message round_trip(const proto::Message& message);
 
   /// Fixed at construction (the mailboxes themselves are thread-safe).
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;

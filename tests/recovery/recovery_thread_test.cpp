@@ -5,18 +5,22 @@
 // generous so loaded CI machines do not false-suspect live nodes.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "runtime/thread_cluster.hpp"
+#include "sched/lockdep.hpp"
 #include "telemetry/registry.hpp"
 #include "util/check.hpp"
+#include "util/sync_observer.hpp"
 
 namespace hlock {
 namespace {
@@ -36,6 +40,34 @@ ThreadClusterOptions recovery_options(Protocol protocol) {
   options.recovery.heartbeat_interval = SimTime::ms(50);
   options.recovery.suspect_after = SimTime::ms(1000);
   return options;
+}
+
+/// `node`'s protocol messages sent so far, over every kind
+/// (hlock_messages_sent_total).
+double messages_sent_by(const telemetry::Registry& registry, NodeId node) {
+  const std::string label = "node=\"" + std::to_string(node.value()) + "\"";
+  double sent = 0;
+  for (const telemetry::Sample& sample : registry.snapshot().samples) {
+    if (sample.name.starts_with("hlock_messages_sent_total{") &&
+        sample.name.find(label) != std::string::npos) {
+      sent += sample.value;
+    }
+  }
+  return sent;
+}
+
+/// Waits until `done()` holds, or ends the process: a wedged client call
+/// can be neither joined nor woken without tearing the cluster down under
+/// it.
+template <typename Done>
+void await_or_exit(std::mutex& mutex, std::condition_variable& cv,
+                   std::chrono::seconds timeout, const char* failure,
+                   Done done) {
+  std::unique_lock<std::mutex> lock(mutex);
+  if (!cv.wait_for(lock, timeout, done)) {
+    std::fputs(failure, stderr);
+    std::_Exit(1);
+  }
 }
 
 TEST(RecoveryThread, HierCrashedHolderIsFencedOut) {
@@ -115,8 +147,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_P(RecoveryThreadTransport, HolderOfManyLocksIsFencedOutOfEach) {
   constexpr std::uint32_t kLocks = 8;
+  telemetry::Registry registry;
   ThreadClusterOptions options = recovery_options(Protocol::kHierarchical);
   options.transport = GetParam();
+  options.metrics = &registry;
   ThreadCluster cluster(options);
 
   for (std::uint32_t node = 0; node < 3; ++node) {
@@ -129,11 +163,10 @@ TEST_P(RecoveryThreadTransport, HolderOfManyLocksIsFencedOutOfEach) {
     cluster.lock(NodeId{1}, LockId{lock}, LockMode::kW);
   }
   cluster.crash_stop(NodeId{1});
+  const double sent_at_crash = messages_sent_by(registry, NodeId{1});
 
   // Client threads and a timed wait: a wedged recovery fails the test
-  // instead of hanging it. A wedged client can be neither joined nor woken
-  // without tearing the cluster down under it, so that failure ends the
-  // process.
+  // instead of hanging it.
   std::mutex mutex;
   std::condition_variable done_cv;
   int done = 0;
@@ -149,20 +182,96 @@ TEST_P(RecoveryThreadTransport, HolderOfManyLocksIsFencedOutOfEach) {
       done_cv.notify_all();
     });
   }
-  {
-    std::unique_lock<std::mutex> lock(mutex);
-    if (!done_cv.wait_for(lock, std::chrono::seconds(30),
-                          [&done] { return done == 2; })) {
-      std::fputs("survivors did not regain every lock within 30 s\n",
-                 stderr);
-      std::_Exit(1);
-    }
-  }
+  await_or_exit(mutex, done_cv, std::chrono::seconds(30),
+                "survivors did not regain every lock within 30 s\n",
+                [&done] { return done == 2; });
   for (std::thread& client : clients) client.join();
 
   EXPECT_GT(cluster.recovery_epoch_of(NodeId{0}), 0u);
   EXPECT_GT(cluster.recovery_epoch_of(NodeId{2}), 0u);
   EXPECT_EQ(cluster.receiver_errors(), 0u);
+  // The crashed node sent nothing more: neither its own receiver nor a
+  // survivor's receiver handing off into it applied a message there.
+  EXPECT_EQ(messages_sent_by(registry, NodeId{1}), sent_at_crash);
+}
+
+/// Lockdep that parks the first receiver reaching its hand-off point,
+/// after its own dispatch and before its claims, until the test lets it
+/// go.
+class HandOffGate final : public sched::Lockdep {
+ public:
+  void yield(const char* site) override {
+    if (std::string_view{site} != "thread_cluster.hand-off" ||
+        !armed_.exchange(false)) {
+      return;
+    }
+    std::unique_lock<std::mutex> lock(mutex_);
+    parked_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+  }
+
+  void await_parked() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return parked_; });
+  }
+
+  void release() {
+    const std::lock_guard<std::mutex> guard(mutex_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::atomic<bool> armed_{true};
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+// Node 0's receiver grants the token to node 2 with a push that wakes
+// nobody, and node 0 crash-stops before that receiver hands the token off.
+// The receiver hands off whether or not its own node is still alive, so
+// node 2's lock() returns long before a heartbeat could wake node 2's
+// receiver.
+TEST(RecoveryThread, CrashBetweenDispatchAndHandOffStillDelivers) {
+  HandOffGate gate;
+  sched::SyncObserver* const previous = sched::exchange_sync_observer(&gate);
+  {
+    telemetry::Registry registry;
+    ThreadClusterOptions options = recovery_options(Protocol::kHierarchical);
+    options.recovery.heartbeat_interval = SimTime::ms(60'000);
+    options.recovery.suspect_after = SimTime::ms(120'000);
+    options.metrics = &registry;
+    ThreadCluster cluster(options);
+
+    const LockId lock{3};
+    std::mutex mutex;
+    std::condition_variable granted_cv;
+    bool granted = false;
+    std::thread client([&] {
+      cluster.lock(NodeId{2}, lock, LockMode::kW);
+      const std::lock_guard<std::mutex> guard(mutex);
+      granted = true;
+      granted_cv.notify_all();
+    });
+    gate.await_parked();
+    cluster.crash_stop(NodeId{0});
+    const double sent_at_crash = messages_sent_by(registry, NodeId{0});
+    gate.release();
+    await_or_exit(mutex, granted_cv, std::chrono::seconds(10),
+                  "the token node 0 sent before it crashed never reached "
+                  "node 2\n",
+                  [&granted] { return granted; });
+    client.join();
+
+    EXPECT_TRUE(cluster.holds(NodeId{2}, lock));
+    EXPECT_EQ(messages_sent_by(registry, NodeId{0}), sent_at_crash);
+    EXPECT_EQ(cluster.receiver_errors(), 0u);
+  }
+  sched::exchange_sync_observer(previous);
+  EXPECT_EQ(gate.violation_count(), 0u);
 }
 
 }  // namespace

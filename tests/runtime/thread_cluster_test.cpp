@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -145,9 +146,14 @@ TEST(ThreadCluster, ReadersOverlapWritersExclude) {
   std::atomic<int> max_readers{0};
   std::atomic<bool> violation{false};
 
+  // Every worker starts its loop at once: thread start-up can take longer
+  // than a whole fast run, and a worker that finishes before the next one
+  // starts overlaps nobody.
+  std::latch start{kNodes};
   std::vector<std::thread> workers;
   for (std::uint32_t i = 0; i < kNodes; ++i) {
     workers.emplace_back([&, i] {
+      start.arrive_and_wait();
       for (int k = 0; k < 30; ++k) {
         const bool writer = (k % 10) == static_cast<int>(i % 10);
         const LockMode mode = writer ? LockMode::kW : LockMode::kR;

@@ -4,7 +4,9 @@
 // shutdown / close / reconnect races the stress suites only sometimes hit
 // are walked systematically — and any interleaving that deadlocks or
 // fails prints its replay seed. See docs/sched.md.
+#include <atomic>
 #include <chrono>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "transport/inproc_transport.hpp"
 #include "transport/mailbox.hpp"
 #include "transport/tcp_transport.hpp"
+#include "util/sync.hpp"
 #include "util/sync_observer.hpp"
 
 namespace hlock {
@@ -89,6 +92,117 @@ TEST(SchedExploration, MailboxCloseWakesBlockedPop) {
     });
     mailbox.close();
     consumer.join();
+  });
+}
+
+/// One mailbox drained by its receiver and by a peer that pushes without a
+/// wake-up and then claims, while a producer pushes plainly. Whoever takes
+/// a batch applies it to one log; two takers applying at once would mean a
+/// broken claim.
+class DrainRace {
+ public:
+  static constexpr std::uint64_t kPerSender = 3;
+
+  /// The receiver: takes until the mailbox is closed and drained.
+  void receive() {
+    for (;;) {
+      const std::vector<Message> batch = mailbox.pop_all_ready();
+      if (batch.empty()) return;
+      apply(batch);
+    }
+  }
+
+  void push_plainly() {
+    for (std::uint64_t seq = 1; seq <= kPerSender; ++seq) {
+      mailbox.push(make_message(0, 1, seq));
+    }
+  }
+
+  /// The peer: each message it pushes without a wake-up, it then claims.
+  void push_and_claim() {
+    for (std::uint64_t seq = 1; seq <= kPerSender; ++seq) {
+      mailbox.push_quiet(make_message(2, 1, seq));
+      for (std::vector<Message> batch = mailbox.claim(); !batch.empty();
+           batch = mailbox.next_or_release()) {
+        apply(batch);
+      }
+    }
+  }
+
+  /// Blocks until `count` messages were applied. A message left queued
+  /// with nobody draining it strands this wait, and the explorer proves
+  /// the deadlock.
+  void await_applied(std::size_t count) {
+    MutexLock guard(mutex_);
+    while (applied_.size() < count) cv_.wait(mutex_);
+  }
+
+  /// Every message the mailbox accepted was applied once, each sender's in
+  /// its order, and none is left queued.
+  void check() {
+    MutexLock guard(mutex_);
+    EXPECT_EQ(applied_.size(), mailbox.pushed());
+    EXPECT_EQ(mailbox.size(), 0u);
+    std::map<std::uint32_t, std::uint64_t> last_seq;
+    for (const Message& message : applied_) {
+      const std::uint64_t seq =
+          std::get<proto::NaimiRequest>(message.payload).seq;
+      std::uint64_t& last = last_seq[message.from.value()];
+      EXPECT_GT(seq, last) << "sender " << message.from.value()
+                           << ": message duplicated or out of order";
+      last = seq;
+    }
+  }
+
+  transport::Mailbox mailbox;
+
+ private:
+  void apply(const std::vector<Message>& batch) {
+    EXPECT_EQ(appliers_.fetch_add(1), 0) << "two threads drain one mailbox";
+    sched::yield_point("test.apply");
+    {
+      MutexLock guard(mutex_);
+      applied_.insert(applied_.end(), batch.begin(), batch.end());
+      cv_.notify_all();
+    }
+    appliers_.fetch_sub(1);
+  }
+
+  std::atomic<int> appliers_{0};
+  Mutex mutex_;
+  CondVar cv_;
+  std::vector<Message> applied_ HLOCK_GUARDED_BY(mutex_);
+};
+
+TEST(SchedExploration, MailboxDrainClaimLosesNothing) {
+  sched_test::explore([] {
+    DrainRace race;
+    sched::Thread receiver("receiver", [&race] { race.receive(); });
+    sched::Thread producer("producer", [&race] { race.push_plainly(); });
+    sched::Thread peer("peer", [&race] { race.push_and_claim(); });
+    producer.join();
+    peer.join();
+    race.await_applied(2 * DrainRace::kPerSender);
+    race.mailbox.close();
+    receiver.join();
+    race.check();
+  });
+}
+
+TEST(SchedExploration, MailboxCloseRacesADrainClaim) {
+  sched_test::explore([] {
+    DrainRace race;
+    sched::Thread receiver("receiver", [&race] { race.receive(); });
+    sched::Thread producer("producer", [&race] { race.push_plainly(); });
+    sched::Thread peer("peer", [&race] { race.push_and_claim(); });
+    sched::yield_point("test.before-close");
+    // The receiver must come back even when the close lands inside the
+    // peer's claim: the release is what lets it see the mailbox drained.
+    race.mailbox.close();
+    producer.join();
+    peer.join();
+    receiver.join();
+    race.check();
   });
 }
 

@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
 
+#include "proto/codec.hpp"
 #include "tests/transport/receive.hpp"
 #include "tests/transport/wire_burst.hpp"
 #include "transport/mailbox.hpp"
@@ -19,11 +21,21 @@ using proto::LockId;
 using proto::LockMode;
 using proto::Message;
 using proto::NodeId;
+using transport_test::after;
 using namespace std::chrono_literals;
+using Senders = std::vector<std::uint32_t>;
 
 Message make_message(std::uint32_t from, std::uint32_t to) {
   return Message{NodeId{from}, NodeId{to}, LockId{0},
                  proto::HierRequest{NodeId{from}, LockMode::kR, 0}};
+}
+
+/// The senders of a batch, in order: the tests number messages by sender.
+Senders senders(const std::vector<Message>& batch) {
+  Senders from;
+  from.reserve(batch.size());
+  for (const Message& message : batch) from.push_back(message.from.value());
+  return from;
 }
 
 TEST(Mailbox, PopUntilTimesOut) {
@@ -160,6 +172,140 @@ TEST(Mailbox, PopAllReadyBlocksUntilAnotherThreadPushes) {
   producer.join();
   ASSERT_EQ(drained.size(), 1u);
   EXPECT_GE(Mailbox::Clock::now() - start, std::chrono::milliseconds(19));
+}
+
+// ---- The drain claim: one thread at a time takes a mailbox's messages.
+
+TEST(MailboxClaim, BlockedPopStaysBlockedWhileAPeerHoldsTheClaim) {
+  Mailbox box;
+  box.push_quiet(make_message(1, 0));
+  ASSERT_EQ(senders(box.claim()), Senders{1});
+  std::atomic<bool> returned{false};
+  std::vector<Message> popped;
+  std::thread receiver([&] {
+    popped = box.pop_all_ready();
+    returned = true;
+  });
+  // Even a plain push leaves the receiver waiting while the peer drains.
+  box.push(make_message(2, 0));
+  std::this_thread::sleep_for(20ms);
+  EXPECT_FALSE(returned);
+  EXPECT_EQ(senders(box.next_or_release()), Senders{2});
+  EXPECT_TRUE(box.next_or_release().empty());
+  std::this_thread::sleep_for(5ms);
+  EXPECT_FALSE(returned);  // the release leaves it nothing to wake for
+  box.push(make_message(3, 0));
+  receiver.join();
+  EXPECT_EQ(senders(popped), Senders{3});
+}
+
+TEST(MailboxClaim, PushesDuringAClaimComeBackFromTheNextTakeInOrder) {
+  Mailbox box;
+  box.push_quiet(make_message(1, 0));
+  ASSERT_EQ(senders(box.claim()), Senders{1});
+  box.push(make_message(2, 0));
+  box.push_quiet(make_message(3, 0));
+  box.push(make_message(4, 0));
+  EXPECT_EQ(senders(box.next_or_release()), (Senders{2, 3, 4}));
+  EXPECT_TRUE(box.next_or_release().empty());
+}
+
+TEST(MailboxClaim, ReleasedOnlyByAnEmptyTake) {
+  Mailbox box;
+  box.push_quiet(make_message(1, 0));
+  ASSERT_EQ(senders(box.claim()), Senders{1});
+  box.push(make_message(2, 0));
+  ASSERT_EQ(senders(box.next_or_release()), Senders{2});
+  // Still claimed: neither a second peer nor the receiver may take 3.
+  box.push(make_message(3, 0));
+  EXPECT_TRUE(box.claim().empty());
+  EXPECT_TRUE(box.pop_all_ready(after(5ms)).empty());
+  EXPECT_EQ(senders(box.next_or_release()), Senders{3});
+  EXPECT_TRUE(box.next_or_release().empty());
+  // Released: claimable, and receivable, again.
+  box.push_quiet(make_message(4, 0));
+  EXPECT_EQ(senders(box.claim()), Senders{4});
+  EXPECT_TRUE(box.next_or_release().empty());
+  box.push(make_message(5, 0));
+  EXPECT_EQ(senders(box.pop_all_ready(after(5ms))), Senders{5});
+}
+
+TEST(MailboxClaim, ReceiverKeepsTheClaimUntilItsInboxIsEmpty) {
+  Mailbox box;
+  box.push(make_message(1, 0));
+  ASSERT_EQ(senders(box.pop_all_ready()), Senders{1});
+  // The receiver drains until it finds the inbox empty, so a peer's claim
+  // misses and the receiver's next take has the message.
+  box.push_quiet(make_message(2, 0));
+  EXPECT_TRUE(box.claim().empty());
+  EXPECT_EQ(senders(box.pop_all_ready()), Senders{2});
+  EXPECT_TRUE(box.pop_all_ready(after(5ms)).empty());
+  box.push_quiet(make_message(3, 0));
+  EXPECT_EQ(senders(box.claim()), Senders{3});
+  EXPECT_TRUE(box.next_or_release().empty());
+}
+
+TEST(MailboxClaim, QuietPushNeverWakesABlockedReceiver) {
+  Mailbox box;
+  std::atomic<bool> returned{false};
+  std::vector<Message> popped;
+  std::thread receiver([&] {
+    popped = box.pop_all_ready();
+    returned = true;
+  });
+  std::this_thread::sleep_for(20ms);  // the receiver waits on an empty inbox
+  box.push_quiet(make_message(1, 0));
+  std::this_thread::sleep_for(30ms);
+  EXPECT_FALSE(returned);
+  box.push(make_message(2, 0));  // a plain push wakes it
+  receiver.join();
+  EXPECT_EQ(senders(popped), (Senders{1, 2}));
+}
+
+TEST(MailboxClaim, CloseDuringAClaimLeavesQueuedMessagesTakeable) {
+  Mailbox box;
+  box.push_quiet(make_message(1, 0));
+  ASSERT_EQ(senders(box.claim()), Senders{1});
+  std::atomic<bool> returned{false};
+  std::vector<Message> popped;
+  std::thread receiver([&] {
+    popped = box.pop_all_ready();
+    returned = true;
+  });
+  box.push(make_message(2, 0));
+  box.close();
+  box.push(make_message(3, 0));  // dropped
+  std::this_thread::sleep_for(20ms);
+  EXPECT_FALSE(returned);  // closed, but the peer's claim is not over
+  EXPECT_EQ(senders(box.next_or_release()), Senders{2});
+  EXPECT_TRUE(box.next_or_release().empty());
+  // The release lets the receiver see the mailbox closed and drained.
+  receiver.join();
+  EXPECT_TRUE(popped.empty());
+  EXPECT_EQ(box.pushed(), 2u);
+}
+
+TEST(MailboxClaim, NextOrReleaseNeedsAPeersClaim) {
+  Mailbox box;
+  EXPECT_THROW(box.next_or_release(), UsageError);
+  box.push(make_message(1, 0));
+  ASSERT_EQ(box.pop_all_ready().size(), 1u);
+  EXPECT_THROW(box.next_or_release(), UsageError);  // the receiver's claim
+}
+
+TEST(InProcTransport, QuietSendRoundTripsAndWaitsForAClaim) {
+  InProcTransport transport{InProcOptions{2}};
+  const Message message = make_message(0, 1);
+  transport.send_quiet(message);
+  EXPECT_EQ(transport.messages_sent(), 1u);
+  EXPECT_EQ(transport.bytes_sent(), proto::encode(message).size());
+  EXPECT_EQ(transport.inbox_depth(NodeId{1}), 1u);
+  const std::vector<Message> claimed = transport.claim(NodeId{1});
+  ASSERT_EQ(claimed.size(), 1u);
+  EXPECT_EQ(claimed[0], message);
+  EXPECT_TRUE(transport.next_or_release(NodeId{1}).empty());
+  EXPECT_THROW(transport.send_quiet(make_message(0, 9)), UsageError);
+  EXPECT_THROW(transport.claim(NodeId{9}), UsageError);
 }
 
 // send_batch hands a burst to send() one message at a time: the receiver
