@@ -88,6 +88,7 @@ ThreadCluster::Shard::Shard(ThreadCluster& owner, NodeId self,
                             obs::AtomicLamportClock& clock,
                             const ThreadClusterOptions& options)
     : cluster(owner),
+      node(self),
       core(self, options.node_count, std::move(engine), options.recovery,
            clock, *this) {}
 
@@ -158,7 +159,13 @@ void ThreadCluster::Shard::sink(std::vector<trace::TraceEvent>&& events) {
 
 void ThreadCluster::Shard::granted(LockId lock, bool upgraded) {
   (upgraded ? upgrades : grants).insert(lock);
-  cv.notify_all();
+  // The inbox waiter is not on the condvar, and nobody on it awaits this
+  // lock: signal the waiter alone.
+  if (inbox_waiter == lock) {
+    cluster.inproc_->mailbox(node).signal_caller();
+  } else {
+    cv.notify_all();
+  }
   if (series == nullptr) return;
   if (upgraded) {
     series->upgrades->inc();
@@ -457,8 +464,9 @@ void ThreadCluster::hand_off(std::vector<NodeId>& owed) {
     const NodeId peer = owed.back();
     owed.pop_back();
     NodeRuntime& rt = runtime_of(peer);
-    for (std::vector<proto::Message> batch = inproc_->claim(peer);
-         !batch.empty(); batch = inproc_->next_or_release(peer)) {
+    transport::Mailbox& inbox = inproc_->mailbox(peer);
+    for (std::vector<proto::Message> batch = inbox.claim(); !batch.empty();
+         batch = inbox.next_or_release()) {
       dispatch(rt, peer, batch);
     }
   }
@@ -511,9 +519,11 @@ void ThreadCluster::crash_stop(NodeId node) {
   MutexLock guard(shard.mutex);
   rt.alive.store(false, std::memory_order_release);
   // A crash-stop loses all volatile state; wake any of the node's blocked
-  // client calls (they observe !alive and return).
+  // client calls (they observe !alive and return), the inbox waiter
+  // included.
   shard.core.crash();
   shard.cv.notify_all();
+  if (inproc_ != nullptr) inproc_->mailbox(node).signal_caller();
 }
 
 bool ThreadCluster::alive(NodeId node) const {
@@ -550,11 +560,41 @@ void ThreadCluster::await(NodeRuntime& rt, Shard& shard,
   ++shard.waiters;
   while (!stopping_ && rt.alive.load(std::memory_order_acquire) &&
          done.count(lock) == 0) {
-    shard.cv.wait(shard.mutex);
+    if (!drain_own_inbox(rt, shard, lock)) shard.cv.wait(shard.mutex);
   }
   done.erase(lock);
   --shard.waiters;
-  shard.cv.notify_all();  // a tearing-down destructor may drain waiters
+  // Only a tearing-down destructor waits for waiters to fall; the shard's
+  // other blocked calls have nothing to wake for.
+  if (stopping_) shard.cv.notify_all();
+}
+
+bool ThreadCluster::drain_own_inbox(NodeRuntime& rt, Shard& shard,
+                                    LockId lock) {
+  if (inproc_ == nullptr) return false;
+  transport::Mailbox& inbox = inproc_->mailbox(shard.node);
+  // Read under the shard lock: a grant applied once it is dropped signals
+  // past this generation, so it cannot be missed.
+  const std::optional<std::uint64_t> generation = inbox.enlist_caller();
+  if (!generation) return false;
+  shard.inbox_waiter = lock;
+  // Dropped before dispatching, which takes the node's shard locks one at
+  // a time: no shard lock is ever held under another.
+  shard.mutex.unlock();
+  for (;;) {
+    // Explicit schedule point: before each take, a grant, push, crash-stop
+    // or close may slip in — first between the enlistment and the wait,
+    // then between a dispatch and the take that gives the claim back.
+    sched::yield_point("thread_cluster.caller-drain");
+    const std::vector<proto::Message> batch =
+        inbox.take_for_caller(*generation);
+    if (batch.empty()) break;
+    dispatch(rt, shard.node, batch);
+  }
+  shard.mutex.lock();
+  // Another call may have enlisted since the take withdrew this one.
+  if (shard.inbox_waiter == lock) shard.inbox_waiter.reset();
+  return true;
 }
 
 void ThreadCluster::lock(NodeId node, LockId lock, LockMode mode,

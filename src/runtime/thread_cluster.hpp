@@ -14,13 +14,18 @@
 // The receiver drains every deliverable message in one transport call
 // (recv_ready) and dispatches consecutive same-shard runs under a single
 // shard lock acquisition; each step's outgoing messages leave through one
-// Transport::send_batch call. Over a bare InProcTransport a receiver's own
-// sends skip that path: it pushes them without waking their destinations,
-// and once it holds no shard lock it claims each destination's inbox and
-// applies what it finds there itself, so a reply costs no receiver
-// wake-up. The mailbox's drain claim keeps one thread at a time applying a
-// node's messages, in push order. Client calls, the recovery ticker, TCP
-// and fault-injected transports send as before. See docs/performance.md.
+// Transport::send_batch call. Over a bare InProcTransport two paths save
+// wake-ups. A receiver's own sends push without waking their
+// destinations, and once it holds no shard lock it claims each
+// destination's inbox and applies what it finds there itself, so a reply
+// costs no receiver wake-up. And a node's first lock()/upgrade() call
+// blocked on its grant enlists as the inbox's caller: with its shard lock
+// dropped it applies its node's messages on its own thread, its own grant
+// included, so a push wakes the waiting call instead of the receiver. The
+// mailbox's drain claim keeps one thread at a time applying a node's
+// messages, in push order. unlock(), the recovery ticker, TCP and
+// fault-injected transports send and receive as before. See
+// docs/performance.md.
 #pragma once
 
 #include <array>
@@ -28,6 +33,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -154,8 +160,11 @@ class ThreadCluster {
   /// serialized by an internal mutex, and each step's events are sunk
   /// BEFORE its messages are transmitted, so the sink observes a causally
   /// consistent global order (an exit-cs always precedes the enter-cs it
-  /// enables). May be (re)set while operations are in flight; the sink
-  /// must not call back into the cluster.
+  /// enables). It runs on whichever thread applies the step: a receiver,
+  /// or an application thread inside lock()/upgrade()/unlock() — a
+  /// blocked call applies its node's messages. May be (re)set while
+  /// operations are in flight; the sink must not call back into the
+  /// cluster.
   using EventSink = std::function<void(trace::TraceEvent event)>;
   void set_event_sink(EventSink sink) HLOCK_EXCLUDES(event_mutex_);
 
@@ -224,7 +233,8 @@ class ThreadCluster {
     /// sink's global order respects causality (see set_event_sink).
     void sink(std::vector<trace::TraceEvent>&& events) override
         HLOCK_EXCLUDES(cluster.event_mutex_);
-    /// Wakes the blocked client call, and counts the grant (closing its
+    /// Wakes the blocked client call — on the condvar, or by a signal when
+    /// it is the node's inbox waiter — and counts the grant (closing its
     /// wait) or the upgrade.
     void granted(LockId lock, bool upgraded) override HLOCK_REQUIRES(mutex);
     /// Refreshes the shard's telemetry after core calls: the depth gauges,
@@ -236,6 +246,7 @@ class ThreadCluster {
     void publish_telemetry() HLOCK_REQUIRES(mutex);
 
     ThreadCluster& cluster;
+    const NodeId node;
     Mutex mutex;
     CondVar cv;
     NodeCore core HLOCK_GUARDED_BY(mutex);
@@ -243,9 +254,13 @@ class ThreadCluster {
     /// consumed by the blocked client call yet.
     std::unordered_set<LockId> grants HLOCK_GUARDED_BY(mutex);
     std::unordered_set<LockId> upgrades HLOCK_GUARDED_BY(mutex);
-    /// Client calls currently blocked on `cv`; the destructor waits for
-    /// this to reach zero so a woken call never touches freed node state.
+    /// Client calls currently blocked, on `cv` or on the node's inbox; the
+    /// destructor waits for this to reach zero so a woken call never
+    /// touches freed node state.
     int waiters HLOCK_GUARDED_BY(mutex) = 0;
+    /// The lock the node's inbox waiter awaits, when that call is on this
+    /// shard: its grant ends the waiter's inbox wait by a signal.
+    std::optional<LockId> inbox_waiter HLOCK_GUARDED_BY(mutex);
 
     // Telemetry series (nullptr without a registry; the recovery ones also
     // without recovery), set before any thread runs and never changed.
@@ -288,7 +303,8 @@ class ThreadCluster {
     sched::Thread receiver;
     /// Receive-batch-size histogram (nullptr without a registry); set
     /// before the receiver threads start, recorded for every batch applied
-    /// at the node, by its own receiver or a peer's hand-off.
+    /// at the node, by its own receiver, a peer's hand-off or its inbox
+    /// waiter.
     telemetry::Histogram* recv_batch = nullptr;
     /// The shards' engine series (null without a registry).
     std::unique_ptr<const EngineSeries> series;
@@ -300,7 +316,8 @@ class ThreadCluster {
   /// Applies one batch of `node`'s messages, each same-shard run under one
   /// shard lock acquisition. Returns false, the rest of the batch
   /// discarded unread, once the node has crash-stopped. Takes shard locks
-  /// of `node` only, one at a time: the caller holds none.
+  /// of `node` only, one at a time: the caller holds none. Runs on
+  /// receivers and on a node's inbox waiter.
   bool dispatch(NodeRuntime& rt, NodeId node,
                 const std::vector<proto::Message>& batch);
   /// Claims each node in `owed` and dispatches what it takes there, until
@@ -320,6 +337,14 @@ class ThreadCluster {
   /// the node crash-stops or the cluster tears down.
   void await(NodeRuntime& rt, Shard& shard, std::unordered_set<LockId>& done,
              LockId lock) HLOCK_REQUIRES(shard.mutex);
+  /// One wait of a blocked call as its node's inbox waiter: enlists with
+  /// the shard lock held, drops it, applies the node's messages until a
+  /// signal (its grant, a crash-stop) or teardown ends the wait, then
+  /// re-takes the shard lock. False, without waiting, on a transport
+  /// other than a bare InProcTransport or when the node has an inbox
+  /// waiter already.
+  bool drain_own_inbox(NodeRuntime& rt, Shard& shard, LockId lock)
+      HLOCK_REQUIRES(shard.mutex);
   /// The node's single shard, which carries its recovery state.
   /// Precondition: recovery is enabled.
   Shard& recovery_shard(NodeId node);
@@ -338,7 +363,8 @@ class ThreadCluster {
   /// Non-owning view of transport_ when the options wrapped it in faults.
   transport::FaultyTransport* faulty_ = nullptr;
   /// Non-owning view of the in-process transport when it carries the
-  /// cluster unwrapped — the receivers' hand-off path (null otherwise).
+  /// cluster unwrapped — the receivers' hand-off path and the inbox
+  /// waiters' (null otherwise).
   transport::InProcTransport* inproc_ = nullptr;
   /// Non-owning view of the TCP transport when one carries the cluster
   /// (possibly underneath the faulty wrapper) — its retry counters export.

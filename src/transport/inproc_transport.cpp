@@ -42,15 +42,6 @@ void InProcTransport::send_quiet(const proto::Message& message) {
   sent_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::vector<proto::Message> InProcTransport::claim(proto::NodeId node) {
-  return mailbox(node).claim();
-}
-
-std::vector<proto::Message> InProcTransport::next_or_release(
-    proto::NodeId node) {
-  return mailbox(node).next_or_release();
-}
-
 std::vector<proto::Message> InProcTransport::recv_ready(
     proto::NodeId node, Clock::time_point deadline) {
   return mailbox(node).pop_all_ready(deadline);

@@ -11,9 +11,13 @@
 // Each node has one FIFO mailbox, and send() pushes before it returns, so
 // every ordered (from, to) channel is FIFO, matching TCP/MPI and the
 // simulator's network model. Beyond the Transport interface, the threaded
-// runtime's receivers use the mailbox's drain claim: a receiver that sends
-// to an idle node pushes without a wake-up (send_quiet), then claims that
-// node's inbox and applies its messages itself (docs/transports.md §2).
+// runtime reaches each node's mailbox to use its drain claim twice: a
+// receiver that sends to an idle node pushes without a wake-up
+// (send_quiet), then claims that node's inbox and applies its messages
+// itself; and a lock()/upgrade() call blocked on its grant enlists as its
+// node's caller, so a send that finds that inbox idle wakes the call,
+// which applies its node's messages on its own thread until it is
+// signalled (docs/transports.md §2).
 #pragma once
 
 #include <atomic>
@@ -47,14 +51,9 @@ class InProcTransport final : public Transport {
   /// next (Mailbox::push_quiet).
   void send_quiet(const proto::Message& message);
 
-  /// Claims `node`'s inbox for the calling thread and returns every queued
-  /// message, or nothing if the inbox is empty or already being drained
-  /// (Mailbox::claim).
-  std::vector<proto::Message> claim(proto::NodeId node);
-
-  /// The claimer's next take from `node`'s inbox; nothing, with the claim
-  /// given up, once it is empty (Mailbox::next_or_release).
-  std::vector<proto::Message> next_or_release(proto::NodeId node);
+  /// `node`'s mailbox, for the threaded runtime's drain claims and blocked
+  /// callers. Throws UsageError for an unknown node.
+  Mailbox& mailbox(proto::NodeId node);
 
   /// Drains `node`'s mailbox in one lock acquisition.
   std::vector<proto::Message> recv_ready(
@@ -80,7 +79,6 @@ class InProcTransport final : public Transport {
   }
 
  private:
-  Mailbox& mailbox(proto::NodeId node);
   /// Encodes and decodes `message`, checks the copy equals it, counts the
   /// encoded bytes and returns the decoded copy.
   proto::Message round_trip(const proto::Message& message);

@@ -6,19 +6,22 @@
 
 namespace hlock::transport {
 
-bool Mailbox::append(proto::Message&& message) {
+CondVar* Mailbox::append(proto::Message&& message) {
   // Explicit schedule point: under the explorer a racing take/close may be
   // interleaved before the push takes the lock (docs/sched.md).
   sched::yield_point("mailbox.push");
   MutexLock guard(mutex_);
-  if (closed_) return false;
+  if (closed_) return nullptr;
   queue_.push_back(std::move(message));
   ++pushed_;
-  return drainer_ == Drainer::kNone;
+  if (drainer_ != Drainer::kNone) return nullptr;
+  // An enlisted caller looks at the queue before it waits, so the wake
+  // may go to it even before it waits.
+  return caller_enlisted_ ? &caller_cv_ : &cv_;
 }
 
 void Mailbox::push(proto::Message message) {
-  if (append(std::move(message))) cv_.notify_one();
+  if (CondVar* wake = append(std::move(message))) wake->notify_one();
 }
 
 void Mailbox::push_quiet(proto::Message message) {
@@ -36,18 +39,19 @@ std::vector<proto::Message> Mailbox::pop_all_ready(
     Clock::time_point deadline) {
   MutexLock lock(mutex_);
   // The receiver gives its claim up in the lock hold that finds its inbox
-  // empty; from then on a push wakes it, or a peer may claim.
+  // empty; from then on a push wakes it (or the enlisted caller), or a
+  // peer may claim.
   if (drainer_ == Drainer::kReceiver && queue_.empty()) {
     drainer_ = Drainer::kNone;
   }
-  while (drainer_ == Drainer::kPeer || (queue_.empty() && !closed_)) {
+  while (claimed_away_from_receiver() || (queue_.empty() && !closed_)) {
     if (deadline == Clock::time_point::max()) {
       cv_.wait(mutex_);
     } else if (cv_.wait_until(mutex_, deadline) == std::cv_status::timeout) {
       break;
     }
   }
-  if (drainer_ == Drainer::kPeer || queue_.empty()) return {};
+  if (claimed_away_from_receiver() || queue_.empty()) return {};
   drainer_ = Drainer::kReceiver;
   return take_all();
 }
@@ -76,6 +80,54 @@ std::vector<proto::Message> Mailbox::next_or_release() {
   return {};
 }
 
+std::optional<std::uint64_t> Mailbox::enlist_caller() {
+  MutexLock guard(mutex_);
+  if (caller_enlisted_) return std::nullopt;
+  caller_enlisted_ = true;
+  return signals_;
+}
+
+std::vector<proto::Message> Mailbox::take_for_caller(
+    std::uint64_t generation) {
+  bool wake_receiver = false;
+  {
+    MutexLock lock(mutex_);
+    HLOCK_REQUIRE(caller_enlisted_,
+                  "take_for_caller() without enlist_caller()");
+    while (signals_ == generation && !closed_) {
+      if (!queue_.empty() && (drainer_ == Drainer::kNone ||
+                              drainer_ == Drainer::kCaller)) {
+        drainer_ = Drainer::kCaller;
+        return take_all();
+      }
+      // An empty take gives the claim back; from then on a push wakes the
+      // caller again, or a peer may claim.
+      if (drainer_ == Drainer::kCaller) drainer_ = Drainer::kNone;
+      caller_cv_.wait(mutex_);
+    }
+    // The wait is over: the caller does no more work for others. Messages
+    // still queued, or pushed since a wake that went to the caller, are
+    // the receiver's; so is seeing a closed mailbox drained.
+    if (drainer_ == Drainer::kCaller) drainer_ = Drainer::kNone;
+    caller_enlisted_ = false;
+    wake_receiver = drainer_ == Drainer::kNone && (!queue_.empty() || closed_);
+  }
+  if (wake_receiver) cv_.notify_one();
+  return {};
+}
+
+void Mailbox::signal_caller() {
+  bool wake = false;
+  {
+    MutexLock guard(mutex_);
+    ++signals_;
+    // A caller holding the claim is applying messages, not waiting; its
+    // next take sees the signal.
+    wake = caller_enlisted_ && drainer_ != Drainer::kCaller;
+  }
+  if (wake) caller_cv_.notify_one();
+}
+
 void Mailbox::close() {
   sched::yield_point("mailbox.close");
   {
@@ -83,6 +135,7 @@ void Mailbox::close() {
     closed_ = true;
   }
   cv_.notify_all();
+  caller_cv_.notify_all();
 }
 
 std::uint64_t Mailbox::pushed() const {

@@ -2,21 +2,29 @@
 // drain claim.
 //
 // Producers push from any thread. Exactly one thread drains the queue at a
-// time, and the claim records which: nobody, the node's receiver, or a
-// peer. The receiver drains every queued message in one lock acquisition
-// (pop_all_ready), which is what lets the threaded runtime deliver a burst
-// as a batch instead of paying one mutex round-trip per message. A peer —
-// another node's receiver that has just sent here — may claim an inbox
-// nobody drains and apply its messages itself, saving the receiver's
-// wake-up (docs/performance.md, "Receiver hand-off"). Whoever holds the
+// time, and the claim records which: nobody, the node's receiver, a peer,
+// or the node's blocked caller. The receiver drains every queued message
+// in one lock acquisition (pop_all_ready), which is what lets the threaded
+// runtime deliver a burst as a batch instead of paying one mutex
+// round-trip per message. A peer — another node's receiver that has just
+// sent here — may claim an inbox nobody drains and apply its messages
+// itself, saving the receiver's wake-up (docs/performance.md, "Receiver
+// hand-off"). One application call blocked on its grant at this node may
+// enlist as the inbox's caller: while it is enlisted, a push that finds
+// nobody draining wakes the caller instead of the receiver, and the caller
+// applies its node's messages on its own thread until a signal says its
+// wait is over ("Blocked calls drain their own inbox"). Whoever holds the
 // claim keeps taking until it finds the queue empty, and only then gives
-// the claim up, so every message is taken in push order and none is left
-// queued with nobody draining it. Messages move in and out, so a payload's
-// buffers (a token's queue) are never copied on the way through.
+// the claim up — except the caller, which gives it back once signalled and
+// wakes the receiver for what remains — so every message is taken in push
+// order and none is left queued with nobody draining it or woken to.
+// Messages move in and out, so a payload's buffers (a token's queue) are
+// never copied on the way through.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "proto/message.hpp"
@@ -29,8 +37,10 @@ class Mailbox {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// Appends a message and wakes the receiver, unless a drainer holds the
-  /// claim (it takes the message before it lets go). No-op after close().
+  /// Appends a message and, when nobody drains, wakes the enlisted caller,
+  /// or the receiver if no caller is enlisted. Wakes nobody while a drainer
+  /// holds the claim (it takes the message before it lets go). No-op after
+  /// close().
   void push(proto::Message message) HLOCK_EXCLUDES(mutex_);
 
   /// Appends a message without waking anyone. For a sender that calls
@@ -38,11 +48,11 @@ class Mailbox {
   /// No-op after close().
   void push_quiet(proto::Message message) HLOCK_EXCLUDES(mutex_);
 
-  /// The receiver's take. Blocks, at most until `deadline`, while a peer
-  /// holds the claim or while the queue is empty and the mailbox open;
-  /// then drains and returns every queued message in push order, with the
-  /// claim held by the receiver. The receiver keeps the claim until a take
-  /// finds the queue empty. Empty on timeout, or once the mailbox is
+  /// The receiver's take. Blocks, at most until `deadline`, while a peer or
+  /// the caller holds the claim or while the queue is empty and the mailbox
+  /// open; then drains and returns every queued message in push order, with
+  /// the claim held by the receiver. The receiver keeps the claim until a
+  /// take finds the queue empty. Empty on timeout, or once the mailbox is
   /// closed and drained.
   std::vector<proto::Message> pop_all_ready(
       Clock::time_point deadline = Clock::time_point::max())
@@ -58,8 +68,27 @@ class Mailbox {
   /// claim given up.
   std::vector<proto::Message> next_or_release() HLOCK_EXCLUDES(mutex_);
 
+  /// Enlists the calling thread as the mailbox's one blocked caller and
+  /// returns the signal generation its takes compare against; nothing
+  /// while another caller is enlisted.
+  std::optional<std::uint64_t> enlist_caller() HLOCK_EXCLUDES(mutex_);
+
+  /// The enlisted caller's take. Blocks while the mailbox is unsignalled
+  /// since `generation` and open, and either the queue is empty or another
+  /// thread drains; an empty take gives the caller's claim back. Returns
+  /// every queued message in push order, with the claim held by the
+  /// caller. Once signalled or closed, returns nothing: in one lock hold it
+  /// gives the claim back, withdraws the enlistment and wakes the receiver
+  /// if messages remain.
+  std::vector<proto::Message> take_for_caller(std::uint64_t generation)
+      HLOCK_EXCLUDES(mutex_);
+
+  /// Advances the signal generation and wakes the enlisted caller: its
+  /// wait is over.
+  void signal_caller() HLOCK_EXCLUDES(mutex_);
+
   /// Closes the mailbox: queued messages remain takeable, new pushes are
-  /// dropped, and blocked receivers wake up.
+  /// dropped, and the blocked receiver and caller wake up.
   void close() HLOCK_EXCLUDES(mutex_);
 
   /// Messages deposited over the mailbox's lifetime.
@@ -69,19 +98,27 @@ class Mailbox {
   std::size_t size() const HLOCK_EXCLUDES(mutex_);
 
  private:
-  enum class Drainer : std::uint8_t { kNone, kReceiver, kPeer };
+  enum class Drainer : std::uint8_t { kNone, kReceiver, kPeer, kCaller };
 
-  /// Appends under the lock; true when the receiver may need a wake-up.
-  bool append(proto::Message&& message) HLOCK_EXCLUDES(mutex_);
+  /// Appends under the lock; returns the condvar of whoever the message
+  /// must wake, or nullptr.
+  CondVar* append(proto::Message&& message) HLOCK_EXCLUDES(mutex_);
   /// Moves the whole queue out: one allocation for the batch; the queue
   /// keeps its capacity, so the steady-state pushes allocate nothing.
   std::vector<proto::Message> take_all() HLOCK_REQUIRES(mutex_);
+  /// True while a thread other than the receiver holds the claim.
+  bool claimed_away_from_receiver() const HLOCK_REQUIRES(mutex_) {
+    return drainer_ == Drainer::kPeer || drainer_ == Drainer::kCaller;
+  }
 
   mutable Mutex mutex_;
-  CondVar cv_;
+  CondVar cv_;         ///< the receiver waits here
+  CondVar caller_cv_;  ///< the enlisted caller waits here
   std::vector<proto::Message> queue_ HLOCK_GUARDED_BY(mutex_);
   std::uint64_t pushed_ HLOCK_GUARDED_BY(mutex_) = 0;
   Drainer drainer_ HLOCK_GUARDED_BY(mutex_) = Drainer::kNone;
+  bool caller_enlisted_ HLOCK_GUARDED_BY(mutex_) = false;
+  std::uint64_t signals_ HLOCK_GUARDED_BY(mutex_) = 0;
   bool closed_ HLOCK_GUARDED_BY(mutex_) = false;
 };
 

@@ -5,22 +5,19 @@
 // generous so loaded CI machines do not false-suspect live nodes.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "runtime/thread_cluster.hpp"
-#include "sched/lockdep.hpp"
 #include "telemetry/registry.hpp"
+#include "tests/runtime/probes.hpp"
 #include "util/check.hpp"
-#include "util/sync_observer.hpp"
 
 namespace hlock {
 namespace {
@@ -195,49 +192,15 @@ TEST_P(RecoveryThreadTransport, HolderOfManyLocksIsFencedOutOfEach) {
   EXPECT_EQ(messages_sent_by(registry, NodeId{1}), sent_at_crash);
 }
 
-/// Lockdep that parks the first receiver reaching its hand-off point,
-/// after its own dispatch and before its claims, until the test lets it
-/// go.
-class HandOffGate final : public sched::Lockdep {
- public:
-  void yield(const char* site) override {
-    if (std::string_view{site} != "thread_cluster.hand-off" ||
-        !armed_.exchange(false)) {
-      return;
-    }
-    std::unique_lock<std::mutex> lock(mutex_);
-    parked_ = true;
-    cv_.notify_all();
-    cv_.wait(lock, [this] { return released_; });
-  }
-
-  void await_parked() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return parked_; });
-  }
-
-  void release() {
-    const std::lock_guard<std::mutex> guard(mutex_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  std::atomic<bool> armed_{true};
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool parked_ = false;
-  bool released_ = false;
-};
-
 // Node 0's receiver grants the token to node 2 with a push that wakes
 // nobody, and node 0 crash-stops before that receiver hands the token off.
 // The receiver hands off whether or not its own node is still alive, so
 // node 2's lock() returns long before a heartbeat could wake node 2's
 // receiver.
 TEST(RecoveryThread, CrashBetweenDispatchAndHandOffStillDelivers) {
-  HandOffGate gate;
-  sched::SyncObserver* const previous = sched::exchange_sync_observer(&gate);
+  // Parks the first receiver reaching its hand-off point, after its own
+  // dispatch and before its claims, until the test lets it go.
+  test::YieldGate gate{"thread_cluster.hand-off", /*park_at=*/1};
   {
     telemetry::Registry registry;
     ThreadClusterOptions options = recovery_options(Protocol::kHierarchical);
@@ -256,7 +219,7 @@ TEST(RecoveryThread, CrashBetweenDispatchAndHandOffStillDelivers) {
       granted = true;
       granted_cv.notify_all();
     });
-    gate.await_parked();
+    EXPECT_TRUE(gate.await_parked(std::chrono::seconds(10)));
     cluster.crash_stop(NodeId{0});
     const double sent_at_crash = messages_sent_by(registry, NodeId{0});
     gate.release();
@@ -270,7 +233,29 @@ TEST(RecoveryThread, CrashBetweenDispatchAndHandOffStillDelivers) {
     EXPECT_EQ(messages_sent_by(registry, NodeId{0}), sent_at_crash);
     EXPECT_EQ(cluster.receiver_errors(), 0u);
   }
-  sched::exchange_sync_observer(previous);
+  EXPECT_EQ(gate.violation_count(), 0u);
+}
+
+// Node 1's call blocks on the lock node 0 holds, waiting on node 1's inbox
+// rather than on its shard's condvar. crash_stop(node 1) must end that
+// wait too: no heartbeat (60 s) or grant would.
+TEST(RecoveryThread, CrashStopReturnsTheCallWaitingOnItsInbox) {
+  test::YieldGate gate{"thread_cluster.caller-drain"};
+  {
+    test::BlockedCall call;
+    ThreadClusterOptions options = recovery_options(Protocol::kHierarchical);
+    options.recovery.heartbeat_interval = SimTime::ms(60'000);
+    options.recovery.suspect_after = SimTime::ms(120'000);
+    ThreadCluster cluster(options);
+    const LockId lock{4};
+    cluster.lock(NodeId{0}, lock, LockMode::kW);
+    call.start(cluster, NodeId{1}, lock, LockMode::kW);
+    ASSERT_TRUE(gate.await_arrivals(1, std::chrono::seconds(10)));
+    cluster.crash_stop(NodeId{1});
+    EXPECT_TRUE(call.await_return(std::chrono::seconds(10)))
+        << "crash_stop() left node 1's call waiting on its inbox";
+    EXPECT_FALSE(cluster.holds(NodeId{1}, lock));
+  }
   EXPECT_EQ(gate.violation_count(), 0u);
 }
 

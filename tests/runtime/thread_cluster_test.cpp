@@ -8,11 +8,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <latch>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "tests/runtime/probes.hpp"
 #include "util/check.hpp"
 
 namespace hlock::runtime {
@@ -21,6 +25,7 @@ namespace {
 using proto::LockId;
 using proto::LockMode;
 using proto::NodeId;
+using namespace std::chrono_literals;
 
 ThreadClusterOptions options_for(Protocol protocol, std::size_t n) {
   ThreadClusterOptions options;
@@ -325,6 +330,173 @@ TEST(ThreadCluster, WithInjectedLatency) {
   }
   for (std::thread& t : workers) t.join();
   EXPECT_EQ(counter, 30);
+}
+
+// ---- A blocked call drains its own node's inbox (docs/performance.md,
+//      "Blocked calls drain their own inbox").
+
+/// Which thread sank each enter-cs, and which requests each node queued.
+/// Declared before the cluster whose sink it is, so it outlives it.
+class EventLog {
+ public:
+  ThreadCluster::EventSink sink() {
+    return [this](trace::TraceEvent event) {
+      const std::lock_guard<std::mutex> guard(mutex_);
+      if (event.kind == trace::EventKind::kQueue) {
+        queued_.push_back({event.node, event.peer, event.lock});
+      } else if (event.kind == trace::EventKind::kEnterCs) {
+        entered_[{event.node.value(), event.lock.value()}] =
+            std::this_thread::get_id();
+      }
+      cv_.notify_all();
+    };
+  }
+
+  /// Waits up to a deadline until `at` queued `requester`'s request for
+  /// `lock`; true once it has.
+  bool await_queued(NodeId at, NodeId requester, LockId lock) {
+    std::unique_lock<std::mutex> guard(mutex_);
+    return cv_.wait_for(guard, 10s, [&] {
+      for (const Queued& queued : queued_) {
+        if (queued.at == at && queued.requester == requester &&
+            queued.lock == lock) {
+          return true;
+        }
+      }
+      return false;
+    });
+  }
+
+  /// The thread that sank `node`'s enter-cs on `lock` (a default id when
+  /// none was sunk).
+  std::thread::id entered_on(NodeId node, LockId lock) {
+    const std::lock_guard<std::mutex> guard(mutex_);
+    const auto it = entered_.find({node.value(), lock.value()});
+    return it == entered_.end() ? std::thread::id{} : it->second;
+  }
+
+ private:
+  struct Queued {
+    NodeId at;
+    NodeId requester;
+    LockId lock;
+  };
+
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<Queued> queued_;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::thread::id>
+      entered_;
+};
+
+ThreadClusterOptions traced_options(std::size_t n) {
+  ThreadClusterOptions options = options_for(Protocol::kHierarchical, n);
+  options.hier_config.trace_events = true;
+  return options;
+}
+
+// Node 1's call blocks on the lock node 0 holds. Node 0's unlock pushes
+// the token into node 1's idle inbox, which wakes the blocked call, not
+// node 1's receiver: the call applies its own grant on its own thread.
+TEST(ThreadClusterInboxWaiter, GrantIsAppliedOnTheBlockedCallsOwnThread) {
+  test::YieldGate gate{"thread_cluster.caller-drain"};
+  {
+    EventLog log;
+    test::BlockedCall call;
+    ThreadCluster cluster{traced_options(2)};
+    cluster.set_event_sink(log.sink());
+    const LockId lock{0};
+    cluster.lock(NodeId{0}, lock, LockMode::kW);
+    call.start(cluster, NodeId{1}, lock, LockMode::kW);
+    // The call waits on its inbox, and node 0 has queued its request.
+    EXPECT_TRUE(gate.await_arrivals(1, 10s));
+    ASSERT_TRUE(log.await_queued(NodeId{0}, NodeId{1}, lock));
+    cluster.unlock(NodeId{0}, lock);
+    ASSERT_TRUE(call.await_return(10s));
+    EXPECT_EQ(log.entered_on(NodeId{1}, lock), call.id())
+        << "node 1's grant was applied on another thread";
+    const std::vector<std::thread::id> arrivals = gate.arrivals();
+    EXPECT_TRUE(!arrivals.empty() && arrivals.front() == call.id())
+        << "the first call to wait on node 1's inbox was not node 1's";
+    cluster.unlock(NodeId{1}, lock);
+  }
+  EXPECT_EQ(gate.violation_count(), 0u);
+}
+
+/// Node 1 blocks on `first` and `second` from two threads while node 0
+/// holds both; node 0 releases `released_first`, then the other. Each call
+/// returns on its own grant — one waits on node 1's inbox, the other on
+/// its shard's condvar, whichever enlisted first.
+void two_blocked_calls(LockId first, LockId second, LockId released_first) {
+  EventLog log;
+  test::BlockedCall first_call;
+  test::BlockedCall second_call;
+  ThreadCluster cluster{traced_options(2)};
+  cluster.set_event_sink(log.sink());
+  cluster.lock(NodeId{0}, first, LockMode::kW);
+  cluster.lock(NodeId{0}, second, LockMode::kW);
+  first_call.start(cluster, NodeId{1}, first, LockMode::kW);
+  second_call.start(cluster, NodeId{1}, second, LockMode::kW);
+  ASSERT_TRUE(log.await_queued(NodeId{0}, NodeId{1}, first));
+  ASSERT_TRUE(log.await_queued(NodeId{0}, NodeId{1}, second));
+  const bool first_goes_first = released_first == first;
+  test::BlockedCall& early = first_goes_first ? first_call : second_call;
+  test::BlockedCall& late = first_goes_first ? second_call : first_call;
+  const LockId released_last = first_goes_first ? second : first;
+
+  cluster.unlock(NodeId{0}, released_first);
+  ASSERT_TRUE(early.await_return(10s));
+  EXPECT_FALSE(late.await_return(20ms)) << "returned without its grant";
+  EXPECT_TRUE(cluster.holds(NodeId{1}, released_first));
+  EXPECT_FALSE(cluster.holds(NodeId{1}, released_last));
+  cluster.unlock(NodeId{0}, released_last);
+  ASSERT_TRUE(late.await_return(10s));
+  EXPECT_TRUE(cluster.holds(NodeId{1}, released_last));
+  cluster.unlock(NodeId{1}, first);
+  cluster.unlock(NodeId{1}, second);
+  EXPECT_EQ(cluster.receiver_errors(), 0u);
+}
+
+TEST(ThreadClusterInboxWaiter, TwoCallsOnOneShardEachReturnOnTheirOwnGrant) {
+  // With kDefaultEngineShards = 8, locks 0 and 8 share shard 0.
+  for (const LockId released_first : {LockId{0}, LockId{8}}) {
+    two_blocked_calls(LockId{0}, LockId{8}, released_first);
+  }
+}
+
+TEST(ThreadClusterInboxWaiter, TwoCallsOnTwoShardsEachReturnOnTheirOwnGrant) {
+  for (const LockId released_first : {LockId{0}, LockId{1}}) {
+    two_blocked_calls(LockId{0}, LockId{1}, released_first);
+  }
+}
+
+// The cluster tears down while node 1's call, granted, still holds the
+// drain claim of its inbox: the gate parks it between the dispatch of its
+// grant and the take that gives the claim back. The teardown must wait
+// for the give-back, and the call must return.
+TEST(ThreadClusterInboxWaiter, TeardownWhileTheInboxWaiterDrains) {
+  test::YieldGate gate{"thread_cluster.caller-drain", /*park_at=*/2};
+  {
+    EventLog log;
+    test::BlockedCall call;
+    std::thread teardown;
+    auto cluster = std::make_unique<ThreadCluster>(traced_options(2));
+    cluster->set_event_sink(log.sink());
+    const LockId lock{0};
+    cluster->lock(NodeId{0}, lock, LockMode::kW);
+    call.start(*cluster, NodeId{1}, lock, LockMode::kW);
+    EXPECT_TRUE(gate.await_arrivals(1, 10s));
+    ASSERT_TRUE(log.await_queued(NodeId{0}, NodeId{1}, lock));
+    cluster->unlock(NodeId{0}, lock);
+    ASSERT_TRUE(gate.await_parked(10s));
+    EXPECT_EQ(log.entered_on(NodeId{1}, lock), call.id());
+    teardown = std::thread([&cluster] { cluster.reset(); });
+    std::this_thread::sleep_for(20ms);  // the teardown waits on the claim
+    gate.release();
+    teardown.join();
+    EXPECT_TRUE(call.await_return(10s));
+  }
+  EXPECT_EQ(gate.violation_count(), 0u);
 }
 
 }  // namespace

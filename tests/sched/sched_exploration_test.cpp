@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "transport/inproc_transport.hpp"
 #include "transport/mailbox.hpp"
 #include "transport/tcp_transport.hpp"
+#include "util/check.hpp"
 #include "util/sync.hpp"
 #include "util/sync_observer.hpp"
 
@@ -129,6 +131,44 @@ class DrainRace {
     }
   }
 
+  /// The node's blocked call, as ThreadCluster::await() runs it: unless
+  /// granted already, it enlists under the shard lock, then applies what
+  /// it takes until a take comes back empty, which only its grant's signal
+  /// or the close may cause.
+  void drain_as_caller() {
+    std::optional<std::uint64_t> generation;
+    {
+      MutexLock guard(shard_);
+      if (granted_) return;
+      generation = mailbox.enlist_caller();
+    }
+    ASSERT_TRUE(generation.has_value());
+    for (std::vector<Message> batch = mailbox.take_for_caller(*generation);
+         !batch.empty(); batch = mailbox.take_for_caller(*generation)) {
+      apply(batch);
+    }
+    MutexLock guard(shard_);
+    EXPECT_TRUE(granted_ || closed_)
+        << "the caller returned with no signal and no close";
+  }
+
+  /// The caller's grant as a message: a plain push, applied by whichever
+  /// thread drains.
+  void push_grant() { mailbox.push(make_message(kGranter, 1, 1)); }
+
+  /// Applies the caller's grant, as Shard::granted() does: under the shard
+  /// lock, it records the grant and signals the caller.
+  void grant() {
+    MutexLock guard(shard_);
+    granted_ = true;
+    mailbox.signal_caller();
+  }
+
+  void close() {
+    closed_ = true;
+    mailbox.close();
+  }
+
   /// Blocks until `count` messages were applied. A message left queued
   /// with nobody draining it strands this wait, and the explorer proves
   /// the deadlock.
@@ -157,6 +197,8 @@ class DrainRace {
   transport::Mailbox mailbox;
 
  private:
+  static constexpr std::uint32_t kGranter = 3;
+
   void apply(const std::vector<Message>& batch) {
     EXPECT_EQ(appliers_.fetch_add(1), 0) << "two threads drain one mailbox";
     sched::yield_point("test.apply");
@@ -165,10 +207,18 @@ class DrainRace {
       applied_.insert(applied_.end(), batch.begin(), batch.end());
       cv_.notify_all();
     }
+    for (const Message& message : batch) {
+      if (message.from.value() == kGranter) grant();
+    }
     appliers_.fetch_sub(1);
   }
 
   std::atomic<int> appliers_{0};
+  std::atomic<bool> closed_{false};
+  /// Stands in for the caller's shard lock, and its grant for the grant
+  /// set the call's predicate reads.
+  Mutex shard_;
+  bool granted_ HLOCK_GUARDED_BY(shard_) = false;
   Mutex mutex_;
   CondVar cv_;
   std::vector<Message> applied_ HLOCK_GUARDED_BY(mutex_);
@@ -204,6 +254,111 @@ TEST(SchedExploration, MailboxCloseRacesADrainClaim) {
     receiver.join();
     race.check();
   });
+}
+
+// A blocked caller enlisted on the mailbox: pushes that find nobody
+// draining wake it instead of the receiver, it gives the claim back once
+// its grant — applied by whichever thread drains — signals it, and the
+// receiver takes what is left.
+TEST(SchedExploration, CallerDrainLosesNothing) {
+  sched_test::explore([] {
+    DrainRace race;
+    sched::Thread receiver("receiver", [&race] { race.receive(); });
+    sched::Thread caller("caller", [&race] { race.drain_as_caller(); });
+    sched::Thread producer("producer", [&race] { race.push_plainly(); });
+    sched::Thread peer("peer", [&race] { race.push_and_claim(); });
+    sched::Thread granter("granter", [&race] { race.push_grant(); });
+    producer.join();
+    peer.join();
+    granter.join();
+    caller.join();
+    race.await_applied(2 * DrainRace::kPerSender + 1);
+    race.close();
+    receiver.join();
+    race.check();
+  });
+}
+
+// A grant applied on another thread, with its signal, and the close race
+// the caller's enlistment, takes and give-back: the caller returns on
+// whichever comes first, and the receiver sees the mailbox drained.
+TEST(SchedExploration, CallerRacesASignalAndTheClose) {
+  sched_test::explore([] {
+    DrainRace race;
+    sched::Thread receiver("receiver", [&race] { race.receive(); });
+    sched::Thread caller("caller", [&race] { race.drain_as_caller(); });
+    sched::Thread producer("producer", [&race] { race.push_plainly(); });
+    sched::Thread peer("peer", [&race] { race.push_and_claim(); });
+    sched::Thread signaller("signaller", [&race] { race.grant(); });
+    sched::yield_point("test.before-close");
+    race.close();
+    producer.join();
+    peer.join();
+    signaller.join();
+    caller.join();
+    receiver.join();
+    race.check();
+  });
+}
+
+// Node 1's call waits on its inbox while node 0's unlock grants it and a
+// crash-stop of node 1 races the grant; either ends the wait, and the
+// teardown follows. Heartbeats are a minute apart, so only the grant, the
+// crash-stop's signal or the teardown can return the call.
+TEST(SchedExploration, InboxWaiterRacesItsGrantACrashStopAndShutdown) {
+  sched_test::ExploreOptions options;
+  options.seeds = 8;
+  sched_test::explore(
+      [] {
+        runtime::ThreadClusterOptions cluster_options;
+        cluster_options.node_count = 2;
+        cluster_options.recovery.enabled = true;
+        cluster_options.recovery.heartbeat_interval = SimTime::ms(60'000);
+        cluster_options.recovery.suspect_after = SimTime::ms(120'000);
+        runtime::ThreadCluster cluster{cluster_options};
+        cluster.lock(NodeId{0}, LockId{7}, LockMode::kW);
+        sched::Thread client("client", [&cluster] {
+          try {
+            cluster.lock(NodeId{1}, LockId{7}, LockMode::kW);
+          } catch (const UsageError&) {
+            // The crash-stop came before the call.
+          }
+        });
+        sched::yield_point("test.before-unlock");
+        cluster.unlock(NodeId{0}, LockId{7});
+        sched::yield_point("test.before-crash");
+        cluster.crash_stop(NodeId{1});
+        client.join();
+      },
+      options);
+}
+
+// Two calls block on one node, on different shards: one waits on the
+// inbox, the other on its shard's condvar. Each must return on its own
+// grant, whichever thread applies it, before the teardown.
+TEST(SchedExploration, TwoBlockedCallsOnANodeAndShutdown) {
+  sched_test::ExploreOptions options;
+  options.seeds = 8;
+  sched_test::explore(
+      [] {
+        runtime::ThreadClusterOptions cluster_options;
+        cluster_options.node_count = 2;
+        runtime::ThreadCluster cluster{cluster_options};
+        cluster.lock(NodeId{0}, LockId{0}, LockMode::kW);
+        cluster.lock(NodeId{0}, LockId{1}, LockMode::kW);
+        const auto call = [&cluster](LockId lock) {
+          cluster.lock(NodeId{1}, lock, LockMode::kW);
+          cluster.unlock(NodeId{1}, lock);
+        };
+        sched::Thread first("first", [&call] { call(LockId{0}); });
+        sched::Thread second("second", [&call] { call(LockId{1}); });
+        cluster.unlock(NodeId{0}, LockId{1});
+        sched::yield_point("test.between-unlocks");
+        cluster.unlock(NodeId{0}, LockId{0});
+        first.join();
+        second.join();
+      },
+      options);
 }
 
 TEST(SchedExploration, TraceRecorderConcurrentRecordAndSnapshot) {

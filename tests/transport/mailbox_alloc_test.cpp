@@ -3,8 +3,9 @@
 // A delivered message must move through the mailbox, never be deep-copied:
 // a copy would duplicate the payload buffer of every token handover. These
 // tests pin that with two independent instruments: a global operator
-// new/delete counter proving a take — the receiver's drain or a peer's
-// claim — makes one allocation, for the batch vector, and pointer identity
+// new/delete counter proving a take — the receiver's drain, a peer's claim
+// or the enlisted caller's take — makes one allocation, for the batch
+// vector, and pointer identity
 // on a token queue's buffer proving the very same heap block that was
 // pushed comes back out.
 //
@@ -16,6 +17,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
 
 #include "transport/mailbox.hpp"
 
@@ -139,6 +141,48 @@ TEST(MailboxAlloc, ClaimMovesPayloadsWithOneAllocationPerTake) {
   ASSERT_EQ(next.size(), 8u);
   expect_moved(next);
   EXPECT_TRUE(mailbox.next_or_release().empty());
+}
+
+// The enlisted caller takes the same way, with and without the claim
+// already held.
+TEST(MailboxAlloc, CallerTakeMovesPayloadsWithOneAllocationPerTake) {
+  Mailbox mailbox;
+  std::vector<const proto::QueuedRequest*> buffers;
+  const auto push_tokens = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      proto::Message message = token_message(16);
+      buffers.push_back(queue_of(message).data());
+      mailbox.push(std::move(message));
+    }
+  };
+  std::size_t taken = 0;
+  const auto expect_moved = [&](const std::vector<proto::Message>& batch) {
+    for (const proto::Message& message : batch) {
+      EXPECT_EQ(queue_of(message).data(), buffers[taken])
+          << "message " << taken << " was deep-copied on the way through";
+      ++taken;
+    }
+  };
+  const std::optional<std::uint64_t> generation = mailbox.enlist_caller();
+  ASSERT_TRUE(generation.has_value());
+
+  push_tokens(16);
+  std::uint64_t before = allocations();
+  const std::vector<proto::Message> first =
+      mailbox.take_for_caller(*generation);
+  EXPECT_LE(allocations() - before, 2u);
+  ASSERT_EQ(first.size(), 16u);
+  expect_moved(first);
+
+  push_tokens(8);
+  before = allocations();
+  const std::vector<proto::Message> next =
+      mailbox.take_for_caller(*generation);
+  EXPECT_LE(allocations() - before, 2u);
+  ASSERT_EQ(next.size(), 8u);
+  expect_moved(next);
+  mailbox.signal_caller();
+  EXPECT_TRUE(mailbox.take_for_caller(*generation).empty());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -293,6 +294,219 @@ TEST(MailboxClaim, NextOrReleaseNeedsAPeersClaim) {
   EXPECT_THROW(box.next_or_release(), UsageError);  // the receiver's claim
 }
 
+// ---- The enlisted caller: a call blocked on its grant drains the inbox.
+
+/// A thread blocked in one take from `box`, whose result the test reads
+/// once it has returned.
+class Take {
+ public:
+  template <typename TakeFn>
+  Take(Mailbox& box, TakeFn take)
+      : box_(box), thread_([this, take] {
+          taken_ = take();
+          returned_ = true;
+        }) {}
+  Take(const Take&) = delete;
+  Take& operator=(const Take&) = delete;
+  ~Take() {
+    if (thread_.joinable()) join();
+  }
+
+  bool returned() const { return returned_; }
+
+  /// Joins the thread and returns the senders of what it took. A take
+  /// still blocked after 10 s fails the test, and the mailbox is closed
+  /// and its caller signalled to end it.
+  Senders join() {
+    const auto deadline = Mailbox::Clock::now() + 10s;
+    while (!returned_ && Mailbox::Clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+    if (!returned_) {
+      ADD_FAILURE() << "the take never returned";
+      box_.close();
+      box_.signal_caller();
+    }
+    thread_.join();
+    return senders(taken_);
+  }
+
+ private:
+  Mailbox& box_;
+  std::vector<Message> taken_;
+  std::atomic<bool> returned_{false};
+  std::thread thread_;
+};
+
+TEST(MailboxCaller, PushToAnIdleInboxWakesTheCallerNotTheReceiver) {
+  Mailbox box;
+  Take receiver(box, [&box] { return box.pop_all_ready(); });
+  const std::optional<std::uint64_t> generation = box.enlist_caller();
+  ASSERT_TRUE(generation.has_value());
+  Take caller(box, [&box, &generation] {
+    return box.take_for_caller(*generation);
+  });
+  std::this_thread::sleep_for(20ms);  // both wait on an empty inbox
+  box.push(make_message(1, 0));
+  EXPECT_EQ(caller.join(), Senders{1});
+  std::this_thread::sleep_for(20ms);
+  EXPECT_FALSE(receiver.returned());
+  // Signalled, the caller gives its claim back; the inbox is empty, so
+  // the receiver still has nothing to wake for.
+  box.signal_caller();
+  EXPECT_TRUE(box.take_for_caller(*generation).empty());
+  std::this_thread::sleep_for(5ms);
+  EXPECT_FALSE(receiver.returned());
+  box.push(make_message(2, 0));  // no caller enlisted now
+  EXPECT_EQ(receiver.join(), Senders{2});
+}
+
+TEST(MailboxCaller, WithNoCallerEnlistedAPushWakesTheReceiver) {
+  Mailbox box;
+  {
+    Take receiver(box, [&box] { return box.pop_all_ready(); });
+    std::this_thread::sleep_for(20ms);
+    box.push(make_message(1, 0));
+    EXPECT_EQ(receiver.join(), Senders{1});
+  }
+  EXPECT_TRUE(box.pop_all_ready(after(5ms)).empty());  // claim given up
+  // A caller that enlisted and withdrew leaves the receiver in charge.
+  const std::optional<std::uint64_t> generation = box.enlist_caller();
+  ASSERT_TRUE(generation.has_value());
+  box.signal_caller();
+  EXPECT_TRUE(box.take_for_caller(*generation).empty());
+  Take receiver(box, [&box] { return box.pop_all_ready(); });
+  std::this_thread::sleep_for(20ms);
+  box.push(make_message(2, 0));
+  EXPECT_EQ(receiver.join(), Senders{2});
+}
+
+TEST(MailboxCaller, PushWhileAnotherThreadDrainsWakesNobody) {
+  Mailbox box;
+  const std::optional<std::uint64_t> generation = box.enlist_caller();
+  ASSERT_TRUE(generation.has_value());
+  // The receiver holds the claim: a push leaves the caller waiting, and
+  // the receiver's next take has the message.
+  box.push_quiet(make_message(1, 0));
+  ASSERT_EQ(senders(box.pop_all_ready(after(10s))), Senders{1});
+  Take caller(box, [&box, &generation] {
+    return box.take_for_caller(*generation);
+  });
+  box.push(make_message(2, 0));
+  std::this_thread::sleep_for(20ms);
+  EXPECT_FALSE(caller.returned());
+  EXPECT_EQ(senders(box.pop_all_ready(after(10s))), Senders{2});
+  EXPECT_TRUE(box.pop_all_ready(after(5ms)).empty());  // gives it up
+  // A peer holds the claim: a push wakes neither the caller nor, after
+  // the peer's release of an empty inbox, anyone.
+  box.push_quiet(make_message(3, 0));
+  ASSERT_EQ(senders(box.claim()), Senders{3});
+  box.push(make_message(4, 0));
+  std::this_thread::sleep_for(20ms);
+  EXPECT_FALSE(caller.returned());
+  EXPECT_EQ(senders(box.next_or_release()), Senders{4});
+  EXPECT_TRUE(box.next_or_release().empty());
+  std::this_thread::sleep_for(5ms);
+  EXPECT_FALSE(caller.returned());
+  box.push(make_message(5, 0));  // an idle inbox again: the caller wakes
+  EXPECT_EQ(caller.join(), Senders{5});
+  box.signal_caller();
+  EXPECT_TRUE(box.take_for_caller(*generation).empty());
+}
+
+TEST(MailboxCaller, SignalOrCloseReturnsTheCallerWithNothingTaken) {
+  Mailbox box;
+  std::optional<std::uint64_t> generation = box.enlist_caller();
+  ASSERT_TRUE(generation.has_value());
+  {
+    Take caller(box, [&box, &generation] {
+      return box.take_for_caller(*generation);
+    });
+    std::this_thread::sleep_for(20ms);
+    EXPECT_FALSE(caller.returned());
+    box.signal_caller();
+    EXPECT_TRUE(caller.join().empty());
+  }
+  // A signal between the enlistment and the take is not lost, and it
+  // wins over a queued message. That message's push woke the enlisted
+  // caller, not the receiver, so the caller's withdrawal wakes the
+  // receiver for it.
+  {
+    Take receiver(box, [&box] { return box.pop_all_ready(); });
+    generation = box.enlist_caller();
+    ASSERT_TRUE(generation.has_value());
+    std::this_thread::sleep_for(20ms);
+    box.push(make_message(1, 0));
+    box.signal_caller();
+    EXPECT_TRUE(box.take_for_caller(*generation).empty());
+    EXPECT_EQ(receiver.join(), Senders{1});
+  }
+  EXPECT_TRUE(box.pop_all_ready(after(5ms)).empty());
+  generation = box.enlist_caller();
+  ASSERT_TRUE(generation.has_value());
+  Take caller(box, [&box, &generation] {
+    return box.take_for_caller(*generation);
+  });
+  std::this_thread::sleep_for(20ms);
+  box.close();
+  EXPECT_TRUE(caller.join().empty());
+}
+
+TEST(MailboxCaller, WhileTheCallerHoldsItsTakeClaimsMissAndTheReceiverWaits) {
+  Mailbox box;
+  const std::optional<std::uint64_t> generation = box.enlist_caller();
+  ASSERT_TRUE(generation.has_value());
+  box.push(make_message(1, 0));
+  ASSERT_EQ(senders(box.take_for_caller(*generation)), Senders{1});
+  Take receiver(box, [&box] { return box.pop_all_ready(); });
+  box.push_quiet(make_message(2, 0));
+  EXPECT_TRUE(box.claim().empty());
+  box.push(make_message(3, 0));
+  std::this_thread::sleep_for(20ms);
+  EXPECT_FALSE(receiver.returned());
+  // The caller's next take has both, in push order, and keeps the claim.
+  EXPECT_EQ(senders(box.take_for_caller(*generation)), (Senders{2, 3}));
+  // Signalled with nothing queued: the give-back wakes nobody.
+  box.signal_caller();
+  EXPECT_TRUE(box.take_for_caller(*generation).empty());
+  std::this_thread::sleep_for(5ms);
+  EXPECT_FALSE(receiver.returned());
+  box.push(make_message(4, 0));
+  EXPECT_EQ(receiver.join(), Senders{4});
+}
+
+TEST(MailboxCaller, GiveBackWithMessagesQueuedWakesTheReceiverInPushOrder) {
+  Mailbox box;
+  const std::optional<std::uint64_t> generation = box.enlist_caller();
+  ASSERT_TRUE(generation.has_value());
+  box.push(make_message(1, 0));
+  ASSERT_EQ(senders(box.take_for_caller(*generation)), Senders{1});
+  Take receiver(box, [&box] { return box.pop_all_ready(); });
+  box.push(make_message(2, 0));
+  box.push_quiet(make_message(3, 0));
+  box.push(make_message(4, 0));
+  std::this_thread::sleep_for(20ms);
+  EXPECT_FALSE(receiver.returned());
+  // The caller's grant arrived while it applied message 1: it takes no
+  // more, and its give-back hands the rest to the receiver.
+  box.signal_caller();
+  EXPECT_TRUE(box.take_for_caller(*generation).empty());
+  EXPECT_EQ(receiver.join(), (Senders{2, 3, 4}));
+}
+
+TEST(MailboxCaller, OneCallerEnlistsAtATime) {
+  Mailbox box;
+  EXPECT_THROW(box.take_for_caller(0), UsageError);
+  const std::optional<std::uint64_t> generation = box.enlist_caller();
+  ASSERT_TRUE(generation.has_value());
+  EXPECT_FALSE(box.enlist_caller().has_value());
+  box.signal_caller();
+  EXPECT_TRUE(box.take_for_caller(*generation).empty());
+  const std::optional<std::uint64_t> next = box.enlist_caller();
+  ASSERT_TRUE(next.has_value());
+  EXPECT_NE(*next, *generation);  // the signal advanced the generation
+}
+
 TEST(InProcTransport, QuietSendRoundTripsAndWaitsForAClaim) {
   InProcTransport transport{InProcOptions{2}};
   const Message message = make_message(0, 1);
@@ -300,12 +514,12 @@ TEST(InProcTransport, QuietSendRoundTripsAndWaitsForAClaim) {
   EXPECT_EQ(transport.messages_sent(), 1u);
   EXPECT_EQ(transport.bytes_sent(), proto::encode(message).size());
   EXPECT_EQ(transport.inbox_depth(NodeId{1}), 1u);
-  const std::vector<Message> claimed = transport.claim(NodeId{1});
+  const std::vector<Message> claimed = transport.mailbox(NodeId{1}).claim();
   ASSERT_EQ(claimed.size(), 1u);
   EXPECT_EQ(claimed[0], message);
-  EXPECT_TRUE(transport.next_or_release(NodeId{1}).empty());
+  EXPECT_TRUE(transport.mailbox(NodeId{1}).next_or_release().empty());
   EXPECT_THROW(transport.send_quiet(make_message(0, 9)), UsageError);
-  EXPECT_THROW(transport.claim(NodeId{9}), UsageError);
+  EXPECT_THROW(transport.mailbox(NodeId{9}), UsageError);
 }
 
 // send_batch hands a burst to send() one message at a time: the receiver
