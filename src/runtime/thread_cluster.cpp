@@ -1,7 +1,5 @@
 #include "runtime/thread_cluster.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -35,17 +33,6 @@ class StallBracket {
   telemetry::StallWatchdog* const watchdog_;
   std::uint64_t key_ = 0;
 };
-
-/// A receiver thread's pending hand-offs: the in-process nodes it has sent
-/// to without a wake-up and not claimed since.
-struct HandOffs {
-  const ThreadCluster* cluster = nullptr;
-  std::vector<NodeId> owed;
-};
-
-/// Set only on the receiver threads of a cluster that runs straight on
-/// InProcTransport; client calls and the recovery ticker send as usual.
-thread_local HandOffs* t_hand_offs = nullptr;
 
 }  // namespace
 
@@ -131,19 +118,6 @@ void ThreadCluster::Shard::send(std::vector<proto::Message>&& messages) {
       }
     }
   }
-  if (HandOffs* hand_offs = t_hand_offs;
-      hand_offs != nullptr && hand_offs->cluster == &cluster) {
-    // A receiver thread: push without waking the destination's receiver,
-    // and claim the destination once no shard lock is held (hand_off()).
-    std::vector<NodeId>& owed = hand_offs->owed;
-    for (const proto::Message& message : messages) {
-      cluster.inproc_->send_quiet(message);
-      if (std::find(owed.begin(), owed.end(), message.to) == owed.end()) {
-        owed.push_back(message.to);
-      }
-    }
-    return;
-  }
   cluster.transport_->send_batch(std::move(messages));
 }
 
@@ -214,8 +188,9 @@ ThreadCluster::ThreadCluster(const ThreadClusterOptions& options)
   } else {
     auto inproc = std::make_unique<transport::InProcTransport>(
         transport::InProcOptions{options.node_count});
-    // Receivers hand off only where they reach the mailboxes directly: a
-    // fault plan's pump sits between every send and its mailbox.
+    // Blocked calls drain their own inbox only where they reach the
+    // mailboxes directly: a fault plan's pump sits between every send and
+    // its mailbox.
     if (!options.faults.any()) inproc_ = inproc.get();
     transport_ = std::move(inproc);
   }
@@ -395,26 +370,17 @@ ThreadCluster::NodeRuntime& ThreadCluster::runtime_of(NodeId node) {
 
 void ThreadCluster::receiver_loop(NodeId node) {
   NodeRuntime& rt = runtime_of(node);
-  HandOffs hand_offs{this, {}};
-  if (inproc_ != nullptr) t_hand_offs = &hand_offs;
-  for (bool alive = true; alive;) {
+  for (;;) {
     // One transport call drains every deliverable message (one mailbox lock
     // acquisition for the whole burst); an empty batch means shutdown.
     std::vector<proto::Message> batch = transport_->recv_ready(node);
-    if (batch.empty()) break;
+    if (batch.empty()) return;
     // Explicit schedule point: under the explorer a client thread may slip
     // in between the drain and the dispatch (shutdown/close races live
     // exactly there).
     sched::yield_point("thread_cluster.recv-batch");
-    alive = dispatch(rt, node, batch);
-    // Explicit schedule point: a crash-stop, the shutdown or the receivers
-    // of the nodes just sent to may slip in before the claims.
-    sched::yield_point("thread_cluster.hand-off");
-    // Hands off even when the node has crash-stopped: what it sent before
-    // still has to reach nodes nobody else will wake.
-    hand_off(hand_offs.owed);
+    if (!dispatch(rt, node, batch)) return;
   }
-  t_hand_offs = nullptr;
 }
 
 bool ThreadCluster::dispatch(NodeRuntime& rt, NodeId node,
@@ -454,22 +420,6 @@ bool ThreadCluster::dispatch(NodeRuntime& rt, NodeId node,
     shard.publish_telemetry();
   }
   return true;
-}
-
-void ThreadCluster::hand_off(std::vector<NodeId>& owed) {
-  // Applying a peer's messages may owe further peers, which join the list.
-  // A claim that misses leaves the messages to the thread already draining
-  // that inbox.
-  while (!owed.empty()) {
-    const NodeId peer = owed.back();
-    owed.pop_back();
-    NodeRuntime& rt = runtime_of(peer);
-    transport::Mailbox& inbox = inproc_->mailbox(peer);
-    for (std::vector<proto::Message> batch = inbox.claim(); !batch.empty();
-         batch = inbox.next_or_release()) {
-      dispatch(rt, peer, batch);
-    }
-  }
 }
 
 SimTime ThreadCluster::wall_now() const {

@@ -14,18 +14,13 @@
 // The receiver drains every deliverable message in one transport call
 // (recv_ready) and dispatches consecutive same-shard runs under a single
 // shard lock acquisition; each step's outgoing messages leave through one
-// Transport::send_batch call. Over a bare InProcTransport two paths save
-// wake-ups. A receiver's own sends push without waking their
-// destinations, and once it holds no shard lock it claims each
-// destination's inbox and applies what it finds there itself, so a reply
-// costs no receiver wake-up. And a node's first lock()/upgrade() call
-// blocked on its grant enlists as the inbox's caller: with its shard lock
-// dropped it applies its node's messages on its own thread, its own grant
-// included, so a push wakes the waiting call instead of the receiver. The
-// mailbox's drain claim keeps one thread at a time applying a node's
-// messages, in push order. unlock(), the recovery ticker, TCP and
-// fault-injected transports send and receive as before. See
-// docs/performance.md.
+// Transport::send_batch call. Over a bare InProcTransport a node's first
+// lock()/upgrade() call blocked on its grant enlists as the inbox's
+// caller: with its shard lock dropped it applies its node's messages on
+// its own thread, its own grant included, so a push wakes the waiting call
+// instead of the receiver. The mailbox's drain claim keeps one thread at a
+// time applying a node's messages, in push order, and only the node's own
+// receiver or its own blocked call applies them. See docs/performance.md.
 #pragma once
 
 #include <array>
@@ -160,9 +155,10 @@ class ThreadCluster {
   /// serialized by an internal mutex, and each step's events are sunk
   /// BEFORE its messages are transmitted, so the sink observes a causally
   /// consistent global order (an exit-cs always precedes the enter-cs it
-  /// enables). It runs on whichever thread applies the step: a receiver,
-  /// or an application thread inside lock()/upgrade()/unlock() — a
-  /// blocked call applies its node's messages. May be (re)set while
+  /// enables). It runs on whichever thread takes the step: the node's own
+  /// receiver, an application thread inside lock()/upgrade()/unlock() on
+  /// that node — a blocked call applies its node's messages — or, with
+  /// recovery enabled, the cluster's ticker. May be (re)set while
   /// operations are in flight; the sink must not call back into the
   /// cluster.
   using EventSink = std::function<void(trace::TraceEvent event)>;
@@ -221,12 +217,10 @@ class ThreadCluster {
     SimTime now() override;
     /// Counts the step's messages into the engine series, then hands the
     /// whole step to Transport::send_batch, which sends each message on its
-    /// own — or, on a receiver thread over a bare InProcTransport, pushes
-    /// each without a wake-up and owes its destination a hand-off
-    /// (ThreadCluster::hand_off). Runs under the shard mutex; a TCP send
-    /// may wait for socket room, but while it waits it drains its own
-    /// node's sockets, so the peer it waits on always makes progress and
-    /// holding the shard mutex cannot deadlock (docs/transports.md §3).
+    /// own. Runs under the shard mutex; a TCP send may wait for socket
+    /// room, but while it waits it drains its own node's sockets, so the
+    /// peer it waits on always makes progress and holding the shard mutex
+    /// cannot deadlock (docs/transports.md §3).
     void send(std::vector<proto::Message>&& messages) override
         HLOCK_REQUIRES(mutex);
     /// Sinks before the step's messages go out (NodeCore's order), so the
@@ -303,8 +297,7 @@ class ThreadCluster {
     sched::Thread receiver;
     /// Receive-batch-size histogram (nullptr without a registry); set
     /// before the receiver threads start, recorded for every batch applied
-    /// at the node, by its own receiver, a peer's hand-off or its inbox
-    /// waiter.
+    /// at the node, by its own receiver or its inbox waiter.
     telemetry::Histogram* recv_batch = nullptr;
     /// The shards' engine series (null without a registry).
     std::unique_ptr<const EngineSeries> series;
@@ -320,10 +313,6 @@ class ThreadCluster {
   /// receivers and on a node's inbox waiter.
   bool dispatch(NodeRuntime& rt, NodeId node,
                 const std::vector<proto::Message>& batch);
-  /// Claims each node in `owed` and dispatches what it takes there, until
-  /// the inbox is empty; nodes owed meanwhile join the list. Receiver
-  /// threads only, with no shard lock held.
-  void hand_off(std::vector<NodeId>& owed);
   /// Registers the transport-level callback series (message/byte totals,
   /// fault/retry counters, per-node mailbox depths) into metrics_.
   void register_transport_metrics(std::size_t node_count);
@@ -363,8 +352,7 @@ class ThreadCluster {
   /// Non-owning view of transport_ when the options wrapped it in faults.
   transport::FaultyTransport* faulty_ = nullptr;
   /// Non-owning view of the in-process transport when it carries the
-  /// cluster unwrapped — the receivers' hand-off path and the inbox
-  /// waiters' (null otherwise).
+  /// cluster unwrapped — the inbox waiters' path (null otherwise).
   transport::InProcTransport* inproc_ = nullptr;
   /// Non-owning view of the TCP transport when one carries the cluster
   /// (possibly underneath the faulty wrapper) — its retry counters export.

@@ -1,5 +1,6 @@
 #include "sched/explorer.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -22,6 +23,17 @@ std::string display(const SyncId& id) {
 /// Keep at most this many trace lines in memory; the fingerprint covers
 /// the full schedule regardless.
 constexpr std::size_t kTraceKeep = 4096;
+
+/// With no thread ready and no blocking region pending, a schedule whose
+/// earliest timed wait ends further away than this is declared stalled
+/// instead of being waited out in real time: the decision budget counts
+/// scheduling decisions, which a parked schedule does not spend, so a
+/// lost wake-up behind a periodic timer would otherwise hang the seed. It
+/// must exceed every deadline a scenario waits out on purpose (the longest
+/// today is a 250 ms pop deadline, in MailboxPopUntilRacesPushAndClose),
+/// and stay below the 60 s heartbeats the recovery scenarios set, so that
+/// only a lost wake-up leaves them idle.
+constexpr std::chrono::seconds kStallHorizon{10};
 
 }  // namespace
 
@@ -121,11 +133,35 @@ void Explorer::record(const ThreadRec& rec) {
 }
 
 void Explorer::declare_deadlock(std::unique_lock<std::mutex>& lk) {
-  (void)lk;  // held by contract; the process ends here
   deadlock_ = true;
+  std::ostringstream header;
+  header << "sched: DEADLOCK under seed " << options_.seed << " after "
+         << steps_ << " scheduling decisions\n";
+  // The schedule is wedged by construction — every participant is blocked
+  // and no wake-up source exists. A process in that state cannot be
+  // unwound (threads are parked inside locked destructors and waits); the
+  // harness runs each seed in a subprocess and classifies this exit code.
+  // See docs/sched.md.
+  report_and_exit(lk, header.str(), kSchedDeadlockExit);
+}
+
+void Explorer::declare_stall(std::unique_lock<std::mutex>& lk,
+                             std::chrono::steady_clock::duration idle) {
+  std::ostringstream header;
+  header << "sched: STALLED under seed " << options_.seed << " after "
+         << steps_ << " scheduling decisions: no thread is ready, and the "
+         << "earliest timed wait ends in "
+         << std::chrono::duration_cast<std::chrono::milliseconds>(idle)
+                .count()
+         << " ms (a lost wake-up behind a timer?)\n";
+  report_and_exit(lk, header.str(), kSchedBudgetExit);
+}
+
+void Explorer::report_and_exit(std::unique_lock<std::mutex>& lk,
+                               const std::string& header, int status) {
+  (void)lk;  // held by contract; the process ends here
   std::ostringstream out;
-  out << "sched: DEADLOCK under seed " << options_.seed << " after "
-      << steps_ << " scheduling decisions\n";
+  out << header;
   for (const auto& t : threads_) {
     if (t->state == ThreadRec::State::kFinished) continue;
     out << "  thread " << t->name << ": " << state_name(t->state) << " ("
@@ -148,12 +184,7 @@ void Explorer::declare_deadlock(std::unique_lock<std::mutex>& lk) {
   std::fputs(report_.c_str(), stderr);
   std::fflush(stderr);
   std::fflush(stdout);
-  // The schedule is wedged by construction — every participant is blocked
-  // and no wake-up source exists. A process in that state cannot be
-  // unwound (threads are parked inside locked destructors and waits); the
-  // harness runs each seed in a subprocess and classifies this exit code.
-  // See docs/sched.md.
-  std::_Exit(kSchedDeadlockExit);
+  std::_Exit(status);
 }
 
 void Explorer::grant_next(std::unique_lock<std::mutex>& lk) {
@@ -195,6 +226,7 @@ void Explorer::grant_next(std::unique_lock<std::mutex>& lk) {
   bool timed = false;
   bool external = false;
   bool blocked = false;
+  auto earliest = std::chrono::steady_clock::time_point::max();
   for (const auto& t : threads_) {
     switch (t->state) {
       case ThreadRec::State::kExternal:
@@ -202,6 +234,7 @@ void Explorer::grant_next(std::unique_lock<std::mutex>& lk) {
         break;
       case ThreadRec::State::kCvWait:
         (t->timed ? timed : blocked) = true;
+        if (t->timed) earliest = std::min(earliest, t->deadline);
         break;
       case ThreadRec::State::kMutexWait:
       case ThreadRec::State::kJoinWait:
@@ -214,6 +247,10 @@ void Explorer::grant_next(std::unique_lock<std::mutex>& lk) {
   current_ = nullptr;
   if (blocked && !timed && !external) {
     declare_deadlock(lk);  // does not return
+  }
+  if (timed && !external) {
+    const auto idle = earliest - std::chrono::steady_clock::now();
+    if (idle > kStallHorizon) declare_stall(lk, idle);  // does not return
   }
   // A timed wait fires on its real deadline, an external region returns on
   // its own; either triggers the next decision.

@@ -28,9 +28,13 @@
 // explorer prints a report naming each thread's held locks and wait
 // object plus the replay seed, and exits with kSchedDeadlockExit. The
 // SchedTest harness and `hlock_sim --sched-seeds` therefore run each seed
-// in a forked subprocess and classify the exit status. The embedded
-// Lockdep instance additionally flags lock-order inversions that never
-// deadlock.
+// in a forked subprocess and classify the exit status. When nobody is
+// runnable, no external region is pending and the earliest timed wait
+// ends far in the future, the schedule has *stalled* — a lost wake-up
+// behind a periodic timer — and the explorer reports it the same way,
+// exiting with kSchedBudgetExit instead of waiting the timer out. The
+// embedded Lockdep instance additionally flags lock-order inversions that
+// never deadlock.
 //
 // See docs/sched.md; the SchedTest harness (tests/sched/sched_test.hpp)
 // and `hlock_sim --sched-seeds` drive seeds through this class.
@@ -55,7 +59,8 @@ namespace hlock::sched {
 /// Process exit status when the explorer proves the schedule deadlocked.
 inline constexpr int kSchedDeadlockExit = 86;
 /// Process exit status when a schedule exceeds its decision budget
-/// (livelock, or a genuinely enormous schedule — raise max_steps).
+/// (livelock, or a genuinely enormous schedule — raise max_steps), or
+/// stalls with only far timed waits left to end.
 inline constexpr int kSchedBudgetExit = 87;
 
 /// Construction parameters of one exploration run.
@@ -96,7 +101,7 @@ class Explorer final : public SyncObserver {
   /// subprocess exit code carries the verdict.
   bool deadlock_found() const;
 
-  /// Human-readable deadlock report (empty without one).
+  /// Human-readable deadlock or stall report (empty without one).
   std::string report() const;
 
   /// The retained tail of the schedule, one line per scheduling decision
@@ -152,13 +157,24 @@ class Explorer final : public SyncObserver {
   void reschedule(std::unique_lock<std::mutex>& lk, ThreadRec* rec,
                   const char* op, const SyncId* obj);
   /// Picks the next thread to run — or, with nobody runnable and no
-  /// deadline / external region pending, declares deadlock. Requires mu_.
+  /// deadline / external region pending, declares deadlock; with nobody
+  /// runnable, no external region and only far deadlines pending, declares
+  /// a stall. Requires mu_.
   void grant_next(std::unique_lock<std::mutex>& lk);
   /// Records one scheduling decision (trace tail + fingerprint).
   /// Requires mu_.
   void record(const ThreadRec& rec);
   /// Prints the deadlock report and exits the process. Requires mu_.
   [[noreturn]] void declare_deadlock(std::unique_lock<std::mutex>& lk);
+  /// Prints the stall report — nobody ready, `idle` until the earliest
+  /// timed wait ends — and exits with kSchedBudgetExit. Requires mu_.
+  [[noreturn]] void declare_stall(std::unique_lock<std::mutex>& lk,
+                                  std::chrono::steady_clock::duration idle);
+  /// Prints `header`, every unfinished thread's state, wait and held
+  /// locks, the last scheduling decisions and the replay line, then exits
+  /// the process with `status`. Requires mu_.
+  [[noreturn]] void report_and_exit(std::unique_lock<std::mutex>& lk,
+                                    const std::string& header, int status);
   /// Shared body of wait / wait_until.
   bool wait_common(const SyncId& cv, const SyncId& mu_id, std::mutex& mu,
                    bool timed, std::chrono::steady_clock::time_point deadline,

@@ -24,7 +24,7 @@ namespace hlock::sched {
 enum class SeedVerdict {
   kOk,             ///< schedule completed, body reported no failure
   kDeadlock,       ///< explorer proved a deadlock (kSchedDeadlockExit)
-  kBudgetExceeded, ///< schedule hit its decision budget (kSchedBudgetExit)
+  kBudgetExceeded, ///< decision budget hit, or stalled (kSchedBudgetExit)
   kBodyFailure,    ///< body's failed() predicate returned true
   kCrash,          ///< child died on a signal or unknown status
 };

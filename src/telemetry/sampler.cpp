@@ -13,10 +13,6 @@ Sampler::Sampler(Registry& registry, SamplerOptions options)
 
 Sampler::~Sampler() { stop(); }
 
-void Sampler::add_sink(std::function<void(const Snapshot&)> sink) {
-  sinks_.push_back(std::move(sink));
-}
-
 void Sampler::start() {
   {
     MutexLock lock(mutex_);
@@ -43,8 +39,8 @@ void Sampler::stop() {
     MutexLock lock(mutex_);
     running_ = false;
   }
-  // Final tick after the join: exports the true end state, and runs on the
-  // caller so sinks see it even when the interval never elapsed.
+  // Final tick after the join: exports the true end state even when the
+  // interval never elapsed.
   tick();
 }
 
@@ -68,16 +64,7 @@ void Sampler::run() {
   }
 }
 
-void Sampler::tick() {
-  Snapshot snapshot = registry_.snapshot();
-  for (const auto& sink : sinks_) {
-    sink(snapshot);
-  }
-  export_file(snapshot);
-  MutexLock lock(mutex_);
-  ++ticks_;
-  latest_ = std::move(snapshot);
-}
+void Sampler::tick() { export_file(registry_.snapshot()); }
 
 void Sampler::export_file(const Snapshot& snapshot) {
   if (options_.out_path.empty()) {
@@ -87,16 +74,6 @@ void Sampler::export_file(const Snapshot& snapshot) {
     HLOCK_LOG(kWarn,
               "telemetry: failed to write metrics file " << options_.out_path);
   }
-}
-
-Snapshot Sampler::latest() const {
-  MutexLock lock(mutex_);
-  return latest_;
-}
-
-std::uint64_t Sampler::tick_count() const {
-  MutexLock lock(mutex_);
-  return ticks_;
 }
 
 bool write_file_atomic(const std::string& path, const std::string& text) {

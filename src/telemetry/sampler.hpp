@@ -1,21 +1,18 @@
 // Periodic snapshot producer over a telemetry Registry.
 //
 // The Sampler owns one background thread that ticks at a fixed interval;
-// each tick takes Registry::snapshot(), retains it as latest(), forwards
-// it to registered sinks (hlock_sim progress hooks, tests), and — when an
-// output path is configured — rewrites the exposition file atomically
-// (write to `<path>.tmp`, then rename), so a concurrently polling
-// hlock_top never reads a torn file. stop() performs one final tick
-// before joining, so short runs still export their end state.
+// each tick takes Registry::snapshot() and — when an output path is
+// configured — rewrites the exposition file atomically (write to
+// `<path>.tmp`, then rename), so a concurrently polling hlock_top never
+// reads a torn file. stop() performs one final tick after joining, so
+// short runs still export their end state.
 //
-// Consumers that want snapshots without a thread (tests, the sim's
-// final-state export) call tick() directly on an unstarted Sampler.
+// Consumers that want an export without a thread (tests) call tick()
+// directly on an unstarted Sampler.
 #pragma once
 
 #include <chrono>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "telemetry/registry.hpp"
 #include "util/sync.hpp"
@@ -38,24 +35,14 @@ class Sampler {
   Sampler(const Sampler&) = delete;
   Sampler& operator=(const Sampler&) = delete;
 
-  /// Called after every tick with the fresh snapshot, on the sampler
-  /// thread. Register sinks before start().
-  void add_sink(std::function<void(const Snapshot&)> sink);
-
   /// Launches the background thread. No-op when already running.
   void start();
 
   /// Final tick, then stops and joins the thread. No-op when not running.
   void stop();
 
-  /// Snapshot + sinks + file export, synchronously on the caller.
+  /// Snapshot + file export, synchronously on the caller.
   void tick();
-
-  /// The most recent snapshot (empty before the first tick).
-  Snapshot latest() const HLOCK_EXCLUDES(mutex_);
-
-  /// Ticks taken so far (including direct tick() calls).
-  std::uint64_t tick_count() const HLOCK_EXCLUDES(mutex_);
 
  private:
   void run();
@@ -63,14 +50,11 @@ class Sampler {
 
   Registry& registry_;
   const SamplerOptions options_;
-  std::vector<std::function<void(const Snapshot&)>> sinks_;
 
-  mutable Mutex mutex_;
+  Mutex mutex_;
   CondVar wake_cv_;
   bool stopping_ HLOCK_GUARDED_BY(mutex_) = false;
   bool running_ HLOCK_GUARDED_BY(mutex_) = false;
-  Snapshot latest_ HLOCK_GUARDED_BY(mutex_);
-  std::uint64_t ticks_ HLOCK_GUARDED_BY(mutex_) = 0;
 
   sched::Thread thread_;
 };

@@ -19,7 +19,7 @@ Mailbox& InProcTransport::mailbox(proto::NodeId node) {
   return *mailboxes_[node.value()];
 }
 
-proto::Message InProcTransport::round_trip(const proto::Message& message) {
+void InProcTransport::send(const proto::Message& message) {
   // One scratch buffer per sending thread: capacity persists across
   // sends, so the steady state allocates nothing for the wire image.
   thread_local std::vector<std::byte> scratch;
@@ -29,16 +29,7 @@ proto::Message InProcTransport::round_trip(const proto::Message& message) {
   HLOCK_INVARIANT(decoded.has_value() && *decoded == message,
                   "codec round-trip corrupted a message");
   bytes_.fetch_add(scratch.size(), std::memory_order_relaxed);
-  return std::move(*decoded);
-}
-
-void InProcTransport::send(const proto::Message& message) {
-  mailbox(message.to).push(round_trip(message));
-  sent_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void InProcTransport::send_quiet(const proto::Message& message) {
-  mailbox(message.to).push_quiet(round_trip(message));
+  mailbox(message.to).push(std::move(*decoded));
   sent_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -11,13 +11,10 @@
 // Each node has one FIFO mailbox, and send() pushes before it returns, so
 // every ordered (from, to) channel is FIFO, matching TCP/MPI and the
 // simulator's network model. Beyond the Transport interface, the threaded
-// runtime reaches each node's mailbox to use its drain claim twice: a
-// receiver that sends to an idle node pushes without a wake-up
-// (send_quiet), then claims that node's inbox and applies its messages
-// itself; and a lock()/upgrade() call blocked on its grant enlists as its
-// node's caller, so a send that finds that inbox idle wakes the call,
-// which applies its node's messages on its own thread until it is
-// signalled (docs/transports.md §2).
+// runtime reaches each node's mailbox for its drain claim: a lock()/
+// upgrade() call blocked on its grant enlists as its node's caller, so a
+// send that finds that inbox idle wakes the call, which applies its node's
+// messages on its own thread until it is signalled (docs/transports.md §2).
 #pragma once
 
 #include <atomic>
@@ -47,12 +44,8 @@ class InProcTransport final : public Transport {
   /// the codec round-trip corrupts the message.
   void send(const proto::Message& message) override;
 
-  /// As send(), but wakes nobody: for a sender that claims the destination
-  /// next (Mailbox::push_quiet).
-  void send_quiet(const proto::Message& message);
-
-  /// `node`'s mailbox, for the threaded runtime's drain claims and blocked
-  /// callers. Throws UsageError for an unknown node.
+  /// `node`'s mailbox, for the threaded runtime's blocked callers. Throws
+  /// UsageError for an unknown node.
   Mailbox& mailbox(proto::NodeId node);
 
   /// Drains `node`'s mailbox in one lock acquisition.
@@ -79,10 +72,6 @@ class InProcTransport final : public Transport {
   }
 
  private:
-  /// Encodes and decodes `message`, checks the copy equals it, counts the
-  /// encoded bytes and returns the decoded copy.
-  proto::Message round_trip(const proto::Message& message);
-
   /// Fixed at construction (the mailboxes themselves are thread-safe).
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::atomic<std::uint64_t> sent_{0};

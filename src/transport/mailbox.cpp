@@ -6,26 +6,23 @@
 
 namespace hlock::transport {
 
-CondVar* Mailbox::append(proto::Message&& message) {
+void Mailbox::push(proto::Message message) {
   // Explicit schedule point: under the explorer a racing take/close may be
   // interleaved before the push takes the lock (docs/sched.md).
   sched::yield_point("mailbox.push");
-  MutexLock guard(mutex_);
-  if (closed_) return nullptr;
-  queue_.push_back(std::move(message));
-  ++pushed_;
-  if (drainer_ != Drainer::kNone) return nullptr;
-  // An enlisted caller looks at the queue before it waits, so the wake
-  // may go to it even before it waits.
-  return caller_enlisted_ ? &caller_cv_ : &cv_;
-}
-
-void Mailbox::push(proto::Message message) {
-  if (CondVar* wake = append(std::move(message))) wake->notify_one();
-}
-
-void Mailbox::push_quiet(proto::Message message) {
-  append(std::move(message));
+  CondVar* wake = nullptr;
+  {
+    MutexLock guard(mutex_);
+    if (closed_) return;
+    queue_.push_back(std::move(message));
+    ++pushed_;
+    // An enlisted caller looks at the queue before it waits, so the wake
+    // may go to it even before it waits.
+    if (drainer_ == Drainer::kNone) {
+      wake = caller_enlisted_ ? &caller_cv_ : &cv_;
+    }
+  }
+  if (wake != nullptr) wake->notify_one();
 }
 
 std::vector<proto::Message> Mailbox::take_all() {
@@ -39,45 +36,20 @@ std::vector<proto::Message> Mailbox::pop_all_ready(
     Clock::time_point deadline) {
   MutexLock lock(mutex_);
   // The receiver gives its claim up in the lock hold that finds its inbox
-  // empty; from then on a push wakes it (or the enlisted caller), or a
-  // peer may claim.
+  // empty; from then on a push wakes it, or the enlisted caller.
   if (drainer_ == Drainer::kReceiver && queue_.empty()) {
     drainer_ = Drainer::kNone;
   }
-  while (claimed_away_from_receiver() || (queue_.empty() && !closed_)) {
+  while (drainer_ == Drainer::kCaller || (queue_.empty() && !closed_)) {
     if (deadline == Clock::time_point::max()) {
       cv_.wait(mutex_);
     } else if (cv_.wait_until(mutex_, deadline) == std::cv_status::timeout) {
       break;
     }
   }
-  if (claimed_away_from_receiver() || queue_.empty()) return {};
+  if (drainer_ == Drainer::kCaller || queue_.empty()) return {};
   drainer_ = Drainer::kReceiver;
   return take_all();
-}
-
-std::vector<proto::Message> Mailbox::claim() {
-  MutexLock guard(mutex_);
-  if (drainer_ != Drainer::kNone || queue_.empty()) return {};
-  drainer_ = Drainer::kPeer;
-  return take_all();
-}
-
-std::vector<proto::Message> Mailbox::next_or_release() {
-  bool closed = false;
-  {
-    MutexLock guard(mutex_);
-    HLOCK_REQUIRE(drainer_ == Drainer::kPeer,
-                  "next_or_release() without a peer's claim");
-    if (!queue_.empty()) return take_all();
-    drainer_ = Drainer::kNone;
-    closed = closed_;
-  }
-  // The queue is empty, so an open mailbox's receiver still has nothing to
-  // wake for; a closed one's receiver was waiting out this claim to see
-  // the mailbox drained.
-  if (closed) cv_.notify_all();
-  return {};
 }
 
 std::optional<std::uint64_t> Mailbox::enlist_caller() {
@@ -95,13 +67,12 @@ std::vector<proto::Message> Mailbox::take_for_caller(
     HLOCK_REQUIRE(caller_enlisted_,
                   "take_for_caller() without enlist_caller()");
     while (signals_ == generation && !closed_) {
-      if (!queue_.empty() && (drainer_ == Drainer::kNone ||
-                              drainer_ == Drainer::kCaller)) {
+      if (!queue_.empty() && drainer_ != Drainer::kReceiver) {
         drainer_ = Drainer::kCaller;
         return take_all();
       }
       // An empty take gives the claim back; from then on a push wakes the
-      // caller again, or a peer may claim.
+      // caller again.
       if (drainer_ == Drainer::kCaller) drainer_ = Drainer::kNone;
       caller_cv_.wait(mutex_);
     }

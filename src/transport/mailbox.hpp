@@ -2,21 +2,18 @@
 // drain claim.
 //
 // Producers push from any thread. Exactly one thread drains the queue at a
-// time, and the claim records which: nobody, the node's receiver, a peer,
-// or the node's blocked caller. The receiver drains every queued message
-// in one lock acquisition (pop_all_ready), which is what lets the threaded
-// runtime deliver a burst as a batch instead of paying one mutex
-// round-trip per message. A peer — another node's receiver that has just
-// sent here — may claim an inbox nobody drains and apply its messages
-// itself, saving the receiver's wake-up (docs/performance.md, "Receiver
-// hand-off"). One application call blocked on its grant at this node may
+// time, and the claim records which: nobody, the node's receiver, or the
+// node's blocked caller. The receiver drains every queued message in one
+// lock acquisition (pop_all_ready), which is what lets the threaded runtime
+// deliver a burst as a batch instead of paying one mutex round-trip per
+// message. One application call blocked on its grant at this node may
 // enlist as the inbox's caller: while it is enlisted, a push that finds
 // nobody draining wakes the caller instead of the receiver, and the caller
 // applies its node's messages on its own thread until a signal says its
-// wait is over ("Blocked calls drain their own inbox"). Whoever holds the
-// claim keeps taking until it finds the queue empty, and only then gives
-// the claim up — except the caller, which gives it back once signalled and
-// wakes the receiver for what remains — so every message is taken in push
+// wait is over (docs/performance.md, "Blocked calls drain their own
+// inbox"). The receiver keeps the claim until a take finds the queue
+// empty; the caller gives it back on an empty take too, or once signalled,
+// waking the receiver for what remains — so every message is taken in push
 // order and none is left queued with nobody draining it or woken to.
 // Messages move in and out, so a payload's buffers (a token's queue) are
 // never copied on the way through.
@@ -43,13 +40,8 @@ class Mailbox {
   /// close().
   void push(proto::Message message) HLOCK_EXCLUDES(mutex_);
 
-  /// Appends a message without waking anyone. For a sender that calls
-  /// claim() next: whatever that claim misses, the current drainer takes.
-  /// No-op after close().
-  void push_quiet(proto::Message message) HLOCK_EXCLUDES(mutex_);
-
-  /// The receiver's take. Blocks, at most until `deadline`, while a peer or
-  /// the caller holds the claim or while the queue is empty and the mailbox
+  /// The receiver's take. Blocks, at most until `deadline`, while the
+  /// caller holds the claim or while the queue is empty and the mailbox
   /// open; then drains and returns every queued message in push order, with
   /// the claim held by the receiver. The receiver keeps the claim until a
   /// take finds the queue empty. Empty on timeout, or once the mailbox is
@@ -58,24 +50,14 @@ class Mailbox {
       Clock::time_point deadline = Clock::time_point::max())
       HLOCK_EXCLUDES(mutex_);
 
-  /// A peer's take: when nobody drains and the queue is not empty, claims
-  /// the mailbox and returns every queued message; otherwise returns
-  /// nothing. Never blocks.
-  std::vector<proto::Message> claim() HLOCK_EXCLUDES(mutex_);
-
-  /// The claiming peer's next take: every message queued since, or —
-  /// in the same lock hold that finds the queue empty — nothing, with the
-  /// claim given up.
-  std::vector<proto::Message> next_or_release() HLOCK_EXCLUDES(mutex_);
-
   /// Enlists the calling thread as the mailbox's one blocked caller and
   /// returns the signal generation its takes compare against; nothing
   /// while another caller is enlisted.
   std::optional<std::uint64_t> enlist_caller() HLOCK_EXCLUDES(mutex_);
 
   /// The enlisted caller's take. Blocks while the mailbox is unsignalled
-  /// since `generation` and open, and either the queue is empty or another
-  /// thread drains; an empty take gives the caller's claim back. Returns
+  /// since `generation` and open, and either the queue is empty or the
+  /// receiver drains; an empty take gives the caller's claim back. Returns
   /// every queued message in push order, with the claim held by the
   /// caller. Once signalled or closed, returns nothing: in one lock hold it
   /// gives the claim back, withdraws the enlistment and wakes the receiver
@@ -98,18 +80,11 @@ class Mailbox {
   std::size_t size() const HLOCK_EXCLUDES(mutex_);
 
  private:
-  enum class Drainer : std::uint8_t { kNone, kReceiver, kPeer, kCaller };
+  enum class Drainer : std::uint8_t { kNone, kReceiver, kCaller };
 
-  /// Appends under the lock; returns the condvar of whoever the message
-  /// must wake, or nullptr.
-  CondVar* append(proto::Message&& message) HLOCK_EXCLUDES(mutex_);
   /// Moves the whole queue out: one allocation for the batch; the queue
   /// keeps its capacity, so the steady-state pushes allocate nothing.
   std::vector<proto::Message> take_all() HLOCK_REQUIRES(mutex_);
-  /// True while a thread other than the receiver holds the claim.
-  bool claimed_away_from_receiver() const HLOCK_REQUIRES(mutex_) {
-    return drainer_ == Drainer::kPeer || drainer_ == Drainer::kCaller;
-  }
 
   mutable Mutex mutex_;
   CondVar cv_;         ///< the receiver waits here

@@ -33,7 +33,7 @@ using runtime::Protocol;
 constexpr std::size_t kNodes = 4;
 constexpr NodeId kRoot{0};
 constexpr NodeId kSelf{1};
-constexpr NodeId kPeer{2};
+constexpr NodeId kRequester{2};
 constexpr NodeId kVictim{3};
 constexpr std::uint32_t kEpoch = 4;
 
@@ -78,10 +78,12 @@ class NodeCoreGate : public ::testing::TestWithParam<Protocol> {
   /// A peer's request for `lock`, which the core forwards toward the root.
   Message peer_request(LockId lock, std::uint32_t epoch) const {
     if (GetParam() == Protocol::kHierarchical) {
-      return to_self(kPeer, lock,
-                     proto::HierRequest{kPeer, LockMode::kR, 1, 0}, epoch);
+      return to_self(kRequester, lock,
+                     proto::HierRequest{kRequester, LockMode::kR, 1, 0},
+                     epoch);
     }
-    return to_self(kPeer, lock, proto::NaimiRequest{kPeer, 1}, epoch);
+    return to_self(kRequester, lock, proto::NaimiRequest{kRequester, 1},
+                   epoch);
   }
 
   /// Node 0's gossip that the victim crashed.

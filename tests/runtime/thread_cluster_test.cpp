@@ -13,6 +13,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <random>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -335,13 +337,15 @@ TEST(ThreadCluster, WithInjectedLatency) {
 // ---- A blocked call drains its own node's inbox (docs/performance.md,
 //      "Blocked calls drain their own inbox").
 
-/// Which thread sank each enter-cs, and which requests each node queued.
-/// Declared before the cluster whose sink it is, so it outlives it.
+/// Which thread sank each enter-cs, which threads sank each node's events,
+/// and which requests each node queued. Declared before the cluster whose
+/// sink it is, so it outlives it.
 class EventLog {
  public:
   ThreadCluster::EventSink sink() {
     return [this](trace::TraceEvent event) {
       const std::lock_guard<std::mutex> guard(mutex_);
+      sank_[event.node.value()].insert(std::this_thread::get_id());
       if (event.kind == trace::EventKind::kQueue) {
         queued_.push_back({event.node, event.peer, event.lock});
       } else if (event.kind == trace::EventKind::kEnterCs) {
@@ -375,6 +379,12 @@ class EventLog {
     return it == entered_.end() ? std::thread::id{} : it->second;
   }
 
+  /// The threads that sank any of `node`'s events.
+  std::set<std::thread::id> sank(NodeId node) {
+    const std::lock_guard<std::mutex> guard(mutex_);
+    return sank_[node.value()];
+  }
+
  private:
   struct Queued {
     NodeId at;
@@ -387,6 +397,7 @@ class EventLog {
   std::vector<Queued> queued_;
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::thread::id>
       entered_;
+  std::map<std::uint32_t, std::set<std::thread::id>> sank_;
 };
 
 ThreadClusterOptions traced_options(std::size_t n) {
@@ -467,6 +478,55 @@ TEST(ThreadClusterInboxWaiter, TwoCallsOnOneShardEachReturnOnTheirOwnGrant) {
 TEST(ThreadClusterInboxWaiter, TwoCallsOnTwoShardsEachReturnOnTheirOwnGrant) {
   for (const LockId released_first : {LockId{0}, LockId{1}}) {
     two_blocked_calls(LockId{0}, LockId{1}, released_first);
+  }
+}
+
+// A node's steps run only on its own threads: its receiver and the
+// application threads calling it. Client thread i calls only node i, over
+// four locks in mixed modes with upgrades, so requests are forwarded and
+// copysets form; the threads that sank one node's events are then none of
+// another's.
+TEST(ThreadCluster, EachNodesStepsRunOnlyOnItsOwnThreads) {
+  constexpr std::uint32_t kNodes = 3;
+  constexpr int kOpsPerClient = 100;
+  static constexpr LockMode kModes[] = {LockMode::kIR, LockMode::kR,
+                                        LockMode::kU, LockMode::kIW,
+                                        LockMode::kW};
+  EventLog log;
+  {
+    ThreadCluster cluster{traced_options(kNodes)};
+    cluster.set_event_sink(log.sink());
+    std::vector<std::thread> clients;
+    for (std::uint32_t i = 0; i < kNodes; ++i) {
+      clients.emplace_back([&cluster, i] {
+        std::mt19937 rng(i + 1);
+        const NodeId node{i};
+        for (int op = 0; op < kOpsPerClient; ++op) {
+          const LockId lock{static_cast<std::uint32_t>(rng() % 4)};
+          const LockMode mode = kModes[rng() % std::size(kModes)];
+          cluster.lock(node, lock, mode);
+          if (mode == LockMode::kU && rng() % 2 == 0) {
+            cluster.upgrade(node, lock);
+          }
+          cluster.unlock(node, lock);
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+    EXPECT_EQ(cluster.receiver_errors(), 0u);
+  }
+  std::vector<std::set<std::thread::id>> sank;
+  for (std::uint32_t i = 0; i < kNodes; ++i) {
+    sank.push_back(log.sank(NodeId{i}));
+    EXPECT_FALSE(sank.back().empty()) << "node " << i << " sank no event";
+  }
+  for (std::uint32_t a = 0; a < kNodes; ++a) {
+    for (std::uint32_t b = a + 1; b < kNodes; ++b) {
+      for (const std::thread::id thread : sank[a]) {
+        EXPECT_EQ(sank[b].count(thread), 0u)
+            << "one thread sank events of nodes " << a << " and " << b;
+      }
+    }
   }
 }
 

@@ -97,10 +97,9 @@ TEST(SchedExploration, MailboxCloseWakesBlockedPop) {
   });
 }
 
-/// One mailbox drained by its receiver and by a peer that pushes without a
-/// wake-up and then claims, while a producer pushes plainly. Whoever takes
-/// a batch applies it to one log; two takers applying at once would mean a
-/// broken claim.
+/// One mailbox drained by its receiver and by the node's blocked caller,
+/// while two producers push. Whoever takes a batch applies it to one log;
+/// two takers applying at once would mean a broken claim.
 class DrainRace {
  public:
   static constexpr std::uint64_t kPerSender = 3;
@@ -114,20 +113,10 @@ class DrainRace {
     }
   }
 
-  void push_plainly() {
+  /// A producer: pushes kPerSender messages from `from`, numbered in order.
+  void push_from(std::uint32_t from) {
     for (std::uint64_t seq = 1; seq <= kPerSender; ++seq) {
-      mailbox.push(make_message(0, 1, seq));
-    }
-  }
-
-  /// The peer: each message it pushes without a wake-up, it then claims.
-  void push_and_claim() {
-    for (std::uint64_t seq = 1; seq <= kPerSender; ++seq) {
-      mailbox.push_quiet(make_message(2, 1, seq));
-      for (std::vector<Message> batch = mailbox.claim(); !batch.empty();
-           batch = mailbox.next_or_release()) {
-        apply(batch);
-      }
+      mailbox.push(make_message(from, 1, seq));
     }
   }
 
@@ -224,38 +213,6 @@ class DrainRace {
   std::vector<Message> applied_ HLOCK_GUARDED_BY(mutex_);
 };
 
-TEST(SchedExploration, MailboxDrainClaimLosesNothing) {
-  sched_test::explore([] {
-    DrainRace race;
-    sched::Thread receiver("receiver", [&race] { race.receive(); });
-    sched::Thread producer("producer", [&race] { race.push_plainly(); });
-    sched::Thread peer("peer", [&race] { race.push_and_claim(); });
-    producer.join();
-    peer.join();
-    race.await_applied(2 * DrainRace::kPerSender);
-    race.mailbox.close();
-    receiver.join();
-    race.check();
-  });
-}
-
-TEST(SchedExploration, MailboxCloseRacesADrainClaim) {
-  sched_test::explore([] {
-    DrainRace race;
-    sched::Thread receiver("receiver", [&race] { race.receive(); });
-    sched::Thread producer("producer", [&race] { race.push_plainly(); });
-    sched::Thread peer("peer", [&race] { race.push_and_claim(); });
-    sched::yield_point("test.before-close");
-    // The receiver must come back even when the close lands inside the
-    // peer's claim: the release is what lets it see the mailbox drained.
-    race.mailbox.close();
-    producer.join();
-    peer.join();
-    receiver.join();
-    race.check();
-  });
-}
-
 // A blocked caller enlisted on the mailbox: pushes that find nobody
 // draining wake it instead of the receiver, it gives the claim back once
 // its grant — applied by whichever thread drains — signals it, and the
@@ -265,11 +222,11 @@ TEST(SchedExploration, CallerDrainLosesNothing) {
     DrainRace race;
     sched::Thread receiver("receiver", [&race] { race.receive(); });
     sched::Thread caller("caller", [&race] { race.drain_as_caller(); });
-    sched::Thread producer("producer", [&race] { race.push_plainly(); });
-    sched::Thread peer("peer", [&race] { race.push_and_claim(); });
+    sched::Thread producer0("producer-0", [&race] { race.push_from(0); });
+    sched::Thread producer2("producer-2", [&race] { race.push_from(2); });
     sched::Thread granter("granter", [&race] { race.push_grant(); });
-    producer.join();
-    peer.join();
+    producer0.join();
+    producer2.join();
     granter.join();
     caller.join();
     race.await_applied(2 * DrainRace::kPerSender + 1);
@@ -287,13 +244,13 @@ TEST(SchedExploration, CallerRacesASignalAndTheClose) {
     DrainRace race;
     sched::Thread receiver("receiver", [&race] { race.receive(); });
     sched::Thread caller("caller", [&race] { race.drain_as_caller(); });
-    sched::Thread producer("producer", [&race] { race.push_plainly(); });
-    sched::Thread peer("peer", [&race] { race.push_and_claim(); });
+    sched::Thread producer0("producer-0", [&race] { race.push_from(0); });
+    sched::Thread producer2("producer-2", [&race] { race.push_from(2); });
     sched::Thread signaller("signaller", [&race] { race.grant(); });
     sched::yield_point("test.before-close");
     race.close();
-    producer.join();
-    peer.join();
+    producer0.join();
+    producer2.join();
     signaller.join();
     caller.join();
     receiver.join();

@@ -3,6 +3,7 @@
 // indistinguishable from one that cannot fire: these tests plant a known
 // lock-order inversion and a known ABBA deadlock and require lockdep /
 // the schedule explorer to flag them (see docs/sched.md).
+#include <chrono>
 #include <cstdlib>
 
 #include <optional>
@@ -217,6 +218,38 @@ TEST(ExplorerSelfTest, BudgetOverrunIsClassifiedNotHung) {
   const sched::SeedResult result = sched::run_seed(options, body);
   EXPECT_EQ(result.verdict, sched::SeedVerdict::kBudgetExceeded)
       << result.output;
+}
+
+TEST(ExplorerSelfTest, LostWakeUpBehindALongTimerIsClassifiedNotHung) {
+  // A waiter nobody notifies, beside a ticker whose 60 s timed waits are
+  // the schedule's only way forward: each timeout spends a few scheduling
+  // decisions, so the decision budget alone would let the seed run for
+  // months. The explorer must report the stall instead.
+  const auto body = [] {
+    Mutex mu{"stall.mu"};
+    CondVar never_notified;
+    CondVar tick;
+    sched::Thread waiter("waiter", [&] {
+      MutexLock lock(mu);
+      never_notified.wait(mu);
+    });
+    sched::Thread ticker("ticker", [&] {
+      MutexLock lock(mu);
+      for (;;) tick.wait_for(mu, std::chrono::seconds(60));
+    });
+    waiter.join();
+    ticker.join();
+  };
+  sched::ExplorerOptions options;
+  options.seed = 1;
+  const auto start = std::chrono::steady_clock::now();
+  const sched::SeedResult result = sched::run_seed(options, body);
+  EXPECT_EQ(result.verdict, sched::SeedVerdict::kBudgetExceeded)
+      << result.output;
+  EXPECT_NE(result.output.find("STALLED"), std::string::npos)
+      << result.output;
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(30));
 }
 
 }  // namespace

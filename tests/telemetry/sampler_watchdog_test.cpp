@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -28,32 +30,30 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
-TEST(Sampler, DirectTickSnapshotsWithoutAThread) {
-  Registry registry;
-  registry.counter("hlock_test_total").inc(4);
-  Sampler sampler{registry, SamplerOptions{}};
-  EXPECT_EQ(sampler.tick_count(), 0u);
-  EXPECT_TRUE(sampler.latest().samples.empty());
-
-  sampler.tick();
-  EXPECT_EQ(sampler.tick_count(), 1u);
-  const Snapshot snap = sampler.latest();
-  ASSERT_NE(snap.find("hlock_test_total"), nullptr);
-  EXPECT_EQ(snap.find("hlock_test_total")->value, 4.0);
+/// The value of `name` in the exposition file at `path`; nothing when the
+/// file or the series is missing.
+std::optional<double> exported(const std::string& path,
+                               const std::string& name) {
+  const ParsedExposition parsed = parse_exposition(slurp(path));
+  const ParsedSeries* series = parsed.find(name);
+  if (series == nullptr) return std::nullopt;
+  return series->value;
 }
 
-TEST(Sampler, SinksSeeEveryTick) {
+TEST(Sampler, DirectTickSnapshotsWithoutAThread) {
   Registry registry;
-  registry.gauge("hlock_depth").set(2.0);
-  Sampler sampler{registry, SamplerOptions{}};
-  std::vector<double> seen;
-  sampler.add_sink([&seen](const Snapshot& snap) {
-    seen.push_back(snap.find("hlock_depth")->value);
-  });
-  sampler.tick();
-  registry.gauge("hlock_depth").set(9.0);
-  sampler.tick();
-  EXPECT_EQ(seen, (std::vector<double>{2.0, 9.0}));
+  Gauge& depth = registry.gauge("hlock_depth");
+  SamplerOptions options;
+  options.out_path = "sampler_direct.prom";
+  std::remove(options.out_path.c_str());
+  Sampler sampler{registry, options};
+  EXPECT_EQ(exported(options.out_path, "hlock_depth"), std::nullopt);
+  // Each tick rewrites the file with the registry as it is at that moment.
+  for (const double value : {2.0, 9.0}) {
+    depth.set(value);
+    sampler.tick();
+    EXPECT_EQ(exported(options.out_path, "hlock_depth"), value);
+  }
 }
 
 TEST(Sampler, FileExportWritesParseableExposition) {
@@ -76,14 +76,14 @@ TEST(Sampler, StopTakesAFinalTick) {
   Counter& counter = registry.counter("hlock_test_total");
   SamplerOptions options;
   options.interval = std::chrono::hours(1);  // never ticks on its own
+  options.out_path = "sampler_final.prom";
+  std::remove(options.out_path.c_str());
   Sampler sampler{registry, options};
   sampler.start();
   counter.inc(42);
   sampler.stop();
   // The final tick must have captured the post-start increment.
-  ASSERT_GE(sampler.tick_count(), 1u);
-  ASSERT_NE(sampler.latest().find("hlock_test_total"), nullptr);
-  EXPECT_EQ(sampler.latest().find("hlock_test_total")->value, 42.0);
+  EXPECT_EQ(exported(options.out_path, "hlock_test_total"), 42.0);
   sampler.stop();  // idempotent
 }
 

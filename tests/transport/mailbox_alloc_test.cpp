@@ -3,11 +3,10 @@
 // A delivered message must move through the mailbox, never be deep-copied:
 // a copy would duplicate the payload buffer of every token handover. These
 // tests pin that with two independent instruments: a global operator
-// new/delete counter proving a take — the receiver's drain, a peer's claim
-// or the enlisted caller's take — makes one allocation, for the batch
-// vector, and pointer identity
-// on a token queue's buffer proving the very same heap block that was
-// pushed comes back out.
+// new/delete counter proving a take — the receiver's drain or the enlisted
+// caller's take — makes one allocation, for the batch vector, and pointer
+// identity on a token queue's buffer proving the very same heap block that
+// was pushed comes back out.
 //
 // This file replaces the global allocator, so it must stay its own test
 // binary — linking it into another test would count that test's
@@ -104,43 +103,6 @@ TEST(MailboxAlloc, PopAllReadyMakesOneAllocationForTheBatchVector) {
     EXPECT_EQ(queue_of(drained[i]).data(), buffers[i])
         << "message " << i << " was deep-copied on the way through";
   }
-}
-
-// A peer's claim takes the same way: the payloads move, and each take —
-// the claim and every next batch — makes one allocation for its vector.
-TEST(MailboxAlloc, ClaimMovesPayloadsWithOneAllocationPerTake) {
-  Mailbox mailbox;
-  std::vector<const proto::QueuedRequest*> buffers;
-  const auto push_tokens = [&](int count) {
-    for (int i = 0; i < count; ++i) {
-      proto::Message message = token_message(16);
-      buffers.push_back(queue_of(message).data());
-      mailbox.push_quiet(std::move(message));
-    }
-  };
-  std::size_t taken = 0;
-  const auto expect_moved = [&](const std::vector<proto::Message>& batch) {
-    for (const proto::Message& message : batch) {
-      EXPECT_EQ(queue_of(message).data(), buffers[taken])
-          << "message " << taken << " was deep-copied on the way through";
-      ++taken;
-    }
-  };
-
-  push_tokens(16);
-  std::uint64_t before = allocations();
-  const std::vector<proto::Message> claimed = mailbox.claim();
-  EXPECT_LE(allocations() - before, 2u);
-  ASSERT_EQ(claimed.size(), 16u);
-  expect_moved(claimed);
-
-  push_tokens(8);
-  before = allocations();
-  const std::vector<proto::Message> next = mailbox.next_or_release();
-  EXPECT_LE(allocations() - before, 2u);
-  ASSERT_EQ(next.size(), 8u);
-  expect_moved(next);
-  EXPECT_TRUE(mailbox.next_or_release().empty());
 }
 
 // The enlisted caller takes the same way, with and without the claim

@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "proto/codec.hpp"
 #include "tests/transport/receive.hpp"
 #include "tests/transport/wire_burst.hpp"
 #include "transport/mailbox.hpp"
@@ -136,6 +135,7 @@ TEST(InProcTransport, ChannelFifoUnderConcurrentSenders) {
 TEST(InProcTransport, UnknownDestinationRejected) {
   InProcTransport transport{InProcOptions{2}};
   EXPECT_THROW(transport.send(make_message(0, 9)), UsageError);
+  EXPECT_THROW(transport.mailbox(NodeId{9}), UsageError);
 }
 
 TEST(Mailbox, PopAllReadyDrainsInArrivalOrder) {
@@ -173,125 +173,6 @@ TEST(Mailbox, PopAllReadyBlocksUntilAnotherThreadPushes) {
   producer.join();
   ASSERT_EQ(drained.size(), 1u);
   EXPECT_GE(Mailbox::Clock::now() - start, std::chrono::milliseconds(19));
-}
-
-// ---- The drain claim: one thread at a time takes a mailbox's messages.
-
-TEST(MailboxClaim, BlockedPopStaysBlockedWhileAPeerHoldsTheClaim) {
-  Mailbox box;
-  box.push_quiet(make_message(1, 0));
-  ASSERT_EQ(senders(box.claim()), Senders{1});
-  std::atomic<bool> returned{false};
-  std::vector<Message> popped;
-  std::thread receiver([&] {
-    popped = box.pop_all_ready();
-    returned = true;
-  });
-  // Even a plain push leaves the receiver waiting while the peer drains.
-  box.push(make_message(2, 0));
-  std::this_thread::sleep_for(20ms);
-  EXPECT_FALSE(returned);
-  EXPECT_EQ(senders(box.next_or_release()), Senders{2});
-  EXPECT_TRUE(box.next_or_release().empty());
-  std::this_thread::sleep_for(5ms);
-  EXPECT_FALSE(returned);  // the release leaves it nothing to wake for
-  box.push(make_message(3, 0));
-  receiver.join();
-  EXPECT_EQ(senders(popped), Senders{3});
-}
-
-TEST(MailboxClaim, PushesDuringAClaimComeBackFromTheNextTakeInOrder) {
-  Mailbox box;
-  box.push_quiet(make_message(1, 0));
-  ASSERT_EQ(senders(box.claim()), Senders{1});
-  box.push(make_message(2, 0));
-  box.push_quiet(make_message(3, 0));
-  box.push(make_message(4, 0));
-  EXPECT_EQ(senders(box.next_or_release()), (Senders{2, 3, 4}));
-  EXPECT_TRUE(box.next_or_release().empty());
-}
-
-TEST(MailboxClaim, ReleasedOnlyByAnEmptyTake) {
-  Mailbox box;
-  box.push_quiet(make_message(1, 0));
-  ASSERT_EQ(senders(box.claim()), Senders{1});
-  box.push(make_message(2, 0));
-  ASSERT_EQ(senders(box.next_or_release()), Senders{2});
-  // Still claimed: neither a second peer nor the receiver may take 3.
-  box.push(make_message(3, 0));
-  EXPECT_TRUE(box.claim().empty());
-  EXPECT_TRUE(box.pop_all_ready(after(5ms)).empty());
-  EXPECT_EQ(senders(box.next_or_release()), Senders{3});
-  EXPECT_TRUE(box.next_or_release().empty());
-  // Released: claimable, and receivable, again.
-  box.push_quiet(make_message(4, 0));
-  EXPECT_EQ(senders(box.claim()), Senders{4});
-  EXPECT_TRUE(box.next_or_release().empty());
-  box.push(make_message(5, 0));
-  EXPECT_EQ(senders(box.pop_all_ready(after(5ms))), Senders{5});
-}
-
-TEST(MailboxClaim, ReceiverKeepsTheClaimUntilItsInboxIsEmpty) {
-  Mailbox box;
-  box.push(make_message(1, 0));
-  ASSERT_EQ(senders(box.pop_all_ready()), Senders{1});
-  // The receiver drains until it finds the inbox empty, so a peer's claim
-  // misses and the receiver's next take has the message.
-  box.push_quiet(make_message(2, 0));
-  EXPECT_TRUE(box.claim().empty());
-  EXPECT_EQ(senders(box.pop_all_ready()), Senders{2});
-  EXPECT_TRUE(box.pop_all_ready(after(5ms)).empty());
-  box.push_quiet(make_message(3, 0));
-  EXPECT_EQ(senders(box.claim()), Senders{3});
-  EXPECT_TRUE(box.next_or_release().empty());
-}
-
-TEST(MailboxClaim, QuietPushNeverWakesABlockedReceiver) {
-  Mailbox box;
-  std::atomic<bool> returned{false};
-  std::vector<Message> popped;
-  std::thread receiver([&] {
-    popped = box.pop_all_ready();
-    returned = true;
-  });
-  std::this_thread::sleep_for(20ms);  // the receiver waits on an empty inbox
-  box.push_quiet(make_message(1, 0));
-  std::this_thread::sleep_for(30ms);
-  EXPECT_FALSE(returned);
-  box.push(make_message(2, 0));  // a plain push wakes it
-  receiver.join();
-  EXPECT_EQ(senders(popped), (Senders{1, 2}));
-}
-
-TEST(MailboxClaim, CloseDuringAClaimLeavesQueuedMessagesTakeable) {
-  Mailbox box;
-  box.push_quiet(make_message(1, 0));
-  ASSERT_EQ(senders(box.claim()), Senders{1});
-  std::atomic<bool> returned{false};
-  std::vector<Message> popped;
-  std::thread receiver([&] {
-    popped = box.pop_all_ready();
-    returned = true;
-  });
-  box.push(make_message(2, 0));
-  box.close();
-  box.push(make_message(3, 0));  // dropped
-  std::this_thread::sleep_for(20ms);
-  EXPECT_FALSE(returned);  // closed, but the peer's claim is not over
-  EXPECT_EQ(senders(box.next_or_release()), Senders{2});
-  EXPECT_TRUE(box.next_or_release().empty());
-  // The release lets the receiver see the mailbox closed and drained.
-  receiver.join();
-  EXPECT_TRUE(popped.empty());
-  EXPECT_EQ(box.pushed(), 2u);
-}
-
-TEST(MailboxClaim, NextOrReleaseNeedsAPeersClaim) {
-  Mailbox box;
-  EXPECT_THROW(box.next_or_release(), UsageError);
-  box.push(make_message(1, 0));
-  ASSERT_EQ(box.pop_all_ready().size(), 1u);
-  EXPECT_THROW(box.next_or_release(), UsageError);  // the receiver's claim
 }
 
 // ---- The enlisted caller: a call blocked on its grant drains the inbox.
@@ -385,9 +266,9 @@ TEST(MailboxCaller, PushWhileAnotherThreadDrainsWakesNobody) {
   Mailbox box;
   const std::optional<std::uint64_t> generation = box.enlist_caller();
   ASSERT_TRUE(generation.has_value());
-  // The receiver holds the claim: a push leaves the caller waiting, and
-  // the receiver's next take has the message.
-  box.push_quiet(make_message(1, 0));
+  // The receiver takes message 1 and holds the claim: a push leaves the
+  // caller waiting, and the receiver's next take has the message.
+  box.push(make_message(1, 0));
   ASSERT_EQ(senders(box.pop_all_ready(after(10s))), Senders{1});
   Take caller(box, [&box, &generation] {
     return box.take_for_caller(*generation);
@@ -397,19 +278,10 @@ TEST(MailboxCaller, PushWhileAnotherThreadDrainsWakesNobody) {
   EXPECT_FALSE(caller.returned());
   EXPECT_EQ(senders(box.pop_all_ready(after(10s))), Senders{2});
   EXPECT_TRUE(box.pop_all_ready(after(5ms)).empty());  // gives it up
-  // A peer holds the claim: a push wakes neither the caller nor, after
-  // the peer's release of an empty inbox, anyone.
-  box.push_quiet(make_message(3, 0));
-  ASSERT_EQ(senders(box.claim()), Senders{3});
-  box.push(make_message(4, 0));
-  std::this_thread::sleep_for(20ms);
-  EXPECT_FALSE(caller.returned());
-  EXPECT_EQ(senders(box.next_or_release()), Senders{4});
-  EXPECT_TRUE(box.next_or_release().empty());
   std::this_thread::sleep_for(5ms);
   EXPECT_FALSE(caller.returned());
-  box.push(make_message(5, 0));  // an idle inbox again: the caller wakes
-  EXPECT_EQ(caller.join(), Senders{5});
+  box.push(make_message(3, 0));  // an idle inbox again: the caller wakes
+  EXPECT_EQ(caller.join(), Senders{3});
   box.signal_caller();
   EXPECT_TRUE(box.take_for_caller(*generation).empty());
 }
@@ -452,15 +324,14 @@ TEST(MailboxCaller, SignalOrCloseReturnsTheCallerWithNothingTaken) {
   EXPECT_TRUE(caller.join().empty());
 }
 
-TEST(MailboxCaller, WhileTheCallerHoldsItsTakeClaimsMissAndTheReceiverWaits) {
+TEST(MailboxCaller, WhileTheCallerHoldsItsTakeTheReceiverWaits) {
   Mailbox box;
   const std::optional<std::uint64_t> generation = box.enlist_caller();
   ASSERT_TRUE(generation.has_value());
   box.push(make_message(1, 0));
   ASSERT_EQ(senders(box.take_for_caller(*generation)), Senders{1});
   Take receiver(box, [&box] { return box.pop_all_ready(); });
-  box.push_quiet(make_message(2, 0));
-  EXPECT_TRUE(box.claim().empty());
+  box.push(make_message(2, 0));
   box.push(make_message(3, 0));
   std::this_thread::sleep_for(20ms);
   EXPECT_FALSE(receiver.returned());
@@ -483,7 +354,7 @@ TEST(MailboxCaller, GiveBackWithMessagesQueuedWakesTheReceiverInPushOrder) {
   ASSERT_EQ(senders(box.take_for_caller(*generation)), Senders{1});
   Take receiver(box, [&box] { return box.pop_all_ready(); });
   box.push(make_message(2, 0));
-  box.push_quiet(make_message(3, 0));
+  box.push(make_message(3, 0));
   box.push(make_message(4, 0));
   std::this_thread::sleep_for(20ms);
   EXPECT_FALSE(receiver.returned());
@@ -505,21 +376,6 @@ TEST(MailboxCaller, OneCallerEnlistsAtATime) {
   const std::optional<std::uint64_t> next = box.enlist_caller();
   ASSERT_TRUE(next.has_value());
   EXPECT_NE(*next, *generation);  // the signal advanced the generation
-}
-
-TEST(InProcTransport, QuietSendRoundTripsAndWaitsForAClaim) {
-  InProcTransport transport{InProcOptions{2}};
-  const Message message = make_message(0, 1);
-  transport.send_quiet(message);
-  EXPECT_EQ(transport.messages_sent(), 1u);
-  EXPECT_EQ(transport.bytes_sent(), proto::encode(message).size());
-  EXPECT_EQ(transport.inbox_depth(NodeId{1}), 1u);
-  const std::vector<Message> claimed = transport.mailbox(NodeId{1}).claim();
-  ASSERT_EQ(claimed.size(), 1u);
-  EXPECT_EQ(claimed[0], message);
-  EXPECT_TRUE(transport.mailbox(NodeId{1}).next_or_release().empty());
-  EXPECT_THROW(transport.send_quiet(make_message(0, 9)), UsageError);
-  EXPECT_THROW(transport.mailbox(NodeId{9}), UsageError);
 }
 
 // send_batch hands a burst to send() one message at a time: the receiver
