@@ -6,7 +6,7 @@
 // ticked on each local protocol step and send, merged (max + 1) on each
 // receive. Two events related by message flow then always compare in causal
 // order, which is what the span collector and Chrome-trace export rely on
-// when the faulty transport delays or reorders delivery. The runtimes own
+// when the faulty transport drops or delays messages. The runtimes own
 // the clocks (one per node) because automatons are pure state machines that
 // hold no clock of any kind; runtime::NodeCore does the stamping for both.
 #pragma once

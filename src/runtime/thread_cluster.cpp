@@ -188,10 +188,7 @@ ThreadCluster::ThreadCluster(const ThreadClusterOptions& options)
   } else {
     auto inproc = std::make_unique<transport::InProcTransport>(
         transport::InProcOptions{options.node_count});
-    // Blocked calls drain their own inbox only where they reach the
-    // mailboxes directly: a fault plan's pump sits between every send and
-    // its mailbox.
-    if (!options.faults.any()) inproc_ = inproc.get();
+    inproc_ = inproc.get();
     transport_ = std::move(inproc);
   }
   if (options.faults.any()) {

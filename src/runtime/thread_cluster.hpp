@@ -14,13 +14,14 @@
 // The receiver drains every deliverable message in one transport call
 // (recv_ready) and dispatches consecutive same-shard runs under a single
 // shard lock acquisition; each step's outgoing messages leave through one
-// Transport::send_batch call. Over a bare InProcTransport a node's first
-// lock()/upgrade() call blocked on its grant enlists as the inbox's
-// caller: with its shard lock dropped it applies its node's messages on
-// its own thread, its own grant included, so a push wakes the waiting call
-// instead of the receiver. The mailbox's drain claim keeps one thread at a
-// time applying a node's messages, in push order, and only the node's own
-// receiver or its own blocked call applies them. See docs/performance.md.
+// Transport::send_batch call. Over an InProcTransport — a fault plan's
+// wire in front of it or not — a node's first lock()/upgrade() call
+// blocked on its grant enlists as the inbox's caller: with its shard lock
+// dropped it applies its node's messages on its own thread, its own grant
+// included, so a push wakes the waiting call instead of the receiver. The
+// mailbox's drain claim keeps one thread at a time applying a node's
+// messages, in push order, and only the node's own receiver or its own
+// blocked call applies them. See docs/performance.md.
 #pragma once
 
 #include <array>
@@ -63,9 +64,9 @@ struct ThreadClusterOptions {
   std::uint64_t seed = 1;
   NodeId initial_root = NodeId{0};
   /// Fault-injection plan; when it injects anything the chosen transport is
-  /// wrapped in a transport::FaultyTransport (self-healing, so the cluster
-  /// still makes progress — see docs/faults.md). A zero plan seed inherits
-  /// the cluster seed.
+  /// wrapped in a transport::FaultyTransport, whose wire delays messages but
+  /// keeps every channel FIFO, so the cluster still makes progress (see
+  /// docs/faults.md). A zero plan seed inherits the cluster seed.
   transport::FaultPlan faults;
   /// When set, the cluster instruments itself into this registry: the
   /// shards count every engine step (requests, grants, messages by kind,
@@ -135,11 +136,7 @@ class ThreadCluster {
   /// Engine shards per node this cluster runs with.
   std::size_t engine_shards() const { return shard_count_; }
 
-  /// The fault-injecting transport wrapper, or nullptr when the cluster
-  /// runs on a fault-free transport.
-  transport::FaultyTransport* faulty_transport() { return faulty_; }
-
-  /// Fault/healing counters of the faulty transport (nullptr without one).
+  /// Fault counters of the faulty transport (nullptr without one).
   const stats::TransportCounters* fault_counters() const {
     return faulty_ == nullptr ? nullptr : &faulty_->counters();
   }
@@ -329,9 +326,8 @@ class ThreadCluster {
   /// One wait of a blocked call as its node's inbox waiter: enlists with
   /// the shard lock held, drops it, applies the node's messages until a
   /// signal (its grant, a crash-stop) or teardown ends the wait, then
-  /// re-takes the shard lock. False, without waiting, on a transport
-  /// other than a bare InProcTransport or when the node has an inbox
-  /// waiter already.
+  /// re-takes the shard lock. False, without waiting, over TCP or when the
+  /// node has an inbox waiter already.
   bool drain_own_inbox(NodeRuntime& rt, Shard& shard, LockId lock)
       HLOCK_REQUIRES(shard.mutex);
   /// The node's single shard, which carries its recovery state.
@@ -352,7 +348,9 @@ class ThreadCluster {
   /// Non-owning view of transport_ when the options wrapped it in faults.
   transport::FaultyTransport* faulty_ = nullptr;
   /// Non-owning view of the in-process transport when it carries the
-  /// cluster unwrapped — the inbox waiters' path (null otherwise).
+  /// cluster, possibly underneath the faulty wrapper — the inbox waiters'
+  /// path (null over TCP). A fault plan's pump pushes into the same
+  /// mailboxes, and a push wakes the enlisted call as a direct send does.
   transport::InProcTransport* inproc_ = nullptr;
   /// Non-owning view of the TCP transport when one carries the cluster
   /// (possibly underneath the faulty wrapper) — its retry counters export.

@@ -7,11 +7,7 @@ namespace hlock::stats {
 std::string to_string(const TransportCounterSnapshot& snapshot) {
   std::ostringstream os;
   os << "faults{drops=" << snapshot.drops << " delays=" << snapshot.delays
-     << " dups=" << snapshot.duplicates << " reorders=" << snapshot.reorders
-     << " partition_drops=" << snapshot.partition_drops << "} healing{"
-     << "retransmits=" << snapshot.retransmits
-     << " dup_discards=" << snapshot.duplicates_discarded
-     << " resequenced=" << snapshot.resequenced << "} tcp{"
+     << " partition_drops=" << snapshot.partition_drops << "} tcp{"
      << "send_retries=" << snapshot.send_retries
      << " reconnects=" << snapshot.reconnects
      << " send_failures=" << snapshot.send_failures

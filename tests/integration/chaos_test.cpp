@@ -1,7 +1,10 @@
-// Failure-injection (chaos) tests: the protocol assumes reliable FIFO
-// transport, so injected message loss must never corrupt safety — it must
-// instead wedge the run in a way the harness DETECTS. These tests verify
-// the detectors, which every other test relies on for liveness checking.
+// Failure-injection (chaos) tests. The protocol assumes reliable FIFO
+// transport, so the simulator's unmasked message loss must never corrupt
+// safety — it must instead wedge the run in a way the harness DETECTS; the
+// Chaos tests verify the detectors, which every other test relies on for
+// liveness checking. The ThreadChaos tests run a live cluster over the
+// FaultyTransport, whose drops, delays and partitions only cost time on
+// FIFO channels: the cluster must keep mutual exclusion and finish.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -98,27 +101,30 @@ TEST(Chaos, InvalidLossProbabilityRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Real-thread chaos: the self-healing FaultyTransport injects wire faults
-// under a live ThreadCluster. Unlike the simulated loss above — whose point
-// is that UNMASKED loss must be detected — these faults are masked by the
-// transport's reliability sublayer, so the protocol must still reach mutual
-// exclusion AND make progress while every fault class fires.
+// Real-thread chaos: the FaultyTransport injects wire faults under a live
+// ThreadCluster. Unlike the simulated loss above — whose point is that
+// UNMASKED loss must be detected — a lost message here is retransmitted,
+// and every channel stays FIFO, so the faults only cost time: the protocol
+// must still reach mutual exclusion AND make progress while every fault
+// class fires.
 
 constexpr std::size_t kChaosNodes = 4;
 constexpr int kChaosOps = 15;
 
-/// Runs the exclusive-counter workload under `faults` and asserts mutual
-/// exclusion (no lost increments) and full progress (all ops completed).
-/// Returns the fault counters for per-class assertions.
-stats::TransportCounterSnapshot run_chaos_cluster(
+runtime::ThreadClusterOptions chaos_options(
     const transport::FaultPlan& faults) {
   runtime::ThreadClusterOptions options;
   options.node_count = kChaosNodes;
   options.protocol = Protocol::kHierarchical;
   options.seed = faults.seed;
   options.faults = faults;
-  runtime::ThreadCluster cluster{options};
+  return options;
+}
 
+/// Runs one round of the exclusive-counter workload on `cluster` and
+/// asserts mutual exclusion (no lost increments) and full progress (all ops
+/// completed).
+void run_counter_round(runtime::ThreadCluster& cluster) {
   long counter = 0;  // deliberately unprotected: the lock is the protection
   std::vector<std::thread> workers;
   for (std::uint32_t i = 0; i < kChaosNodes; ++i) {
@@ -136,9 +142,23 @@ stats::TransportCounterSnapshot run_chaos_cluster(
   EXPECT_EQ(counter, static_cast<long>(kChaosNodes) * kChaosOps)
       << "mutual exclusion or progress lost under faults";
   EXPECT_EQ(cluster.receiver_errors(), 0u);
+}
+
+/// The fault counters of `cluster`'s faulty transport.
+stats::TransportCounterSnapshot fault_counters(
+    const runtime::ThreadCluster& cluster) {
   const stats::TransportCounters* counters = cluster.fault_counters();
   EXPECT_NE(counters, nullptr);
   return counters->snapshot();
+}
+
+/// Runs one round of the workload on a fresh cluster under `faults`.
+/// Returns the fault counters for per-class assertions.
+stats::TransportCounterSnapshot run_chaos_cluster(
+    const transport::FaultPlan& faults) {
+  runtime::ThreadCluster cluster{chaos_options(faults)};
+  run_counter_round(cluster);
+  return fault_counters(cluster);
 }
 
 TEST(ThreadChaos, SurvivesWireDrops) {
@@ -146,27 +166,16 @@ TEST(ThreadChaos, SurvivesWireDrops) {
   plan.seed = 21;
   plan.drop_probability = 0.15;
   plan.retransmit_delay = SimTime::ms(2);
-  const auto counters = run_chaos_cluster(plan);
+  // A round whose acquisitions stay mostly local sends too few messages
+  // to reach the seed's first drop; further rounds on the same cluster
+  // keep drawing from the same per-channel streams until one fires.
+  runtime::ThreadCluster cluster{chaos_options(plan)};
+  stats::TransportCounterSnapshot counters;
+  for (int round = 0; round < 20 && counters.drops == 0; ++round) {
+    run_counter_round(cluster);
+    counters = fault_counters(cluster);
+  }
   EXPECT_GT(counters.drops, 0u) << "fault never fired; test proves nothing";
-  EXPECT_EQ(counters.retransmits, counters.drops);
-}
-
-TEST(ThreadChaos, SurvivesDuplication) {
-  transport::FaultPlan plan;
-  plan.seed = 22;
-  plan.duplicate_probability = 0.25;
-  const auto counters = run_chaos_cluster(plan);
-  EXPECT_GT(counters.duplicates, 0u);
-  EXPECT_LE(counters.duplicates_discarded, counters.duplicates);
-}
-
-TEST(ThreadChaos, SurvivesReordering) {
-  transport::FaultPlan plan;
-  plan.seed = 23;
-  plan.reorder_probability = 0.25;
-  plan.retransmit_delay = SimTime::ms(2);
-  const auto counters = run_chaos_cluster(plan);
-  EXPECT_GT(counters.reorders, 0u);
 }
 
 TEST(ThreadChaos, SurvivesPartitionThatHeals) {
@@ -186,8 +195,6 @@ TEST(ThreadChaos, SurvivesEveryFaultClassAtOnce) {
   plan.drop_probability = 0.08;
   plan.delay_probability = 0.1;
   plan.delay = DurationDist::uniform(SimTime::ms(1), 0.5);
-  plan.duplicate_probability = 0.1;
-  plan.reorder_probability = 0.1;
   plan.retransmit_delay = SimTime::ms(1);
   plan.partitions.push_back({{NodeId{3}}, SimTime::ms(60)});
   const auto counters = run_chaos_cluster(plan);
@@ -195,9 +202,9 @@ TEST(ThreadChaos, SurvivesEveryFaultClassAtOnce) {
 }
 
 TEST(ThreadChaos, MaskedFaultsLintCleanAgainstTheSpec) {
-  // The reliability sublayer masks every injected fault before the
-  // automatons see the messages, so the recorded protocol events of a
-  // chaos run must still conform to Tables 1(a)-(d) exactly.
+  // The faults only delay messages on FIFO channels, so the recorded
+  // protocol events of a chaos run must still conform to Tables 1(a)-(d)
+  // exactly.
   runtime::ThreadClusterOptions options;
   options.node_count = kChaosNodes;
   options.protocol = Protocol::kHierarchical;
@@ -206,7 +213,8 @@ TEST(ThreadChaos, MaskedFaultsLintCleanAgainstTheSpec) {
   options.faults.seed = 26;
   options.faults.delay_probability = 0.25;
   options.faults.delay = DurationDist::uniform(SimTime::us(300), 0.5);
-  options.faults.duplicate_probability = 0.15;
+  options.faults.drop_probability = 0.15;
+  options.faults.retransmit_delay = SimTime::us(300);
 
   lint::LintOptions lint_options;
   lint_options.initial_token = options.initial_root;

@@ -1,6 +1,7 @@
 // Tests of the Lamport clock: the tick/observe algebra, and the end-to-end
-// causal-ordering guarantee on a threaded cluster whose transport reorders
-// and delays messages — the case wall-clock timestamps get wrong.
+// causal-ordering guarantee on a threaded cluster whose transport drops
+// (and retransmits) and delays messages, so messages on different channels
+// overtake each other — the case wall-clock timestamps get wrong.
 #include "obs/lamport.hpp"
 
 #include <gtest/gtest.h>
@@ -40,8 +41,8 @@ TEST(LamportClock, ObserveMergesToMaxPlusOne) {
 // along one request's lifecycle, every transition on a *different* node is
 // separated by at least one message, so its Lamport stamp is strictly
 // greater; same-node transitions may share a step (equal stamps). Run
-// under a reordering, delaying transport where arrival order and wall
-// order genuinely diverge.
+// under a lossy, delaying transport where arrival order and wall order
+// genuinely diverge.
 TEST(LamportClock, SpanEventsAreCausallyOrderedUnderReorder) {
   runtime::ThreadClusterOptions options;
   options.node_count = 4;
@@ -49,7 +50,8 @@ TEST(LamportClock, SpanEventsAreCausallyOrderedUnderReorder) {
   options.seed = 5;
   transport::FaultPlan plan;
   plan.seed = 5;
-  plan.reorder_probability = 0.3;
+  plan.drop_probability = 0.3;
+  plan.retransmit_delay = SimTime::us(300);
   plan.delay_probability = 0.2;
   plan.delay = DurationDist::uniform(SimTime::us(300), 0.5);
   options.faults = plan;

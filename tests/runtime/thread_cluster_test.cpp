@@ -407,14 +407,18 @@ ThreadClusterOptions traced_options(std::size_t n) {
 }
 
 // Node 1's call blocks on the lock node 0 holds. Node 0's unlock pushes
-// the token into node 1's idle inbox, which wakes the blocked call, not
-// node 1's receiver: the call applies its own grant on its own thread.
-TEST(ThreadClusterInboxWaiter, GrantIsAppliedOnTheBlockedCallsOwnThread) {
+// the token into node 1's idle inbox — at once, or from the wire of a
+// fault plan — which wakes the blocked call, not node 1's receiver: the
+// call applies its own grant on its own thread.
+void grant_applied_on_the_blocked_calls_own_thread(
+    const transport::FaultPlan& faults) {
   test::YieldGate gate{"thread_cluster.caller-drain"};
   {
     EventLog log;
     test::BlockedCall call;
-    ThreadCluster cluster{traced_options(2)};
+    ThreadClusterOptions options = traced_options(2);
+    options.faults = faults;
+    ThreadCluster cluster{options};
     cluster.set_event_sink(log.sink());
     const LockId lock{0};
     cluster.lock(NodeId{0}, lock, LockMode::kW);
@@ -432,6 +436,14 @@ TEST(ThreadClusterInboxWaiter, GrantIsAppliedOnTheBlockedCallsOwnThread) {
     cluster.unlock(NodeId{1}, lock);
   }
   EXPECT_EQ(gate.violation_count(), 0u);
+}
+
+TEST(ThreadClusterInboxWaiter, GrantIsAppliedOnTheBlockedCallsOwnThread) {
+  grant_applied_on_the_blocked_calls_own_thread(transport::FaultPlan{});
+  transport::FaultPlan delayed;
+  delayed.delay_probability = 1.0;
+  delayed.delay = DurationDist::constant(SimTime::us(200));
+  grant_applied_on_the_blocked_calls_own_thread(delayed);
 }
 
 /// Node 1 blocks on `first` and `second` from two threads while node 0

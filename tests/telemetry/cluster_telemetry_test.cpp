@@ -79,17 +79,22 @@ double labeled_family_sum(const Snapshot& snap, std::string_view family,
   return total;
 }
 
-/// Snapshots `registry` until the per-kind message series add up to the
-/// transport's own count, or a deadline passes. Receivers may still be
-/// sending for a moment after the client threads join.
+/// Snapshots `registry` until the cluster is quiescent, or a deadline
+/// passes: no mailbox holds a message, no engine queues a request, and the
+/// per-kind message series add up to the transport's own count. Receivers
+/// may still be applying and sending the last messages for a moment after
+/// the client threads join.
 Snapshot settled_snapshot(telemetry::Registry& registry) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   for (;;) {
     Snapshot snap = registry.snapshot();
-    if (snap.family_sum("hlock_messages_sent_total") ==
-            snap.family_sum("hlock_transport_messages_sent_total") ||
-        std::chrono::steady_clock::now() > deadline) {
+    const bool settled =
+        snap.family_sum("hlock_mailbox_depth") == 0.0 &&
+        snap.family_sum("hlock_engine_queue_depth") == 0.0 &&
+        snap.family_sum("hlock_messages_sent_total") ==
+            snap.family_sum("hlock_transport_messages_sent_total");
+    if (settled || std::chrono::steady_clock::now() > deadline) {
       return snap;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -125,10 +130,12 @@ TEST(ClusterTelemetry, EveryOperationIsAccountedFor) {
 
     // Cross-node traffic showed up in the message and transport series.
     EXPECT_GT(snap.family_sum("hlock_messages_sent_total"), 0.0);
-    EXPECT_EQ(snap.family_sum("hlock_transport_messages_sent_total"),
-              static_cast<double>(cluster.messages_sent()));
-    // The per-kind series count every message the transport carried.
+    // Once the receivers are done, the transport series reads the
+    // transport's count, and the per-kind series count every message the
+    // transport carried.
     const Snapshot settled = settled_snapshot(registry);
+    EXPECT_EQ(settled.family_sum("hlock_transport_messages_sent_total"),
+              static_cast<double>(cluster.messages_sent()));
     EXPECT_EQ(settled.family_sum("hlock_messages_sent_total"),
               settled.family_sum("hlock_transport_messages_sent_total"));
 
@@ -150,9 +157,9 @@ TEST(ClusterTelemetry, EveryOperationIsAccountedFor) {
     // All work done: nothing queued, and the token settled on at least one
     // node (hierarchical handoffs can leave more than one automaton in a
     // token-bearing state, so the exact count is protocol detail).
-    EXPECT_EQ(snap.family_sum("hlock_engine_queue_depth"), 0.0);
-    EXPECT_GE(snap.family_sum("hlock_tokens_held"), 1.0);
-    EXPECT_LE(snap.family_sum("hlock_tokens_held"),
+    EXPECT_EQ(settled.family_sum("hlock_engine_queue_depth"), 0.0);
+    EXPECT_GE(settled.family_sum("hlock_tokens_held"), 1.0);
+    EXPECT_LE(settled.family_sum("hlock_tokens_held"),
               static_cast<double>(kNodes));
 
     // The whole catalog renders as clean exposition text.

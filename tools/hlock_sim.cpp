@@ -10,10 +10,10 @@
 //
 // With --chaos it instead runs a live ThreadCluster (real threads, real
 // transports) under the fault-injecting transport and verifies mutual
-// exclusion end-to-end while the wire drops, delays, duplicates, reorders
-// and partitions (see docs/faults.md):
+// exclusion end-to-end while the wire drops, delays and partitions (see
+// docs/faults.md):
 //
-//   hlock_sim --chaos --nodes 8 --ops 30 --fault-drop 0.1 --fault-reorder 0.1
+//   hlock_sim --chaos --nodes 8 --ops 30 --fault-drop 0.1 --fault-delay 0.1
 //   hlock_sim --chaos --chaos-transport tcp --partition-ms 100
 //
 // --lint streams every structured protocol event through the conformance
@@ -196,8 +196,6 @@ int run_chaos(const CliParser& cli) {
   plan.delay_probability = cli.get_double("fault-delay", 0.0, 1.0);
   plan.delay = DurationDist::uniform(
       SimTime::us(cli.get_int("fault-delay-us", 0, 10000000)), 0.5);
-  plan.duplicate_probability = cli.get_double("fault-dup", 0.0, 1.0);
-  plan.reorder_probability = cli.get_double("fault-reorder", 0.0, 1.0);
   const std::int64_t partition_ms = cli.get_int("partition-ms", 0, 600000);
   if (partition_ms > 0 && kills_on) {
     // Suspicions are never retracted: a partition would permanently fence
@@ -665,9 +663,6 @@ int main(int argc, char** argv) {
   cli.add_option("fault-delay", "0", "chaos: extra-delay probability [0,1]");
   cli.add_option("fault-delay-us", "1000",
                  "chaos: mean injected delay, microseconds");
-  cli.add_option("fault-dup", "0", "chaos: duplication probability [0,1]");
-  cli.add_option("fault-reorder", "0",
-                 "chaos: reorder probability [0,1]");
   cli.add_option("partition-ms", "0",
                  "chaos: partition half the cluster, heal after this many "
                  "milliseconds (0 = no partition)");
