@@ -274,25 +274,17 @@ void ThreadCluster::register_transport_metrics(std::size_t node_count) {
                                 [transport] {
                                   return transport->bytes_sent();
                                 });
-  // One callback series per field of the fault/retry counter structs'
-  // X-macro table, named `<prefix><field>_total`. With both the fault
-  // decorator and TCP present the TCP retry counters get their own prefix
-  // so the two field sets cannot collide.
-  const std::pair<const stats::TransportCounters*, const char*> exported[] = {
-      {faulty_ == nullptr ? nullptr : &faulty_->counters(),
-       "hlock_transport_"},
-      {tcp_ == nullptr ? nullptr : &tcp_->counters(),
-       faulty_ == nullptr ? "hlock_transport_" : "hlock_tcp_transport_"},
+  // One callback series per field of each counting transport's X-macro
+  // table, named `hlock_transport_<field>_total`: the fault counters under
+  // a fault plan, the TCP counters over TCP. Their fields are disjoint.
+  const auto export_field = [this](const char* field,
+                                   const std::atomic<std::uint64_t>& value) {
+    metrics_->register_counter_fn(
+        std::string("hlock_transport_") + field + "_total",
+        [&value] { return value.load(std::memory_order_relaxed); });
   };
-  for (const auto& [counters, prefix] : exported) {
-    if (counters == nullptr) continue;
-    counters->for_each(
-        [&](const char* field, const std::atomic<std::uint64_t>& value) {
-          metrics_->register_counter_fn(
-              std::string(prefix) + field + "_total",
-              [&value] { return value.load(std::memory_order_relaxed); });
-        });
-  }
+  if (faulty_ != nullptr) faulty_->counters().for_each(export_field);
+  if (tcp_ != nullptr) tcp_->counters().for_each(export_field);
   // Mailbox depth per node. Safe as a snapshot-time callback: the mailbox
   // mutex is a leaf — nothing acquired under it — so registry -> mailbox
   // cannot complete a cycle (unlike shard mutexes; see Shard). Over TCP the
@@ -315,7 +307,6 @@ ThreadCluster::~ThreadCluster() {
   // transport.
   if (metrics_ != nullptr) {
     metrics_->unregister_callbacks("hlock_transport_");
-    metrics_->unregister_callbacks("hlock_tcp_transport_");
     metrics_->unregister_callbacks("hlock_mailbox_depth");
   }
   stopping_.store(true);

@@ -18,10 +18,11 @@
 // wire in front of it or not — a node's first lock()/upgrade() call
 // blocked on its grant enlists as the inbox's caller: with its shard lock
 // dropped it applies its node's messages on its own thread, its own grant
-// included, so a push wakes the waiting call instead of the receiver. The
-// mailbox's drain claim keeps one thread at a time applying a node's
-// messages, in push order, and only the node's own receiver or its own
-// blocked call applies them. See docs/performance.md.
+// included, so a push wakes the waiting call instead of the receiver —
+// or, since the call spins on its inbox before it parks, reaches it
+// without a wake-up. The mailbox's drain claim keeps one thread at a time
+// applying a node's messages, in push order, and only the node's own
+// receiver or its own blocked call applies them. See docs/performance.md.
 #pragma once
 
 #include <array>
@@ -137,8 +138,14 @@ class ThreadCluster {
   std::size_t engine_shards() const { return shard_count_; }
 
   /// Fault counters of the faulty transport (nullptr without one).
-  const stats::TransportCounters* fault_counters() const {
+  const stats::FaultCounters* fault_counters() const {
     return faulty_ == nullptr ? nullptr : &faulty_->counters();
+  }
+
+  /// Retry, reconnect and bad-frame counters of the TCP transport, fault
+  /// plan or not (nullptr unless TCP carries the cluster).
+  const stats::TcpCounters* tcp_counters() const {
+    return tcp_ == nullptr ? nullptr : &tcp_->counters();
   }
 
   /// Exceptions caught (and survived) on receiver threads and the recovery
@@ -353,7 +360,7 @@ class ThreadCluster {
   /// mailboxes, and a push wakes the enlisted call as a direct send does.
   transport::InProcTransport* inproc_ = nullptr;
   /// Non-owning view of the TCP transport when one carries the cluster
-  /// (possibly underneath the faulty wrapper) — its retry counters export.
+  /// (possibly underneath the faulty wrapper) — its counters export.
   transport::TcpTransport* tcp_ = nullptr;
   /// Telemetry hooks from the options (nullptr = uninstrumented).
   telemetry::Registry* metrics_ = nullptr;

@@ -4,24 +4,20 @@
 
 namespace hlock::stats {
 
-std::string to_string(const TransportCounterSnapshot& snapshot) {
+std::string to_string(const FaultCounterSnapshot& snapshot) {
   std::ostringstream os;
   os << "faults{drops=" << snapshot.drops << " delays=" << snapshot.delays
-     << " partition_drops=" << snapshot.partition_drops << "} tcp{"
-     << "send_retries=" << snapshot.send_retries
+     << " partition_drops=" << snapshot.partition_drops << "}";
+  return os.str();
+}
+
+std::string to_string(const TcpCounterSnapshot& snapshot) {
+  std::ostringstream os;
+  os << "tcp{send_retries=" << snapshot.send_retries
      << " reconnects=" << snapshot.reconnects
      << " send_failures=" << snapshot.send_failures
      << " misaddressed=" << snapshot.misaddressed_frames << "}";
   return os.str();
-}
-
-TransportCounterSnapshot TransportCounters::snapshot() const {
-  TransportCounterSnapshot out;
-#define HLOCK_TC_LOAD(name, desc) \
-  out.name = name.load(std::memory_order_relaxed);
-  HLOCK_TRANSPORT_COUNTER_FIELDS(HLOCK_TC_LOAD)
-#undef HLOCK_TC_LOAD
-  return out;
 }
 
 void MessageCounter::add(proto::MessageKind kind) {

@@ -19,85 +19,108 @@
 
 namespace hlock::stats {
 
-/// The single source of truth for transport counter fields. Adding a
-/// counter means adding ONE line here; the snapshot struct, the atomic
-/// struct, snapshot(), for_each() and ThreadCluster's telemetry registry
-/// fold (one callback series per field) all derive from this table.
+/// The transports' counter tables, one per transport that counts: the
+/// fault-injecting decorator counts the faults it put on the wire, the
+/// TCP transport its send and receive recovery. Adding a counter means
+/// adding ONE line to its table; the snapshot struct, the atomic struct,
+/// snapshot(), for_each() and ThreadCluster's telemetry registry fold (one
+/// callback series per field) all derive from it.
 ///
 ///   X(field_name, "short description")
-///
-/// Grouping (kept for the human-readable to_string): faults put on the
-/// wire first, then TCP send/receive recovery.
-#define HLOCK_TRANSPORT_COUNTER_FIELDS(X)                                   \
-  /* Faults put on the wire. */                                             \
-  X(drops, "wire losses (later retransmitted)")                             \
-  X(delays, "messages given extra latency")                                 \
-  X(partition_drops, "messages blocked by a partition")                     \
-  /* TCP send/receive recovery. */                                          \
-  X(send_retries, "failed writes retried with backoff")                     \
-  X(reconnects, "channels re-established after failure")                    \
-  X(send_failures, "frames dropped after retry exhaustion")                 \
+#define HLOCK_FAULT_COUNTER_FIELDS(X)                                      \
+  X(drops, "wire losses (each arrives one retransmit window late)")        \
+  X(delays, "messages given extra latency")                                \
+  X(partition_drops, "messages held until a partition healed")
+
+#define HLOCK_TCP_COUNTER_FIELDS(X)                                        \
+  X(send_retries, "failed writes retried with backoff")                    \
+  X(reconnects, "channels re-established after failure")                   \
+  X(send_failures, "frames dropped after retry exhaustion")                \
   X(misaddressed_frames, "frames discarded by routing")
 
-/// Plain-value copy of TransportCounters, safe to compare and print.
-struct TransportCounterSnapshot {
-#define HLOCK_TC_FIELD(name, desc) std::uint64_t name = 0;  ///< desc
-  HLOCK_TRANSPORT_COUNTER_FIELDS(HLOCK_TC_FIELD)
-#undef HLOCK_TC_FIELD
+// Expansions shared by both tables.
+#define HLOCK_COUNTER_VALUE(name, desc) std::uint64_t name = 0;
+#define HLOCK_COUNTER_ATOMIC(name, desc) std::atomic<std::uint64_t> name{0};
+#define HLOCK_COUNTER_LOAD(name, desc) \
+  out.name = name.load(std::memory_order_relaxed);
+#define HLOCK_COUNTER_VISIT(name, desc) fn(#name, name);
+
+/// Plain-value copy of FaultCounters, safe to compare and print.
+struct FaultCounterSnapshot {
+  HLOCK_FAULT_COUNTER_FIELDS(HLOCK_COUNTER_VALUE)
 
   /// Total faults put on the wire.
   std::uint64_t faults_injected() const {
     return drops + delays + partition_drops;
   }
 
-  /// Calls `fn(field_name, value)` for every counter, in table order.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-#define HLOCK_TC_VISIT(name, desc) fn(#name, name);
-    HLOCK_TRANSPORT_COUNTER_FIELDS(HLOCK_TC_VISIT)
-#undef HLOCK_TC_VISIT
-  }
-
-  bool operator==(const TransportCounterSnapshot&) const = default;
+  bool operator==(const FaultCounterSnapshot&) const = default;
 };
 
-/// One-line human-readable rendering of a counter snapshot.
-std::string to_string(const TransportCounterSnapshot& snapshot);
+/// Plain-value copy of TcpCounters, safe to print.
+struct TcpCounterSnapshot {
+  HLOCK_TCP_COUNTER_FIELDS(HLOCK_COUNTER_VALUE)
+};
 
-/// Cumulative per-transport fault and recovery counters.
-///
-/// Shared by the fault-injecting transport decorator and the TCP transport's
-/// retry path; counters are atomic because transports are touched from
-/// receiver, client, and delivery threads concurrently. Relaxed ordering is
-/// sufficient — these are statistics, not synchronization.
-class TransportCounters {
+/// One-line renderings: `faults{drops=N delays=N partition_drops=N}` and
+/// `tcp{send_retries=N reconnects=N send_failures=N misaddressed=N}`.
+std::string to_string(const FaultCounterSnapshot& snapshot);
+std::string to_string(const TcpCounterSnapshot& snapshot);
+
+// Live counters. They are atomic because transports are touched from
+// receiver, client, and delivery threads concurrently. Relaxed ordering is
+// sufficient — these are statistics, not synchronization. snapshot() loads
+// each counter atomically; the set is not a cross-counter snapshot, which
+// statistics do not need. for_each(fn) calls `fn(field_name,
+// atomic_counter&)` for every counter, in table order: ThreadCluster
+// registers one telemetry callback series per field through it.
+
+/// Faults a transport::FaultyTransport put on its wire.
+class FaultCounters {
  public:
-#define HLOCK_TC_ATOMIC(name, desc) std::atomic<std::uint64_t> name{0};
-  HLOCK_TRANSPORT_COUNTER_FIELDS(HLOCK_TC_ATOMIC)
-#undef HLOCK_TC_ATOMIC
+  HLOCK_FAULT_COUNTER_FIELDS(HLOCK_COUNTER_ATOMIC)
 
-  /// Consistent-enough copy of all counters (each load is atomic; the set
-  /// is not a cross-counter snapshot, which statistics do not need).
-  TransportCounterSnapshot snapshot() const;
+  FaultCounterSnapshot snapshot() const {
+    FaultCounterSnapshot out;
+    HLOCK_FAULT_COUNTER_FIELDS(HLOCK_COUNTER_LOAD)
+    return out;
+  }
 
-  /// Calls `fn(field_name, atomic_counter&)` for every counter, in table
-  /// order. ThreadCluster uses this to register one telemetry callback
-  /// series per field without naming them twice.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-#define HLOCK_TC_VISIT(name, desc) fn(#name, name);
-    HLOCK_TRANSPORT_COUNTER_FIELDS(HLOCK_TC_VISIT)
-#undef HLOCK_TC_VISIT
+    HLOCK_FAULT_COUNTER_FIELDS(HLOCK_COUNTER_VISIT)
   }
 };
+
+/// A transport::TcpTransport's send and receive recovery.
+class TcpCounters {
+ public:
+  HLOCK_TCP_COUNTER_FIELDS(HLOCK_COUNTER_ATOMIC)
+
+  TcpCounterSnapshot snapshot() const {
+    TcpCounterSnapshot out;
+    HLOCK_TCP_COUNTER_FIELDS(HLOCK_COUNTER_LOAD)
+    return out;
+  }
+
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    HLOCK_TCP_COUNTER_FIELDS(HLOCK_COUNTER_VISIT)
+  }
+};
+
+#undef HLOCK_COUNTER_VALUE
+#undef HLOCK_COUNTER_ATOMIC
+#undef HLOCK_COUNTER_LOAD
+#undef HLOCK_COUNTER_VISIT
 
 /// Message counts broken down by protocol message kind.
 ///
 /// Counters are atomic: harnesses read totals (progress displays, chaos
 /// snapshots) while senders are still counting, and the previous plain
 /// integers made every such snapshot read a data race. Relaxed ordering is
-/// sufficient — statistics, not synchronization. Like TransportCounters,
-/// reads are per-counter atomic, not a cross-counter snapshot.
+/// sufficient — statistics, not synchronization. Like the transport
+/// counters, reads are per-counter atomic, not a cross-counter snapshot.
 class MessageCounter {
  public:
   /// Counts one sent message. Thread-safe.

@@ -13,7 +13,7 @@
 //     registry and written by instrumented code, and
 //   * callback series, polled at snapshot time — how ThreadCluster folds
 //     its transport's own atomic counters (Transport::messages_sent,
-//     stats::TransportCounters) into registry series without double
+//     the stats:: fault and TCP counters) into registry series without double
 //     bookkeeping. Callbacks may reference state owned by a component;
 //     the component unregisters them on destruction
 //     (unregister_callbacks), after which snapshots stop polling them.

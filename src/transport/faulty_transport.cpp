@@ -91,9 +91,10 @@ void FaultyTransport::send(const proto::Message& message) {
     ChannelState& ch = channel_state(key);
     const Clock::time_point now = Clock::now();
 
-    // Fault decisions are drawn unconditionally and in a fixed order, so
-    // which faults hit message k of a channel depends only on (seed,
-    // channel, k) — never on wall-clock state such as partitions.
+    // Fault decisions are drawn in a fixed order, whatever the partitions
+    // do, and a fault class with probability zero draws nothing: which
+    // faults hit message k of a channel depends only on (plan, channel,
+    // k) — never on wall-clock state such as partitions.
     const bool dropped = plan_.drop_probability > 0.0 &&
                          ch.rng.chance(plan_.drop_probability);
     const bool delayed = plan_.delay_probability > 0.0 &&

@@ -14,7 +14,7 @@
 // Determinism: which messages are dropped or delayed, and by how much, is a
 // pure function of (plan seed, channel, per-channel message index) —
 // wall-clock scheduling jitter changes when messages move, never which
-// faults hit them. Every decision is counted in a stats::TransportCounters
+// faults hit them. Every decision is counted in a stats::FaultCounters
 // readable while the transport runs.
 #pragma once
 
@@ -112,7 +112,7 @@ class FaultyTransport final : public Transport {
   }
 
   /// Fault counters, live.
-  const stats::TransportCounters& counters() const { return counters_; }
+  const stats::FaultCounters& counters() const { return counters_; }
 
  private:
   /// A message travelling the simulated wire.
@@ -156,7 +156,7 @@ class FaultyTransport final : public Transport {
 
   std::unique_ptr<Transport> inner_;
   FaultPlan plan_;
-  stats::TransportCounters counters_;
+  stats::FaultCounters counters_;
 
   Mutex mutex_;
   CondVar cv_;

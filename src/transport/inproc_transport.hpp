@@ -13,8 +13,10 @@
 // simulator's network model. Beyond the Transport interface, the threaded
 // runtime reaches each node's mailbox for its drain claim: a lock()/
 // upgrade() call blocked on its grant enlists as its node's caller, so a
-// send that finds that inbox idle wakes the call, which applies its node's
-// messages on its own thread until it is signalled (docs/transports.md §2).
+// send that finds that inbox idle goes to the call, which applies its
+// node's messages on its own thread until it is signalled. The call spins
+// briefly before it parks, so such a send usually finds it spinning and
+// costs no thread wake-up (docs/transports.md §2).
 #pragma once
 
 #include <atomic>

@@ -5,6 +5,18 @@
 #include "util/check.hpp"
 
 namespace hlock::transport {
+namespace {
+
+/// One spin-wait step: tells the core the thread is spinning.
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+}  // namespace
 
 void Mailbox::push(proto::Message message) {
   // Explicit schedule point: under the explorer a racing take/close may be
@@ -16,8 +28,10 @@ void Mailbox::push(proto::Message message) {
     if (closed_) return;
     queue_.push_back(std::move(message));
     ++pushed_;
+    activity_.fetch_add(1, std::memory_order_relaxed);
     // An enlisted caller looks at the queue before it waits, so the wake
-    // may go to it even before it waits.
+    // may go to it even before it waits; while it spins, nobody waits on
+    // its condvar, and the notify costs no system call.
     if (drainer_ == Drainer::kNone) {
       wake = caller_enlisted_ ? &caller_cv_ : &cv_;
     }
@@ -66,6 +80,7 @@ std::vector<proto::Message> Mailbox::take_for_caller(
     MutexLock lock(mutex_);
     HLOCK_REQUIRE(caller_enlisted_,
                   "take_for_caller() without enlist_caller()");
+    bool spun = false;
     while (signals_ == generation && !closed_) {
       if (!queue_.empty() && drainer_ != Drainer::kReceiver) {
         drainer_ = Drainer::kCaller;
@@ -74,7 +89,14 @@ std::vector<proto::Message> Mailbox::take_for_caller(
       // An empty take gives the claim back; from then on a push wakes the
       // caller again.
       if (drainer_ == Drainer::kCaller) drainer_ = Drainer::kNone;
-      caller_cv_.wait(mutex_);
+      // Spin once before each park; the loop re-checks what it saw.
+      if (!spun) {
+        spin_unlocked();
+        spun = true;
+      } else {
+        caller_cv_.wait(mutex_);
+        spun = false;
+      }
     }
     // The wait is over: the caller does no more work for others. Messages
     // still queued, or pushed since a wake that went to the caller, are
@@ -87,11 +109,27 @@ std::vector<proto::Message> Mailbox::take_for_caller(
   return {};
 }
 
+void Mailbox::spin_unlocked() {
+  const std::uint64_t seen = activity_.load(std::memory_order_relaxed);
+  mutex_.unlock();
+  // Explicit schedule point: under the explorer a push, signal or close
+  // may slip in here. The timed part below has no sync points, so the
+  // schedule replays from its seed whatever the spin's timing.
+  sched::yield_point("mailbox.caller-spin");
+  const Clock::time_point until = Clock::now() + kCallerSpin;
+  while (activity_.load(std::memory_order_relaxed) == seen &&
+         Clock::now() < until) {
+    cpu_relax();
+  }
+  mutex_.lock();
+}
+
 void Mailbox::signal_caller() {
   bool wake = false;
   {
     MutexLock guard(mutex_);
     ++signals_;
+    activity_.fetch_add(1, std::memory_order_relaxed);
     // A caller holding the claim is applying messages, not waiting; its
     // next take sees the signal.
     wake = caller_enlisted_ && drainer_ != Drainer::kCaller;
@@ -104,6 +142,7 @@ void Mailbox::close() {
   {
     MutexLock guard(mutex_);
     closed_ = true;
+    activity_.fetch_add(1, std::memory_order_relaxed);
   }
   cv_.notify_all();
   caller_cv_.notify_all();

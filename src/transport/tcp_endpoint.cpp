@@ -47,7 +47,7 @@ bool watch(int epoll_fd, int fd, void* tag) {
 }  // namespace
 
 TcpEndpoint::TcpEndpoint(proto::NodeId self, int listen_fd,
-                         stats::TransportCounters* counters)
+                         stats::TcpCounters* counters)
     : self_(self), listen_fd_(listen_fd), port_(local_port(listen_fd)),
       epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)),
       wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)),

@@ -44,7 +44,7 @@ class TcpEndpoint {
   /// `counters` (when given). Throws UsageError if the epoll set cannot be
   /// created.
   TcpEndpoint(proto::NodeId self, int listen_fd,
-              stats::TransportCounters* counters = nullptr);
+              stats::TcpCounters* counters = nullptr);
 
   /// Closes every descriptor. No call may still be in flight.
   ~TcpEndpoint();
@@ -109,7 +109,7 @@ class TcpEndpoint {
   const std::uint16_t port_;
   const int epoll_fd_;
   const int wake_fd_;
-  stats::TransportCounters* const counters_;
+  stats::TcpCounters* const counters_;
 
   /// The receive lock: held by the thread reading the sockets, including
   /// while it waits in epoll_wait. Writers only ever try-lock it.

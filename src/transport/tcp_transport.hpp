@@ -81,7 +81,7 @@ class TcpTransport final : public Transport {
   std::uint16_t port_of(proto::NodeId node) const;
 
   /// Retry, reconnect, and bad-frame counters, live.
-  const stats::TransportCounters& counters() const { return counters_; }
+  const stats::TcpCounters& counters() const { return counters_; }
 
   /// Messages decoded from `node`'s sockets but not yet received. Never
   /// blocks on the receive path.
@@ -120,7 +120,7 @@ class TcpTransport final : public Transport {
   /// construction (each endpoint and channel synchronizes itself).
   TcpOptions options_;
   /// Declared before the endpoints, which count into it.
-  stats::TransportCounters counters_;
+  stats::TcpCounters counters_;
   /// Every node's listening port, indexed by node id.
   std::vector<std::uint16_t> ports_;
   /// One slot per node; null for a node another process hosts.

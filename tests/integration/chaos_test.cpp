@@ -145,16 +145,16 @@ void run_counter_round(runtime::ThreadCluster& cluster) {
 }
 
 /// The fault counters of `cluster`'s faulty transport.
-stats::TransportCounterSnapshot fault_counters(
+stats::FaultCounterSnapshot fault_counters(
     const runtime::ThreadCluster& cluster) {
-  const stats::TransportCounters* counters = cluster.fault_counters();
+  const stats::FaultCounters* counters = cluster.fault_counters();
   EXPECT_NE(counters, nullptr);
   return counters->snapshot();
 }
 
 /// Runs one round of the workload on a fresh cluster under `faults`.
 /// Returns the fault counters for per-class assertions.
-stats::TransportCounterSnapshot run_chaos_cluster(
+stats::FaultCounterSnapshot run_chaos_cluster(
     const transport::FaultPlan& faults) {
   runtime::ThreadCluster cluster{chaos_options(faults)};
   run_counter_round(cluster);
@@ -170,7 +170,7 @@ TEST(ThreadChaos, SurvivesWireDrops) {
   // to reach the seed's first drop; further rounds on the same cluster
   // keep drawing from the same per-channel streams until one fires.
   runtime::ThreadCluster cluster{chaos_options(plan)};
-  stats::TransportCounterSnapshot counters;
+  stats::FaultCounterSnapshot counters;
   for (int round = 0; round < 20 && counters.drops == 0; ++round) {
     run_counter_round(cluster);
     counters = fault_counters(cluster);

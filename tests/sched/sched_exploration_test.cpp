@@ -9,6 +9,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -256,6 +257,55 @@ TEST(SchedExploration, CallerRacesASignalAndTheClose) {
     receiver.join();
     race.check();
   });
+}
+
+// The caller finds its inbox empty and spins before it parks. A push, its
+// grant's signal or the close may slip in at the spin's schedule point,
+// before the caller re-takes the mutex or after it parked; whichever it
+// sees, it takes the push or returns, and the receiver drains the rest.
+// The spin's timed part has no sync points, so a seed replays to the same
+// fingerprint: two in-process replays of a seed whose schedule passes the
+// spin must agree.
+TEST(SchedExploration, CallerSpinRacesPushSignalAndClose) {
+  const auto body = [] {
+    DrainRace race;
+    sched::Thread receiver("receiver", [&race] { race.receive(); });
+    sched::Thread caller("caller", [&race] { race.drain_as_caller(); });
+    sched::Thread producer("producer", [&race] { race.push_from(0); });
+    sched::Thread signaller("signaller", [&race] { race.grant(); });
+    sched::yield_point("test.before-close");
+    race.close();
+    producer.join();
+    signaller.join();
+    caller.join();
+    receiver.join();
+    race.check();
+  };
+  sched_test::ExploreOptions explore_options;
+  explore_options.seeds = 32;
+  sched_test::explore(body, explore_options);
+  // The replays run in this process, where a deadlock would end it.
+  if (::testing::Test::HasFailure()) return;
+
+  const auto replay = [&body](std::uint64_t seed) {
+    sched::ExplorerOptions options;
+    options.seed = seed;
+    sched::Explorer explorer{options};
+    explorer.run(body);
+    bool spun = false;
+    for (const std::string& line : explorer.schedule()) {
+      spun = spun || line.ends_with("yield mailbox.caller-spin");
+    }
+    return std::pair{explorer.schedule_fingerprint(), spun};
+  };
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    const auto [fingerprint, spun] = replay(seed);
+    if (!spun) continue;
+    EXPECT_EQ(replay(seed).first, fingerprint)
+        << "seed " << seed << " replayed to another schedule";
+    return;
+  }
+  ADD_FAILURE() << "no schedule in seeds 1..32 passed the caller's spin";
 }
 
 // Node 1's call waits on its inbox while node 0's unlock grants it and a

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -291,6 +292,62 @@ TEST(ClusterTelemetry, TransportCallbacksUnregisterWithTheCluster) {
                   telemetry::parse_exposition(
                       telemetry::render_prometheus(snap)))
                   .empty());
+}
+
+// Each transport that counts exports its own fields under
+// hlock_transport_: a fault plan's wire its faults, TCP its recovery. So
+// faults over TCP export both sets once, and no family reads a field its
+// transport never counts.
+TEST(ClusterTelemetry, EachTransportExportsTheCountersItKeeps) {
+  const std::set<std::string> totals = {
+      "hlock_transport_messages_sent_total",
+      "hlock_transport_bytes_sent_total"};
+  const std::set<std::string> faults = {
+      "hlock_transport_drops_total", "hlock_transport_delays_total",
+      "hlock_transport_partition_drops_total"};
+  const std::set<std::string> tcp = {
+      "hlock_transport_send_retries_total",
+      "hlock_transport_reconnects_total",
+      "hlock_transport_send_failures_total",
+      "hlock_transport_misaddressed_frames_total"};
+  const auto joined = [](std::set<std::string> a,
+                         const std::set<std::string>& b) {
+    a.insert(b.begin(), b.end());
+    return a;
+  };
+  struct Case {
+    TransportKind transport;
+    bool fault_plan;
+    std::set<std::string> families;
+  };
+  const Case cases[] = {
+      {TransportKind::kInProc, false, totals},
+      {TransportKind::kInProc, true, joined(totals, faults)},
+      {TransportKind::kTcp, false, joined(totals, tcp)},
+      {TransportKind::kTcp, true, joined(joined(totals, faults), tcp)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.transport == TransportKind::kTcp ? "tcp"
+                                                                : "inproc") +
+                 (c.fault_plan ? " with a fault plan" : ""));
+    telemetry::Registry registry;
+    ThreadClusterOptions options =
+        instrumented_options(registry, Protocol::kHierarchical);
+    options.transport = c.transport;
+    if (c.fault_plan) options.faults.delay_probability = 0.1;
+    ThreadCluster cluster{options};
+    EXPECT_EQ(cluster.fault_counters() != nullptr, c.fault_plan);
+    EXPECT_EQ(cluster.tcp_counters() != nullptr,
+              c.transport == TransportKind::kTcp);
+    std::set<std::string> families;
+    for (const Sample& sample : registry.snapshot().samples) {
+      const std::string family{telemetry::family_of(sample.name)};
+      if (family.find("transport_") != std::string::npos) {
+        families.insert(family);
+      }
+    }
+    EXPECT_EQ(families, c.families);
+  }
 }
 
 TEST(ClusterTelemetry, ModeLabelsFollowTheWorkload) {

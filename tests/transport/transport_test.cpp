@@ -5,10 +5,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <iterator>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
 
+#include "tests/runtime/probes.hpp"
 #include "tests/transport/receive.hpp"
 #include "tests/transport/wire_burst.hpp"
 #include "transport/mailbox.hpp"
@@ -376,6 +380,186 @@ TEST(MailboxCaller, OneCallerEnlistsAtATime) {
   const std::optional<std::uint64_t> next = box.enlist_caller();
   ASSERT_TRUE(next.has_value());
   EXPECT_NE(*next, *generation);  // the signal advanced the generation
+}
+
+// ---- The caller's spin: a caller with nothing to take spins on the
+// mailbox's activity before it parks. A YieldGate parks it at the spin's
+// schedule point, after it dropped the mutex and before it reads the
+// activity, so the test's push, signal or close lands inside the spin.
+
+/// The spin's schedule point. A gate parking its first arrival is
+/// declared before the mailbox and its threads, which reach the gate while
+/// they run, so it outlives them.
+constexpr const char* kSpinSite = "mailbox.caller-spin";
+
+/// Starts the take of the caller enlisted on `box` at `generation`, and
+/// parks it at its first spin, at `gate`, until `during_spin` ran.
+/// Returns the senders of what the take returned.
+template <typename DuringSpin>
+Senders take_across_a_spin(test::YieldGate& gate, Mailbox& box,
+                           std::uint64_t generation, DuringSpin during_spin) {
+  Take caller(box, [&box, generation] {
+    return box.take_for_caller(generation);
+  });
+  EXPECT_TRUE(gate.await_parked(10s)) << "the caller never spun";
+  during_spin();
+  gate.release();
+  return caller.join();
+}
+
+TEST(MailboxCaller, APushDuringTheSpinIsTakenByTheCaller) {
+  test::YieldGate gate{kSpinSite, /*park_at=*/1};
+  Mailbox box;
+  // The push finds nobody draining and the caller enlisted, so it goes to
+  // the caller, which is spinning: the receiver is not woken and times
+  // out empty, the caller holding the claim for what it took.
+  Take receiver(box, [&box] { return box.pop_all_ready(after(300ms)); });
+  const std::optional<std::uint64_t> generation = box.enlist_caller();
+  ASSERT_TRUE(generation.has_value());
+  EXPECT_EQ(take_across_a_spin(gate, box, *generation,
+                               [&box] { box.push(make_message(1, 0)); }),
+            Senders{1});
+  EXPECT_TRUE(receiver.join().empty());
+  box.signal_caller();
+  EXPECT_TRUE(box.take_for_caller(*generation).empty());
+}
+
+TEST(MailboxCaller, ASignalOrCloseDuringTheSpinReturnsNothing) {
+  {
+    // A signal with a message queued: the caller withdraws and wakes the
+    // receiver for the message its push sent to the caller.
+    test::YieldGate gate{kSpinSite, /*park_at=*/1};
+    Mailbox box;
+    Take receiver(box, [&box] { return box.pop_all_ready(); });
+    const std::uint64_t generation = box.enlist_caller().value();
+    EXPECT_TRUE(take_across_a_spin(gate, box, generation, [&box] {
+                  box.push(make_message(1, 0));
+                  box.signal_caller();
+                }).empty());
+    EXPECT_EQ(receiver.join(), Senders{1});
+  }
+  {
+    // A signal alone: nothing remains, so nothing wakes the receiver. The
+    // claim is back with nobody, so the next push wakes the receiver.
+    test::YieldGate gate{kSpinSite, /*park_at=*/1};
+    Mailbox box;
+    Take waiting(box, [&box] { return box.pop_all_ready(after(50ms)); });
+    const std::uint64_t generation = box.enlist_caller().value();
+    EXPECT_TRUE(take_across_a_spin(gate, box, generation,
+                                   [&box] { box.signal_caller(); })
+                    .empty());
+    EXPECT_TRUE(waiting.join().empty());
+    Take receiver(box, [&box] { return box.pop_all_ready(); });
+    std::this_thread::sleep_for(20ms);
+    box.push(make_message(2, 0));
+    EXPECT_EQ(receiver.join(), Senders{2});
+  }
+  {
+    // The close: the caller returns, and the receiver takes what was
+    // queued before it, then sees the mailbox closed and drained.
+    test::YieldGate gate{kSpinSite, /*park_at=*/1};
+    Mailbox box;
+    Take receiver(box, [&box] { return box.pop_all_ready(); });
+    const std::uint64_t generation = box.enlist_caller().value();
+    EXPECT_TRUE(take_across_a_spin(gate, box, generation, [&box] {
+                  box.push(make_message(3, 0));
+                  box.close();
+                }).empty());
+    EXPECT_EQ(receiver.join(), Senders{3});
+    EXPECT_TRUE(box.pop_all_ready().empty());
+  }
+}
+
+/// Message `seq` from producer `from`: the sequence rides in the lock id.
+Message numbered(std::uint32_t from, std::uint32_t seq) {
+  return Message{NodeId{from}, NodeId{0}, LockId{seq},
+                 proto::HierRequest{NodeId{from}, LockMode::kR, 0}};
+}
+
+// Four producers push numbered messages, pausing now and then for longer
+// than the spin, while a caller enlists, spins, parks and takes in a loop,
+// a signaller ends its waits, and the receiver takes what each withdrawal
+// leaves. Each taker logs a batch before its next take, while it still
+// holds the claim, so the log is in take order. After the producers and
+// the signaller stop, every message must be taken without a further
+// signal, exactly once and in its producer's order. Run under the thread
+// sanitizer in CI: the spin reads the activity counter without the mutex.
+TEST(MailboxCallerStress, EveryMessageIsTakenOnceInProducerOrder) {
+  constexpr std::uint32_t kProducers = 4;
+  constexpr std::uint32_t kPerProducer = 10000;
+  constexpr std::size_t kTotal = std::size_t{kProducers} * kPerProducer;
+  Mailbox box;
+  std::mutex log_mutex;
+  std::vector<Message> log;
+  const auto record = [&](std::vector<Message>&& batch) {
+    const std::lock_guard<std::mutex> guard(log_mutex);
+    log.insert(log.end(), std::make_move_iterator(batch.begin()),
+               std::make_move_iterator(batch.end()));
+  };
+  const auto logged = [&] {
+    const std::lock_guard<std::mutex> guard(log_mutex);
+    return log.size();
+  };
+
+  std::atomic<bool> closing{false};
+  std::thread receiver([&] {
+    for (std::vector<Message> batch = box.pop_all_ready(); !batch.empty();
+         batch = box.pop_all_ready()) {
+      record(std::move(batch));
+    }
+  });
+  std::thread caller([&] {
+    while (!closing.load()) {
+      const std::optional<std::uint64_t> generation = box.enlist_caller();
+      ASSERT_TRUE(generation.has_value());
+      for (std::vector<Message> batch = box.take_for_caller(*generation);
+           !batch.empty(); batch = box.take_for_caller(*generation)) {
+        record(std::move(batch));
+      }
+    }
+  });
+  std::atomic<bool> signalling{true};
+  std::thread signaller([&] {
+    while (signalling.load()) {
+      box.signal_caller();
+      std::this_thread::sleep_for(30us);
+    }
+  });
+  std::vector<std::thread> producers;
+  for (std::uint32_t from = 0; from < kProducers; ++from) {
+    producers.emplace_back([&box, from] {
+      for (std::uint32_t seq = 0; seq < kPerProducer; ++seq) {
+        box.push(numbered(from, seq));
+        if (seq % 97 == from) std::this_thread::sleep_for(50us);
+      }
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+  signalling = false;
+  signaller.join();
+
+  // No signal comes now: a message left queued with nobody woken to take
+  // it stays there.
+  const auto deadline = Mailbox::Clock::now() + 10s;
+  while (logged() < kTotal && Mailbox::Clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(logged(), kTotal) << "messages left queued with nobody taking";
+  closing = true;
+  box.close();
+  caller.join();
+  receiver.join();
+
+  std::map<std::uint32_t, std::uint32_t> next;
+  for (const Message& message : log) {
+    std::uint32_t& expected = next[message.from.value()];
+    ASSERT_EQ(message.lock.value(), expected)
+        << "producer " << message.from.value()
+        << ": message lost, duplicated or out of order";
+    ++expected;
+  }
+  EXPECT_EQ(log.size(), kTotal);
+  EXPECT_EQ(box.pushed(), kTotal);
 }
 
 // send_batch hands a burst to send() one message at a time: the receiver

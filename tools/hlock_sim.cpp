@@ -302,7 +302,7 @@ int run_chaos(const CliParser& cli) {
   long counter = 0;  // unprotected on purpose: the lock is the protection
   std::uint64_t messages_sent = 0;
   std::uint64_t receiver_errors = 0;
-  std::string fault_counters;
+  std::string transport_counters;
   // --kill-rate verification state: the epoch-keyed critical-section
   // occupancy probe, per-worker completion counts and the cluster's end
   // state (captured before teardown).
@@ -435,8 +435,14 @@ int run_chaos(const CliParser& cli) {
     }
     messages_sent = cluster.messages_sent();
     receiver_errors = cluster.receiver_errors();
-    if (const stats::TransportCounters* counters = cluster.fault_counters()) {
-      fault_counters = stats::to_string(counters->snapshot());
+    // Each transport prints what it counts: the fault plan's wire its
+    // faults, TCP its retries, reconnects and bad frames.
+    if (const stats::FaultCounters* faults = cluster.fault_counters()) {
+      transport_counters = stats::to_string(faults->snapshot());
+    }
+    if (const stats::TcpCounters* tcp = cluster.tcp_counters()) {
+      if (!transport_counters.empty()) transport_counters += ' ';
+      transport_counters += stats::to_string(tcp->snapshot());
     }
     // Cluster teardown joins the receivers, so once the scope closes no
     // event can still be in flight toward the checker.
@@ -474,8 +480,8 @@ int run_chaos(const CliParser& cli) {
   }
   std::printf("  messages sent : %llu\n",
               static_cast<unsigned long long>(messages_sent));
-  if (!fault_counters.empty()) {
-    std::printf("  %s\n", fault_counters.c_str());
+  if (!transport_counters.empty()) {
+    std::printf("  %s\n", transport_counters.c_str());
   }
   if (telemetry_on) {
     // Final tick: the exposition file ends at the run's true end state
