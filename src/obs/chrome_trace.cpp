@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <fstream>
 #include <set>
 #include <sstream>
+
+#include "util/check.hpp"
 
 namespace hlock::obs {
 
@@ -71,11 +74,11 @@ class EventList {
 }  // namespace
 
 std::string chrome_trace_json(const std::vector<RequestSpan>& spans,
-                              const ChromeTraceOptions& options) {
+                              std::size_t node_count) {
   // The set of node tracks: every declared node plus every node any span
   // event touched (so an undeclared node still gets a named track).
   std::set<std::uint32_t> nodes;
-  for (std::size_t i = 0; i < options.node_count; ++i) {
+  for (std::size_t i = 0; i < node_count; ++i) {
     nodes.insert(static_cast<std::uint32_t>(i));
   }
   for (const RequestSpan& span : spans) {
@@ -315,6 +318,17 @@ class JsonValidator {
 };
 
 }  // namespace
+
+void write_chrome_trace(const std::string& path,
+                        const std::vector<RequestSpan>& spans,
+                        std::size_t node_count) {
+  const std::string json = chrome_trace_json(spans, node_count);
+  HLOCK_INVARIANT(validate_json(json),
+                  "chrome trace exporter produced invalid JSON");
+  std::ofstream out{path, std::ios::binary | std::ios::trunc};
+  out << json;
+  if (!out.good()) throw UsageError("cannot write chrome trace: " + path);
+}
 
 bool validate_json(std::string_view text) {
   return JsonValidator{text}.valid();

@@ -10,8 +10,9 @@
 // event's args so causal order stays inspectable in the UI.
 //
 // The exporter writes JSON by hand — the repo takes no dependencies — so
-// validate_json() provides an exact structural check used by the tests and
-// the flight recorder (CI additionally round-trips the artifact through
+// validate_json() provides an exact structural check, which
+// write_chrome_trace() applies to every trace a tool or flight record
+// writes (CI additionally round-trips the artifact through
 // `python3 -m json.tool`).
 #pragma once
 
@@ -24,16 +25,19 @@
 
 namespace hlock::obs {
 
-struct ChromeTraceOptions {
-  /// Number of node tracks to declare metadata for. 0 infers the set of
-  /// nodes from the spans themselves.
-  std::size_t node_count = 0;
-};
-
 /// Renders `spans` as a complete Chrome trace_event JSON document
-/// ({"traceEvents": [...], "displayTimeUnit": "ms"}).
+/// ({"traceEvents": [...], "displayTimeUnit": "ms"}) with a track for each
+/// of nodes 0..node_count-1 and for every node the spans touch.
 std::string chrome_trace_json(const std::vector<RequestSpan>& spans,
-                              const ChromeTraceOptions& options = {});
+                              std::size_t node_count = 0);
+
+/// Writes chrome_trace_json(spans, node_count) to `path` once
+/// validate_json() accepts it. Throws InvariantError, writing nothing, if
+/// the exporter produced invalid JSON, and UsageError if `path` cannot be
+/// written.
+void write_chrome_trace(const std::string& path,
+                        const std::vector<RequestSpan>& spans,
+                        std::size_t node_count);
 
 /// Strict structural JSON validator (RFC 8259 grammar, no extensions; UTF-8
 /// passthrough). True iff `text` is exactly one valid JSON value.

@@ -26,40 +26,6 @@ std::string utc_stamp() {
   return buf;
 }
 
-void write_metrics_section(std::ostringstream& os,
-                           const stats::MetricsRegistry& metrics) {
-  os << "== metrics snapshot ==\n";
-  os << "messages total: " << metrics.messages().total() << '\n';
-  for (std::size_t k = 0; k < proto::kMessageKindCount; ++k) {
-    const auto kind = static_cast<proto::MessageKind>(k);
-    const std::uint64_t count = metrics.messages().count(kind);
-    if (count > 0) {
-      os << "  " << to_string(kind) << ": " << count << '\n';
-    }
-  }
-  os << "completed requests: " << metrics.latency().count() << '\n';
-  os << "messages/request: " << metrics.messages_per_request() << '\n';
-  os << "latency (ms): " << to_string(metrics.latency().summarize()) << '\n';
-}
-
-void write_span_section(std::ostringstream& os, const SpanCollector& spans) {
-  os << "== request spans ==\n";
-  os << "spans: " << spans.span_count() << " ("
-     << spans.completed_count() << " complete)\n";
-  os << render_phase_table(spans.phase_breakdown());
-}
-
-void write_ring_section(std::ostringstream& os,
-                        const trace::TraceRecorder& recorder) {
-  os << "== trace ring ==\n";
-  os << "events retained: " << recorder.events().size() << " of "
-     << recorder.total_recorded() << " recorded";
-  if (recorder.dropped() > 0) {
-    os << " (" << recorder.dropped() << " dropped by the ring cap)";
-  }
-  os << '\n' << recorder.render();
-}
-
 }  // namespace
 
 std::string dump_flight_record(const std::string& dir,
@@ -71,50 +37,51 @@ std::string dump_flight_record(const std::string& dir,
 
   try {
     std::filesystem::create_directories(dir);
-    const std::string stem =
-        "flight-" + utc_stamp() + "-" + std::to_string(n);
-    const std::filesystem::path report_path =
-        std::filesystem::path(dir) / (stem + ".txt");
+    const std::string stamp = utc_stamp();
+    const std::string stem = (std::filesystem::path(dir) / "flight-").string() +
+                             stamp + "-" + std::to_string(n);
+    const std::string report_path = stem + ".txt";
 
     std::ostringstream os;
     os << "hlock flight record\n";
     os << "reason: " << reason << '\n';
-    os << "written: " << utc_stamp() << " UTC\n\n";
-    if (sources.metrics != nullptr) {
-      write_metrics_section(os, *sources.metrics);
-      os << '\n';
+    os << "written: " << stamp << " UTC\n\n";
+    if (!sources.metrics.empty()) {
+      os << "== metrics snapshot ==\n" << sources.metrics << '\n';
     }
-    if (sources.spans != nullptr) {
-      write_span_section(os, *sources.spans);
-      os << '\n';
-    }
-
-    std::string trace_note;
-    if (sources.spans != nullptr && sources.spans->span_count() > 0) {
-      const std::filesystem::path trace_path =
-          std::filesystem::path(dir) / (stem + ".trace.json");
-      std::ofstream trace_out{trace_path};
-      trace_out << chrome_trace_json(sources.spans->spans(),
-                                     ChromeTraceOptions{sources.node_count});
-      if (trace_out.good()) {
-        trace_note = trace_path.string();
+    if (const SpanCollector* spans = sources.spans) {
+      os << "== request spans ==\n";
+      os << "spans: " << spans->span_count() << " ("
+         << spans->completed_count() << " complete)\n";
+      os << render_phase_table(spans->phase_breakdown()) << '\n';
+      if (spans->span_count() > 0) {
+        try {
+          write_chrome_trace(stem + ".trace.json", spans->spans(),
+                             sources.node_count);
+          os << "chrome trace: " << stem << ".trace.json\n";
+        } catch (const std::exception& e) {
+          HLOCK_LOG(kWarn, "flight recorder wrote no chrome trace: "
+                               << e.what());
+        }
       }
     }
-    if (!trace_note.empty()) {
-      os << "chrome trace: " << trace_note << '\n';
-    }
-    if (sources.recorder != nullptr) {
-      write_ring_section(os, *sources.recorder);
+    if (const trace::TraceRecorder* ring = sources.recorder) {
+      os << "== trace ring ==\n";
+      os << "events retained: " << ring->events().size() << " of "
+         << ring->total_recorded() << " recorded";
+      if (ring->dropped() > 0) {
+        os << " (" << ring->dropped() << " dropped by the ring cap)";
+      }
+      os << '\n' << ring->render();
     }
 
     std::ofstream out{report_path};
     out << os.str();
     if (!out.good()) {
-      HLOCK_LOG(kWarn, "flight recorder could not write "
-                           << report_path.string());
+      HLOCK_LOG(kWarn, "flight recorder could not write " << report_path);
       return "";
     }
-    return report_path.string();
+    return report_path;
   } catch (const std::exception& e) {
     HLOCK_LOG(kWarn, "flight recorder failed: " << e.what());
     return "";

@@ -13,8 +13,9 @@
 // convenient form for tests and one-off frames. Transports on the hot path
 // use encode_into() with a caller-owned scratch buffer that amortizes the
 // allocation across messages. The batch envelope (encode_batch_into /
-// decode_batch) frames several messages as one unit; the TCP receiver
-// accepts it, though no transport sends it — see docs/performance.md.
+// decode_batch) frames several messages as one unit; no transport sends or
+// accepts it, and perfbench's codec layer still times it — see
+// docs/performance.md.
 #pragma once
 
 #include <cstddef>
@@ -34,8 +35,8 @@ namespace hlock::proto {
 inline constexpr std::uint8_t kWireFormatVersion = 3;
 
 /// First byte of a batch envelope (encode_batch_into). Deliberately far
-/// from any plausible version byte so a receiver can tell a batch frame
-/// from a single-message frame by its first byte alone.
+/// from any plausible version byte, so decode() rejects a batch envelope
+/// by its first byte alone.
 inline constexpr std::uint8_t kBatchMarker = 0xB5;
 
 /// Hard cap on HierToken queue entries, enforced on both sides of the wire:
@@ -134,12 +135,5 @@ void encode_batch_into(std::span<const Message> messages,
 /// trailing garbage, counts or lengths the buffer cannot hold.
 std::optional<std::vector<Message>> decode_batch(
     std::span<const std::byte> bytes);
-
-/// True if `bytes` starts like a batch envelope (first byte kBatchMarker);
-/// receivers use it to route a frame to decode() or decode_batch().
-inline bool is_batch_frame(std::span<const std::byte> bytes) {
-  return !bytes.empty() &&
-         std::to_integer<std::uint8_t>(bytes.front()) == kBatchMarker;
-}
 
 }  // namespace hlock::proto

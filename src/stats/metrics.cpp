@@ -42,10 +42,4 @@ void LatencyRecorder::record(SimTime latency) {
   samples_ms_.push_back(latency.to_ms());
 }
 
-double MetricsRegistry::messages_per_request() const {
-  if (latency_.count() == 0) return 0.0;
-  return static_cast<double>(messages_.total()) /
-         static_cast<double>(latency_.count());
-}
-
 }  // namespace hlock::stats

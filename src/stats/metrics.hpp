@@ -3,8 +3,10 @@
 // The paper's two headline metrics are (1) the average number of protocol
 // messages per application-level lock request and (2) the request latency —
 // "the time elapsed between issuing a request and entering the critical
-// section". MetricsRegistry collects both across a run; harnesses read one
-// registry per simulated cluster.
+// section". A simulated cluster counts its messages in its MetricsRegistry;
+// the workload driver records every latency sample exactly in a
+// LatencyRecorder (workload::DriverStats). Live runs export both through
+// src/telemetry instead; docs/telemetry.md says why these stay.
 #pragma once
 
 #include <array>
@@ -164,22 +166,14 @@ class LatencyRecorder {
   std::vector<double> samples_ms_;
 };
 
-/// Everything one experiment run collects.
+/// What a simulated cluster counts as it runs: every message it sends.
 class MetricsRegistry {
  public:
   MessageCounter& messages() { return messages_; }
   const MessageCounter& messages() const { return messages_; }
 
-  LatencyRecorder& latency() { return latency_; }
-  const LatencyRecorder& latency() const { return latency_; }
-
-  /// Messages per completed application-level request — the paper's
-  /// Fig. 7/9 metric. Zero when no request completed.
-  double messages_per_request() const;
-
  private:
   MessageCounter messages_;
-  LatencyRecorder latency_;
 };
 
 }  // namespace hlock::stats

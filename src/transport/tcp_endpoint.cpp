@@ -182,7 +182,10 @@ bool TcpEndpoint::parse_locked(Connection& connection) {
     const std::uint32_t size = frame_body_size(data + at);
     if (size == 0 || size > kMaxFrameBytes) return false;
     if (connection.filled - at - kFramePrefixBytes < size) break;
-    if (!decode_locked({data + at + kFramePrefixBytes, size})) return false;
+    std::optional<proto::Message> message =
+        proto::decode({data + at + kFramePrefixBytes, size});
+    if (!message) return false;
+    deliver_locked(std::move(*message));
     at += kFramePrefixBytes + size;
   }
   connection.filled -= at;
@@ -192,20 +195,6 @@ bool TcpEndpoint::parse_locked(Connection& connection) {
     const std::size_t frame = kFramePrefixBytes + frame_body_size(data);
     if (connection.buffer.size() < frame) connection.buffer.resize(frame);
   }
-  return true;
-}
-
-bool TcpEndpoint::decode_locked(std::span<const std::byte> body) {
-  if (proto::is_batch_frame(body)) {
-    std::optional<std::vector<proto::Message>> batch =
-        proto::decode_batch(body);
-    if (!batch) return false;
-    for (proto::Message& message : *batch) deliver_locked(std::move(message));
-    return true;
-  }
-  std::optional<proto::Message> message = proto::decode(body);
-  if (!message) return false;
-  deliver_locked(std::move(*message));
   return true;
 }
 

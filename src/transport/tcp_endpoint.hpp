@@ -6,8 +6,7 @@
 // takes the endpoint's receive lock, waits in epoll_wait, reads each ready
 // connection without blocking into that connection's buffer, and decodes
 // every complete frame — in stream order — into the ready queue it then
-// returns from. TCP's in-order streams give per-channel FIFO, and a batch
-// frame unpacks in emission order.
+// returns from. TCP's in-order streams give per-channel FIFO.
 //
 // Because the sockets drain only while someone receives, a frame write
 // that would block must keep its own node's inbound moving, or two nodes
@@ -97,7 +96,6 @@ class TcpEndpoint {
   /// Decodes the complete frames at the front of the buffer; false on a
   /// bad length prefix or an undecodable body.
   bool parse_locked(Connection& connection) HLOCK_REQUIRES(mutex_);
-  bool decode_locked(std::span<const std::byte> body) HLOCK_REQUIRES(mutex_);
   void deliver_locked(proto::Message&& message) HLOCK_REQUIRES(mutex_);
   void close_locked(Connection& connection) HLOCK_REQUIRES(mutex_);
   void publish_depth_locked() HLOCK_REQUIRES(mutex_);

@@ -1,10 +1,8 @@
 // Low-level loopback TCP helpers of the TCP transport and its tests:
 // listener setup, connection, and the length-prefixed message framing.
 //
-// Wire frame: 4-byte little-endian payload length, then either the binary
-// codec encoding of one Message or a batch envelope (proto::kBatchMarker)
-// carrying several same-channel messages — the receiver distinguishes the
-// two by the body's first byte. Frames above a sanity cap are treated as
+// Wire frame: 4-byte little-endian payload length, then the binary codec
+// encoding of one Message. Frames above a sanity cap are treated as
 // corruption. A frame is built in one buffer (begin_frame, encode, then
 // finish_frame) so it goes out in a single send(); tcp_endpoint.hpp reads
 // the stream back.
@@ -18,7 +16,7 @@
 namespace hlock::transport {
 
 /// Largest accepted frame; the biggest legal message (a token with a full
-/// queue) is far below this, and so is a full batch of them.
+/// queue) is far below this.
 inline constexpr std::uint32_t kMaxFrameBytes = 1 << 20;
 
 /// Bytes of the length prefix in front of every frame body.

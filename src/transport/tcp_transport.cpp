@@ -14,12 +14,20 @@
 
 namespace hlock::transport {
 
-TcpTransport::TcpTransport(std::size_t node_count, TcpOptions options)
-    : options_(options), ports_(node_count), nodes_(node_count),
+namespace {
+
+/// Write attempts per frame, the first included.
+constexpr int kMaxSendAttempts = 5;
+/// Backoff before the first retry; doubles per retry up to kMaxBackoff.
+constexpr std::chrono::milliseconds kInitialBackoff{1};
+constexpr std::chrono::milliseconds kMaxBackoff{50};
+
+}  // namespace
+
+TcpTransport::TcpTransport(std::size_t node_count)
+    : ports_(node_count), nodes_(node_count),
       channels_(node_count * node_count) {
   HLOCK_REQUIRE(node_count >= 1, "a transport needs at least one node");
-  HLOCK_REQUIRE(options_.max_send_attempts >= 1,
-                "a send needs at least one attempt");
   for (std::size_t i = 0; i < node_count; ++i) {
     nodes_[i] = std::make_unique<TcpEndpoint>(
         proto::NodeId{static_cast<std::uint32_t>(i)}, listen_loopback(0),
@@ -29,16 +37,13 @@ TcpTransport::TcpTransport(std::size_t node_count, TcpOptions options)
 }
 
 TcpTransport::TcpTransport(proto::NodeId self, int listen_fd,
-                           std::vector<std::uint16_t> ports,
-                           TcpOptions options)
-    : options_(options), ports_(std::move(ports)), nodes_(ports_.size()),
+                           std::vector<std::uint16_t> ports)
+    : ports_(std::move(ports)), nodes_(ports_.size()),
       channels_(ports_.size() * ports_.size()) {
   // The endpoint owns the listener from here on: a throw below closes it.
   auto endpoint = std::make_unique<TcpEndpoint>(self, listen_fd, &counters_);
   HLOCK_REQUIRE(self.value() < ports_.size(),
                 "a one-node transport's node must be in the port table");
-  HLOCK_REQUIRE(options_.max_send_attempts >= 1,
-                "a send needs at least one attempt");
   nodes_[self.value()] = std::move(endpoint);
 }
 
@@ -67,8 +72,8 @@ bool TcpTransport::send_frame(proto::NodeId from, proto::NodeId to,
   // exception — callers include receiver threads, where an escaped
   // exception would std::terminate the whole process.
   MutexLock guard(channel.send_mutex);
-  std::chrono::milliseconds backoff = options_.initial_backoff;
-  for (int attempt = 0; attempt < options_.max_send_attempts; ++attempt) {
+  std::chrono::milliseconds backoff = kInitialBackoff;
+  for (int attempt = 0; attempt < kMaxSendAttempts; ++attempt) {
     if (stopping_.load()) return false;
     if (attempt > 0) {
       counters_.send_retries.fetch_add(1, std::memory_order_relaxed);
@@ -77,7 +82,7 @@ bool TcpTransport::send_frame(proto::NodeId from, proto::NodeId to,
         sched::BlockingRegion region;
         std::this_thread::sleep_for(backoff);
       }
-      backoff = std::min(backoff * 2, options_.max_backoff);
+      backoff = std::min(backoff * 2, kMaxBackoff);
     }
     if (channel.fd < 0) {
       try {
@@ -100,7 +105,7 @@ bool TcpTransport::send_frame(proto::NodeId from, proto::NodeId to,
   }
   counters_.send_failures.fetch_add(1, std::memory_order_relaxed);
   HLOCK_LOG(kError, "tcp: send to node " << to.value() << " failed after "
-                                         << options_.max_send_attempts
+                                         << kMaxSendAttempts
                                          << " attempts; frame dropped");
   return false;
 }

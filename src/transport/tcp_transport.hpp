@@ -5,9 +5,7 @@
 // first use, matching the paper's Linux-testbed deployment ("connected by
 // a full-duplex FastEther switch utilized through TCP/IP"). Every message
 // travels as its own wire frame — a 4-byte little-endian length prefix
-// followed by one binary codec encoding — written with one send(). The
-// receiver also accepts a batch envelope (proto::kBatchMarker) in a frame
-// and unpacks it in order, though this transport never sends one. Each
+// followed by one binary codec encoding — written with one send(). Each
 // node's TcpEndpoint is read by the thread that receives for the node: it
 // waits in epoll_wait over the node's listener and connections and decodes
 // frames straight into the batch it returns, so no socket thread sits
@@ -35,31 +33,20 @@
 
 namespace hlock::transport {
 
-/// Send-path retry policy of the TCP transport. A failed write closes the
-/// channel and retries with exponential backoff — reconnecting on the way —
-/// instead of terminating the process on the first transient failure.
-struct TcpOptions {
-  /// Total write attempts per message (first try included).
-  int max_send_attempts = 5;
-  /// Backoff before the first retry; doubles per retry up to `max_backoff`.
-  std::chrono::milliseconds initial_backoff{1};
-  std::chrono::milliseconds max_backoff{50};
-};
-
 /// See file comment.
 class TcpTransport final : public Transport {
  public:
   /// Hosts all `node_count` nodes: binds a listener on loopback for each,
   /// each with its receive epoll set. Throws UsageError if sockets cannot
   /// be created.
-  explicit TcpTransport(std::size_t node_count, TcpOptions options = {});
+  explicit TcpTransport(std::size_t node_count);
 
   /// Hosts node `self` alone, on `listen_fd` (a bound, listening socket
   /// whose ownership transfers); `ports` lists every node's loopback port,
   /// `self`'s included. Only `self` may send, and only `self` receives.
   /// Throws UsageError if `self` is not in the port table.
   TcpTransport(proto::NodeId self, int listen_fd,
-               std::vector<std::uint16_t> ports, TcpOptions options = {});
+               std::vector<std::uint16_t> ports);
 
   /// Shuts down and closes every socket.
   ~TcpTransport() override;
@@ -111,16 +98,16 @@ class TcpTransport final : public Transport {
   /// `node`'s endpoint; throws UsageError unless `node` is hosted here.
   TcpEndpoint& endpoint_of(proto::NodeId node);
   /// Finishes the one-message frame begun in `frame` and writes it on the
-  /// channel with the retry / backoff / reconnect policy. False once every
-  /// attempt failed (frame dropped + counted).
+  /// channel; a failed write closes the channel and retries with backoff,
+  /// reconnecting on the way. False once every attempt failed (frame
+  /// dropped + counted).
   bool send_frame(proto::NodeId from, proto::NodeId to,
                   std::vector<std::byte>& frame);
 
-  /// Options, ports, endpoints and the channel table are fixed at
-  /// construction (each endpoint and channel synchronizes itself).
-  TcpOptions options_;
   /// Declared before the endpoints, which count into it.
   stats::TcpCounters counters_;
+  /// Ports, endpoints and the channel table are fixed at construction
+  /// (each endpoint and channel synchronizes itself).
   /// Every node's listening port, indexed by node id.
   std::vector<std::uint16_t> ports_;
   /// One slot per node; null for a node another process hosts.

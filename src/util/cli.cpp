@@ -1,7 +1,7 @@
 #include "util/cli.hpp"
 
 #include <charconv>
-#include <sstream>
+#include <cstdio>
 
 #include "util/check.hpp"
 
@@ -119,23 +119,36 @@ bool CliParser::was_set(const std::string& name) const {
 }
 
 std::string CliParser::help_text() const {
-  std::ostringstream os;
-  os << program_ << " — " << description_ << "\n";
+  std::string text = program_ + " — " + description_ + "\n";
   if (!positional_placeholder_.empty()) {
-    os << "\nusage: " << program_ << " [options] "
-       << positional_placeholder_ << "\n";
+    text += "\nusage: " + program_ + " [options] " + positional_placeholder_ +
+            "\n";
   }
-  os << "\noptions:\n";
+  text += "\noptions:\n";
   for (const std::string& name : declaration_order_) {
     const Option& option = options_.at(name);
-    os << "  --" << name;
-    if (!option.is_flag) os << " <value>";
-    os << "\n      " << option.help;
-    if (!option.is_flag) os << " (default: " << option.default_value << ")";
-    os << "\n";
+    text += "  --" + name;
+    if (!option.is_flag) text += " <value>";
+    text += "\n      " + option.help;
+    if (!option.is_flag) text += " (default: " + option.default_value + ")";
+    text += "\n";
   }
-  os << "  --help\n      print this text\n";
-  return os.str();
+  text += "  --help\n      print this text\n";
+  return text;
+}
+
+int CliParser::run(int argc, const char* const* argv,
+                   const std::function<int()>& body) {
+  try {
+    if (!parse(argc, argv)) {
+      std::fputs(help_text().c_str(), stdout);
+      return 0;
+    }
+    return body();
+  } catch (const UsageError& error) {
+    std::fprintf(stderr, "error: %s\n\n%s", error.what(), help_text().c_str());
+    return 2;
+  }
 }
 
 }  // namespace hlock

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -36,6 +37,13 @@ class CliParser {
   /// ready to print) — callers should then exit 0. Throws UsageError on
   /// unknown options, missing values or malformed input.
   bool parse(int argc, const char* const* argv);
+
+  /// parse(), then `body`, under the tools' exit protocol: --help prints
+  /// help_text() to stdout and returns 0; a UsageError from parse() or
+  /// `body` prints "error: <what>" and the help text to stderr and returns
+  /// 2; otherwise returns body()'s exit code. Other exceptions propagate.
+  int run(int argc, const char* const* argv,
+          const std::function<int()>& body);
 
   /// Typed access; all throw UsageError on conversion/range failure.
   std::string get_string(const std::string& name) const;

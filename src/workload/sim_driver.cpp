@@ -170,7 +170,6 @@ void SimWorkloadDriver::enter_cs(NodeId node) {
   const SimTime latency = cluster_.simulator().now() - st.op_start;
   stats_.op_latency.record(latency);
   stats_.latency_by_kind[static_cast<std::size_t>(st.kind)].record(latency);
-  cluster_.metrics().latency().record(latency);
   st.phase = Phase::kInCs;
 
   const SimTime cs = spec_.cs_length.sample(st.rng);

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "obs/span.hpp"
+#include "util/check.hpp"
 
 namespace hlock::obs {
 namespace {
@@ -35,7 +40,7 @@ RequestSpan sample_span() {
 // choice.
 TEST(ChromeTrace, GoldenDocument) {
   const std::string json =
-      chrome_trace_json({sample_span()}, ChromeTraceOptions{2});
+      chrome_trace_json({sample_span()}, 2);
   EXPECT_EQ(json,
             "{\"traceEvents\": [\n"
             "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, "
@@ -77,7 +82,7 @@ TEST(ChromeTrace, EmptySpanListIsStillValidJson) {
 
 TEST(ChromeTrace, InfersUndeclaredNodesFromSpans) {
   RequestSpan span = sample_span();
-  const std::string json = chrome_trace_json({span}, ChromeTraceOptions{0});
+  const std::string json = chrome_trace_json({span}, 0);
   // Both the origin (node0) and the granter (node1) get named tracks even
   // though no node count was declared.
   EXPECT_NE(json.find("\"name\": \"node0\""), std::string::npos);
@@ -92,6 +97,20 @@ TEST(ChromeTrace, IncompleteSpanExportsWithoutCsSlice) {
   EXPECT_TRUE(validate_json(json));
   EXPECT_EQ(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"complete\": false"), std::string::npos);
+}
+
+TEST(ChromeTrace, WriterWritesTheDocumentOrThrowsUsageError) {
+  const std::filesystem::path path =
+      std::filesystem::path(::testing::TempDir()) / "written-trace.json";
+  write_chrome_trace(path.string(), {sample_span()}, 2);
+  std::ifstream in{path};
+  std::ostringstream written;
+  written << in.rdbuf();
+  EXPECT_EQ(written.str(), chrome_trace_json({sample_span()}, 2));
+  // A path under a regular file cannot be opened.
+  EXPECT_THROW(
+      write_chrome_trace((path / "sub.json").string(), {sample_span()}, 2),
+      UsageError);
 }
 
 TEST(JsonValidator, AcceptsValidDocuments) {

@@ -1,6 +1,7 @@
 // Tests of the post-mortem flight recorder: a dump carries every wired
-// source, the sibling Chrome trace is valid JSON, and the crash-adjacent
-// path degrades (empty sources, unwritable directory) instead of throwing.
+// source (the telemetry exposition among them), the sibling Chrome trace is
+// valid JSON, and the crash-adjacent path degrades (empty sources,
+// unwritable directory) instead of throwing.
 #include "obs/flight_recorder.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +12,8 @@
 
 #include "obs/chrome_trace.hpp"
 #include "obs/span.hpp"
-#include "stats/metrics.hpp"
+#include "telemetry/exposition.hpp"
+#include "telemetry/registry.hpp"
 #include "trace/recorder.hpp"
 
 namespace hlock::obs {
@@ -55,14 +57,15 @@ TEST(FlightRecorder, DumpsAllSourcesAndChromeSibling) {
   recorder.note(SimTime::ms(1), NodeId{0}, "before the failure");
   SpanCollector collector;
   observe_complete_request(collector);
-  stats::MetricsRegistry metrics;
-  metrics.messages().add(proto::MessageKind::kHierRequest);
-  metrics.latency().record(SimTime::ms(4));
+  telemetry::Registry registry;
+  registry.counter("hlock_stalled_requests_total").inc(3);
+  const std::string exposition =
+      telemetry::render_prometheus(registry.snapshot());
 
   FlightRecordSources sources;
   sources.recorder = &recorder;
   sources.spans = &collector;
-  sources.metrics = &metrics;
+  sources.metrics = exposition;
   sources.node_count = 2;
   const std::string path =
       dump_flight_record(dir, "invariant violated: test reason", sources);
@@ -73,7 +76,8 @@ TEST(FlightRecorder, DumpsAllSourcesAndChromeSibling) {
   EXPECT_NE(report.find("reason: invariant violated: test reason"),
             std::string::npos);
   EXPECT_NE(report.find("== metrics snapshot =="), std::string::npos);
-  EXPECT_NE(report.find("messages total: 1"), std::string::npos);
+  EXPECT_NE(report.find(exposition), std::string::npos);
+  EXPECT_NE(report.find("hlock_stalled_requests_total 3"), std::string::npos);
   EXPECT_NE(report.find("== request spans =="), std::string::npos);
   EXPECT_NE(report.find("spans: 1 (1 complete)"), std::string::npos);
   EXPECT_NE(report.find("== trace ring =="), std::string::npos);
@@ -104,6 +108,7 @@ TEST(FlightRecorder, EmptySourcesStillWriteAReport) {
   ASSERT_FALSE(path.empty());
   const std::string report = read_file(path);
   EXPECT_NE(report.find("reason: shutdown"), std::string::npos);
+  EXPECT_EQ(report.find("== metrics snapshot =="), std::string::npos);
   // No spans → no sibling trace file next to the report.
   EXPECT_EQ(report.find("chrome trace:"), std::string::npos);
 }

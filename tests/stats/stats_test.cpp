@@ -105,17 +105,6 @@ TEST(LatencyRecorder, RecordsMilliseconds) {
   EXPECT_DOUBLE_EQ(recorder.summarize().mean, 1.25);
 }
 
-TEST(MetricsRegistry, MessagesPerRequest) {
-  MetricsRegistry metrics;
-  EXPECT_EQ(metrics.messages_per_request(), 0.0);
-  metrics.messages().add(MessageKind::kHierRequest);
-  metrics.messages().add(MessageKind::kHierGrant);
-  metrics.messages().add(MessageKind::kHierRelease);
-  metrics.latency().record(SimTime::ms(1));
-  metrics.latency().record(SimTime::ms(2));
-  EXPECT_DOUBLE_EQ(metrics.messages_per_request(), 1.5);
-}
-
 TEST(TextTable, RendersAlignedColumns) {
   TextTable table;
   table.set_header({"nodes", "msgs"});

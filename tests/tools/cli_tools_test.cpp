@@ -331,18 +331,25 @@ TEST(HlockSimCli, ChaosMetricsOutSurvivesTheChecker) {
 
 TEST(HlockSimCli, DoctoredStallTripsTheWatchdog) {
   // --doctor-stall-ms parks the first critical section, so the watchdog
-  // must flag at least one stall (the CI telemetry-smoke assertion).
+  // must flag at least one stall (the CI telemetry-smoke assertion), and
+  // the stall's flight record must carry the telemetry exposition, whose
+  // stall counter the watchdog bumps before it dumps the record.
   // Parenthesized so the watchdog's stderr report is captured too.
   const auto [status, output] = run_command(
-      "(" + tool("hlock_sim") + " --chaos --nodes 3 --ops 6 --seed 2"
+      "(rm -rf stall_obs_cli && " + tool("hlock_sim") +
+      " --chaos --nodes 3 --ops 6 --seed 2"
       " --doctor-stall-ms 400 --watchdog-floor-ms 50"
-      " --metrics-out stall_cli.prom"
+      " --metrics-out stall_cli.prom --obs-out stall_obs_cli"
       " && " + tool("hlock_metrics_check") + " stall_cli.prom"
-      " --expect-nonzero hlock_stalled_requests_total)");
+      " --expect-nonzero hlock_stalled_requests_total"
+      " && grep -H '^hlock_stalled_requests_total [1-9]'"
+      " stall_obs_cli/flight-*.txt)");
   EXPECT_EQ(status, 0) << output;
   EXPECT_NE(output.find("WATCHDOG:"), std::string::npos) << output;
   EXPECT_NE(output.find("expect-nonzero: hlock_stalled_requests_total"),
             std::string::npos)
+      << output;
+  EXPECT_NE(output.find("stall_obs_cli/flight-"), std::string::npos)
       << output;
 }
 

@@ -211,7 +211,7 @@ TEST(SimDriver, DeterministicForSameSeed) {
     SimWorkloadDriver driver{cluster, spec};
     driver.run();
     return std::make_tuple(cluster.metrics().messages().total(),
-                           cluster.metrics().latency().summarize().mean,
+                           driver.stats().op_latency.summarize().mean,
                            cluster.simulator().now().count_ns());
   };
   EXPECT_EQ(run_once(5), run_once(5));

@@ -3,11 +3,11 @@
 // hostile frame must be rejected with std::nullopt — never a crash, an
 // overflow, a huge allocation or an exception.
 //
-// The harness routes the input exactly like a transport would (batch
-// marker 0xB5 vs single-message frame) and additionally checks semantic
-// round-trip stability: anything decode() accepts must re-encode to a
-// frame that decodes to an equal Message. Build with -DHLOCK_FUZZ=ON
-// (Clang only); docs/static-analysis.md covers running it.
+// The harness feeds every input to both decoders, decode() and
+// decode_batch(), and additionally checks semantic round-trip stability:
+// anything a decoder accepts must re-encode to bytes that decode to an
+// equal value. Build with -DHLOCK_FUZZ=ON (Clang only);
+// docs/static-analysis.md covers running it.
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -52,11 +52,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::span<const std::byte> bytes(
       reinterpret_cast<const std::byte*>(data), size);
-  if (hlock::proto::is_batch_frame(bytes)) {
-    check_batch(bytes);
-  } else {
-    check_single(bytes);
-  }
+  check_single(bytes);
+  check_batch(bytes);
   return 0;
 }
 

@@ -58,7 +58,6 @@ namespace {
 
 constexpr int kExitOk = 0;
 constexpr int kExitViolation = 1;
-constexpr int kExitUsage = 2;
 constexpr int kExitStateLimit = 3;
 constexpr int kExitInternal = 4;
 
@@ -225,6 +224,153 @@ void print_trace(const ExploreResult& result) {
   }
 }
 
+/// Runs the checker as `cli` asks; returns the tool's exit code.
+int check(const CliParser& cli) {
+  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 1, 8));
+  const auto budget = static_cast<std::uint64_t>(
+      cli.get_int("max-states", 1, 1'000'000'000));
+  const std::string protocol = cli.get_string("protocol");
+  const auto scripts = build_scripts(cli.get_string("scenario"), nodes);
+
+  const bool lint = cli.get_flag("lint");
+  const bool cross_validate = cli.get_flag("cross-validate");
+  ExploreOptions options;
+  options.max_states = budget;
+  options.lint = lint;
+  options.por = cli.get_flag("por");
+  options.symmetry = cli.get_flag("symmetry");
+  options.liveness = cli.get_flag("liveness");
+  options.minimize = cli.get_flag("minimize");
+  options.doctor = build_doctor(cli.get_string("doctor"), nodes);
+  const std::string crash_spec = cli.get_string("crash");
+  if (!crash_spec.empty()) {
+    options.crash.victims = parse_victims(crash_spec, nodes);
+    options.crash.recovery.doctor_double_fence =
+        cli.get_flag("crash-doctored");
+  } else if (cli.get_flag("crash-doctored")) {
+    throw UsageError("--crash-doctored requires --crash");
+  }
+  const bool hier_only_features = lint || options.por ||
+                                  options.symmetry || options.liveness ||
+                                  options.minimize ||
+                                  options.doctor.active() ||
+                                  options.crash.active() ||
+                                  cross_validate;
+  if (hier_only_features && protocol != "hier") {
+    throw UsageError(
+        "--lint/--por/--symmetry/--liveness/--minimize/--doctor/"
+        "--crash/--cross-validate apply to --protocol hier only");
+  }
+
+  ExploreResult result;
+  if (protocol == "hier") {
+    result = modelcheck::explore(scripts, options);
+  } else if (protocol == "naimi") {
+    result = modelcheck::explore_naimi(scripts, budget);
+  } else if (protocol == "raymond") {
+    result = modelcheck::explore_raymond(scripts, budget);
+  } else {
+    throw UsageError("unknown protocol: " + protocol);
+  }
+
+  std::printf("states explored : %llu\n",
+              static_cast<unsigned long long>(result.states_explored));
+  std::printf("transitions     : %llu\n",
+              static_cast<unsigned long long>(result.transitions));
+  std::printf("terminal states : %llu\n",
+              static_cast<unsigned long long>(result.terminal_states));
+  std::printf("state budget    : %llu of %llu used\n",
+              static_cast<unsigned long long>(result.states_explored),
+              static_cast<unsigned long long>(budget));
+  if (cli.get_flag("stats")) print_stats(result.stats);
+  const std::string stats_out = cli.get_string("stats-out");
+  if (!stats_out.empty()) write_stats_json(stats_out, result);
+
+  if (cross_validate) {
+    // Same scenario, reductions off. Counterexample PATHS may differ
+    // (exploration order), so compare the order-independent summary:
+    // verdict plus violation fingerprint.
+    ExploreOptions plain = options;
+    plain.por = false;
+    plain.symmetry = false;
+    plain.minimize = false;
+    const ExploreResult unreduced = modelcheck::explore(scripts, plain);
+    std::printf("cross-validate  : reduced %llu states, unreduced %llu\n",
+                static_cast<unsigned long long>(result.states_explored),
+                static_cast<unsigned long long>(
+                    unreduced.states_explored));
+    if (unreduced.verdict != result.verdict ||
+        unreduced.violation_fingerprint != result.violation_fingerprint) {
+      std::printf("cross-validate  : MISMATCH — reduced %s [%s] vs "
+                  "unreduced %s [%s]\n",
+                  modelcheck::to_string(result.verdict).c_str(),
+                  result.violation_fingerprint.c_str(),
+                  modelcheck::to_string(unreduced.verdict).c_str(),
+                  unreduced.violation_fingerprint.c_str());
+      return kExitInternal;
+    }
+    std::printf("cross-validate  : verdicts agree (%s)\n",
+                modelcheck::to_string(result.verdict).c_str());
+  }
+
+  if (result.ok) {
+    std::printf("verdict         : OK — every interleaving is safe, "
+                "live and convergent%s\n",
+                lint ? " (and every linted path conforms to the spec "
+                       "tables)"
+                     : "");
+    return kExitOk;
+  }
+  if (result.verdict == Verdict::kStateLimit) {
+    std::printf("verdict         : ABORTED — %s\n",
+                result.violation.c_str());
+    return kExitStateLimit;
+  }
+  std::printf("verdict         : VIOLATION (%s) — %s\n",
+              modelcheck::to_string(result.verdict).c_str(),
+              result.violation.c_str());
+  std::printf("fingerprint     : %s\n",
+              result.violation_fingerprint.c_str());
+  print_trace(result);
+  if (!result.events.empty()) {
+    // Post-hoc conformance lint of the counterexample: the structured
+    // events pinpoint which rule/table broke, with event context.
+    std::printf("counterexample events:\n");
+    for (const trace::TraceEvent& event : result.events) {
+      std::printf("  %s\n", trace::format_event(event).c_str());
+    }
+    // Defaults of LintOptions mirror the default HierConfig this tool
+    // explores with; only the initial token holder needs pinning.
+    lint::LintOptions lint_options;
+    lint_options.initial_token = proto::NodeId{0};
+    const lint::LintReport report =
+        lint::check(result.events, lint_options);
+    std::fputs(report.render().c_str(), stdout);
+  }
+  const std::string obs_out = cli.get_string("obs-out");
+  if (!obs_out.empty() && !result.events.empty()) {
+    // Ship the counterexample as a flight record: the rendered ring plus
+    // spans/Chrome trace make the violating interleaving replayable in a
+    // trace viewer instead of a wall of event lines.
+    trace::TraceRecorder ring;
+    obs::SpanCollector collector;
+    for (const trace::TraceEvent& event : result.events) {
+      collector.observe(event);
+      ring.record(event);
+    }
+    obs::FlightRecordSources sources;
+    sources.recorder = &ring;
+    sources.spans = &collector;
+    sources.node_count = nodes;
+    const std::string record = obs::dump_flight_record(
+        obs_out, "model-check violation: " + result.violation, sources);
+    if (!record.empty()) {
+      std::printf("flight record   : %s\n", record.c_str());
+    }
+  }
+  return kExitViolation;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -268,160 +414,14 @@ int main(int argc, char** argv) {
                  "as a flight record (plus Chrome trace JSON) under this "
                  "directory");
 
-  try {
-    if (!cli.parse(argc, argv)) {
-      std::fputs(cli.help_text().c_str(), stdout);
-      return kExitOk;
+  return cli.run(argc, argv, [&cli] {
+    try {
+      return check(cli);
+    } catch (const UsageError&) {
+      throw;  // run() reports it with the help text
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "internal error: %s\n", error.what());
+      return kExitInternal;
     }
-    const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 1, 8));
-    const auto budget = static_cast<std::uint64_t>(
-        cli.get_int("max-states", 1, 1'000'000'000));
-    const std::string protocol = cli.get_string("protocol");
-    const auto scripts = build_scripts(cli.get_string("scenario"), nodes);
-
-    const bool lint = cli.get_flag("lint");
-    const bool cross_validate = cli.get_flag("cross-validate");
-    ExploreOptions options;
-    options.max_states = budget;
-    options.lint = lint;
-    options.por = cli.get_flag("por");
-    options.symmetry = cli.get_flag("symmetry");
-    options.liveness = cli.get_flag("liveness");
-    options.minimize = cli.get_flag("minimize");
-    options.doctor = build_doctor(cli.get_string("doctor"), nodes);
-    const std::string crash_spec = cli.get_string("crash");
-    if (!crash_spec.empty()) {
-      options.crash.victims = parse_victims(crash_spec, nodes);
-      options.crash.recovery.doctor_double_fence =
-          cli.get_flag("crash-doctored");
-    } else if (cli.get_flag("crash-doctored")) {
-      throw UsageError("--crash-doctored requires --crash");
-    }
-    const bool hier_only_features = lint || options.por ||
-                                    options.symmetry || options.liveness ||
-                                    options.minimize ||
-                                    options.doctor.active() ||
-                                    options.crash.active() ||
-                                    cross_validate;
-    if (hier_only_features && protocol != "hier") {
-      throw UsageError(
-          "--lint/--por/--symmetry/--liveness/--minimize/--doctor/"
-          "--crash/--cross-validate apply to --protocol hier only");
-    }
-
-    ExploreResult result;
-    if (protocol == "hier") {
-      result = modelcheck::explore(scripts, options);
-    } else if (protocol == "naimi") {
-      result = modelcheck::explore_naimi(scripts, budget);
-    } else if (protocol == "raymond") {
-      result = modelcheck::explore_raymond(scripts, budget);
-    } else {
-      throw UsageError("unknown protocol: " + protocol);
-    }
-
-    std::printf("states explored : %llu\n",
-                static_cast<unsigned long long>(result.states_explored));
-    std::printf("transitions     : %llu\n",
-                static_cast<unsigned long long>(result.transitions));
-    std::printf("terminal states : %llu\n",
-                static_cast<unsigned long long>(result.terminal_states));
-    std::printf("state budget    : %llu of %llu used\n",
-                static_cast<unsigned long long>(result.states_explored),
-                static_cast<unsigned long long>(budget));
-    if (cli.get_flag("stats")) print_stats(result.stats);
-    const std::string stats_out = cli.get_string("stats-out");
-    if (!stats_out.empty()) write_stats_json(stats_out, result);
-
-    if (cross_validate) {
-      // Same scenario, reductions off. Counterexample PATHS may differ
-      // (exploration order), so compare the order-independent summary:
-      // verdict plus violation fingerprint.
-      ExploreOptions plain = options;
-      plain.por = false;
-      plain.symmetry = false;
-      plain.minimize = false;
-      const ExploreResult unreduced = modelcheck::explore(scripts, plain);
-      std::printf("cross-validate  : reduced %llu states, unreduced %llu\n",
-                  static_cast<unsigned long long>(result.states_explored),
-                  static_cast<unsigned long long>(
-                      unreduced.states_explored));
-      if (unreduced.verdict != result.verdict ||
-          unreduced.violation_fingerprint != result.violation_fingerprint) {
-        std::printf("cross-validate  : MISMATCH — reduced %s [%s] vs "
-                    "unreduced %s [%s]\n",
-                    modelcheck::to_string(result.verdict).c_str(),
-                    result.violation_fingerprint.c_str(),
-                    modelcheck::to_string(unreduced.verdict).c_str(),
-                    unreduced.violation_fingerprint.c_str());
-        return kExitInternal;
-      }
-      std::printf("cross-validate  : verdicts agree (%s)\n",
-                  modelcheck::to_string(result.verdict).c_str());
-    }
-
-    if (result.ok) {
-      std::printf("verdict         : OK — every interleaving is safe, "
-                  "live and convergent%s\n",
-                  lint ? " (and every linted path conforms to the spec "
-                         "tables)"
-                       : "");
-      return kExitOk;
-    }
-    if (result.verdict == Verdict::kStateLimit) {
-      std::printf("verdict         : ABORTED — %s\n",
-                  result.violation.c_str());
-      return kExitStateLimit;
-    }
-    std::printf("verdict         : VIOLATION (%s) — %s\n",
-                modelcheck::to_string(result.verdict).c_str(),
-                result.violation.c_str());
-    std::printf("fingerprint     : %s\n",
-                result.violation_fingerprint.c_str());
-    print_trace(result);
-    if (!result.events.empty()) {
-      // Post-hoc conformance lint of the counterexample: the structured
-      // events pinpoint which rule/table broke, with event context.
-      std::printf("counterexample events:\n");
-      for (const trace::TraceEvent& event : result.events) {
-        std::printf("  %s\n", trace::format_event(event).c_str());
-      }
-      // Defaults of LintOptions mirror the default HierConfig this tool
-      // explores with; only the initial token holder needs pinning.
-      lint::LintOptions lint_options;
-      lint_options.initial_token = proto::NodeId{0};
-      const lint::LintReport report =
-          lint::check(result.events, lint_options);
-      std::fputs(report.render().c_str(), stdout);
-    }
-    const std::string obs_out = cli.get_string("obs-out");
-    if (!obs_out.empty() && !result.events.empty()) {
-      // Ship the counterexample as a flight record: the rendered ring plus
-      // spans/Chrome trace make the violating interleaving replayable in a
-      // trace viewer instead of a wall of event lines.
-      trace::TraceRecorder ring;
-      obs::SpanCollector collector;
-      for (const trace::TraceEvent& event : result.events) {
-        collector.observe(event);
-        ring.record(event);
-      }
-      obs::FlightRecordSources sources;
-      sources.recorder = &ring;
-      sources.spans = &collector;
-      sources.node_count = nodes;
-      const std::string record = obs::dump_flight_record(
-          obs_out, "model-check violation: " + result.violation, sources);
-      if (!record.empty()) {
-        std::printf("flight record   : %s\n", record.c_str());
-      }
-    }
-    return kExitViolation;
-  } catch (const UsageError& error) {
-    std::fprintf(stderr, "error: %s\n\n%s", error.what(),
-                 cli.help_text().c_str());
-    return kExitUsage;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "internal error: %s\n", error.what());
-    return kExitInternal;
-  }
+  });
 }

@@ -39,11 +39,7 @@ int main(int argc, char** argv) {
                  "events a request may wait before being reported starved");
   cli.allow_positionals("TRACE-FILE");
 
-  try {
-    if (!cli.parse(argc, argv)) {
-      std::fputs(cli.help_text().c_str(), stdout);
-      return 0;
-    }
+  return cli.run(argc, argv, [&] {
     const std::vector<std::string>& files = cli.positional();
     if (files.size() != 1) {
       throw UsageError("expected exactly one trace file argument");
@@ -84,9 +80,5 @@ int main(int argc, char** argv) {
     const lint::LintReport report = checker.finish();
     std::fputs(report.render().c_str(), stdout);
     return report.ok() ? 0 : 1;
-  } catch (const UsageError& error) {
-    std::fprintf(stderr, "error: %s\n\n%s", error.what(),
-                 cli.help_text().c_str());
-    return 2;
-  }
+  });
 }

@@ -148,11 +148,7 @@ int main(int argc, char** argv) {
                  "comma-separated series prefixes whose summed value must "
                  "be > 0 in the final exposition");
 
-  try {
-    if (!cli.parse(argc, argv)) {
-      std::fputs(cli.help_text().c_str(), stdout);
-      return 0;
-    }
+  return cli.run(argc, argv, [&] {
     std::vector<std::pair<std::string, std::string>> expositions;
     if (cli.was_set("scrape")) {
       const auto port =
@@ -211,9 +207,5 @@ int main(int argc, char** argv) {
       }
     }
     return violations == 0 ? 0 : 1;
-  } catch (const UsageError& error) {
-    std::fprintf(stderr, "error: %s\n\n%s", error.what(),
-                 cli.help_text().c_str());
-    return 2;
-  }
+  });
 }

@@ -40,7 +40,6 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -119,33 +118,65 @@ AppVariant parse_variant(const std::string& name) {
   throw UsageError("--protocol must be hier, naimi-pure or naimi-same-work");
 }
 
-/// Renders the collected spans as Chrome trace_event JSON and writes it to
-/// `<dir>/<name>` (creating `dir` if needed). Returns the written path.
-std::string write_chrome_trace(const std::string& dir,
-                               const std::string& name,
-                               const obs::SpanCollector& collector,
-                               std::size_t node_count) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  obs::ChromeTraceOptions options;
-  options.node_count = node_count;
-  const std::string json =
-      obs::chrome_trace_json(collector.spans(), options);
-  HLOCK_INVARIANT(obs::validate_json(json),
-                  "chrome trace exporter produced invalid JSON");
-  const std::string path = dir + "/" + name;
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  if (!out) throw UsageError("cannot write chrome trace: " + path);
-  out << json;
-  return path;
+/// Appends one failed check to `failures`, the "; "-joined list that sets
+/// a run's exit code and names its flight record.
+void add_failure(std::string& failures, const std::string& check) {
+  if (!failures.empty()) failures += "; ";
+  failures += check;
 }
 
-/// Prints the --spans report: span counts and the phase-latency table.
-void print_span_report(const obs::SpanCollector& collector) {
-  std::printf("\nphase-latency breakdown (%zu spans, %zu complete):\n%s",
-              collector.span_count(), collector.completed_count(),
-              obs::render_phase_table(collector.phase_breakdown()).c_str());
-}
+/// What --spans and --obs-out collect from a run (simulator or --chaos)
+/// and the artifacts they leave: the phase table, the Chrome trace, and a
+/// flight record when the run fails or the watchdog flags a stall.
+struct RunArtifacts {
+  bool spans = false;
+  /// The --obs-out directory; empty = no files.
+  std::string obs_out;
+  std::size_t node_count = 0;
+  obs::SpanCollector collector;
+  trace::TraceRecorder ring;
+  /// The run's telemetry; every flight record carries its exposition.
+  const telemetry::Registry* registry = nullptr;
+
+  bool collecting() const { return spans || !obs_out.empty(); }
+
+  /// Dumps a flight record under obs_out; returns its path ("" if none).
+  std::string flight_record(const std::string& reason) const {
+    return obs::dump_flight_record(
+        obs_out, reason,
+        {.recorder = &ring,
+         .spans = &collector,
+         .metrics = registry == nullptr
+                        ? ""
+                        : telemetry::render_prometheus(registry->snapshot()),
+         .node_count = node_count});
+  }
+
+  /// The run's last step: the --spans table, then under --obs-out the
+  /// Chrome trace `trace_name` and, if `failures` is not empty, a flight
+  /// record naming them. `width` aligns the labels with the run's summary.
+  void finish(const std::string& trace_name, const std::string& failures,
+              int width) const {
+    if (spans) {
+      std::printf("\nphase-latency breakdown (%zu spans, %zu complete):\n%s",
+                  collector.span_count(), collector.completed_count(),
+                  obs::render_phase_table(collector.phase_breakdown())
+                      .c_str());
+    }
+    if (obs_out.empty()) return;
+    std::error_code ec;
+    std::filesystem::create_directories(obs_out, ec);
+    const std::string path = obs_out + "/" + trace_name;
+    obs::write_chrome_trace(path, collector.spans(), node_count);
+    std::printf("  %-*s: %s (%zu spans)\n", width, "chrome trace",
+                path.c_str(), collector.span_count());
+    if (failures.empty()) return;
+    const std::string report = flight_record(failures);
+    if (!report.empty()) {
+      std::printf("  %-*s: %s\n", width, "flight record", report.c_str());
+    }
+  }
+};
 
 /// The --chaos-transport value, for both live-cluster modes (--chaos and
 /// --sched-seeds / --sched-seed).
@@ -220,17 +251,17 @@ int run_chaos(const CliParser& cli) {
   }
 
   const bool lint = cli.get_flag("lint");
-  const bool spans = cli.get_flag("spans");
-  const std::string obs_out = cli.get_string("obs-out");
-  const bool observe = lint || spans || !obs_out.empty();
+  RunArtifacts artifacts;
+  artifacts.spans = cli.get_flag("spans");
+  artifacts.obs_out = cli.get_string("obs-out");
+  artifacts.node_count = options.node_count;
+  const bool observe = lint || artifacts.collecting();
   if (observe) options.hier_config.trace_events = true;
   // LintOptions defaults mirror the default HierConfig the chaos cluster
   // runs with; the initial token holder is the default root, node 0.
   lint::LintOptions lint_options;
   lint_options.initial_token = options.initial_root;
   lint::Checker checker{lint_options};
-  obs::SpanCollector collector;
-  trace::TraceRecorder ring;
 
   // Live telemetry (docs/telemetry.md): any of --metrics-out,
   // --metrics-port, --watchdog or --doctor-stall-ms turns the registry on.
@@ -249,6 +280,7 @@ int run_chaos(const CliParser& cli) {
   std::unique_ptr<telemetry::HttpExporter> exporter;
   if (telemetry_on) {
     options.metrics = &registry;
+    artifacts.registry = &registry;
     if (watchdog_on) {
       telemetry::WatchdogOptions watchdog_options;
       watchdog_options.multiplier =
@@ -258,25 +290,16 @@ int run_chaos(const CliParser& cli) {
       watchdog =
           std::make_unique<telemetry::StallWatchdog>(registry,
                                                      watchdog_options);
-      watchdog->set_on_stall([&registry, &ring, &collector, &obs_out,
-                              &options](const telemetry::StallReport& r) {
+      watchdog->set_on_stall([&artifacts](const telemetry::StallReport& r) {
         std::fprintf(stderr,
                      "WATCHDOG: %s waited %.1f ms "
                      "(threshold %.1f ms, p99 %.1f ms, %llu pending)\n",
                      r.label.c_str(), r.waited_ms, r.threshold_ms, r.p99_ms,
                      static_cast<unsigned long long>(r.pending));
-        if (!obs_out.empty()) {
-          // Post-mortem bundle: flight record + the metrics state at the
-          // moment the stall was flagged.
-          obs::FlightRecordSources sources;
-          sources.recorder = &ring;
-          sources.spans = &collector;
-          sources.node_count = options.node_count;
-          obs::dump_flight_record(obs_out, "stall watchdog: " + r.label,
-                                  sources);
-          telemetry::write_file_atomic(
-              obs_out + "/stall-metrics.prom",
-              telemetry::render_prometheus(registry.snapshot()));
+        // The record carries the metrics as they were when the stall was
+        // flagged.
+        if (!artifacts.obs_out.empty()) {
+          artifacts.flight_record("stall watchdog: " + r.label);
         }
       });
       watchdog->start();
@@ -322,11 +345,11 @@ int run_chaos(const CliParser& cli) {
   {
     runtime::ThreadCluster cluster{options};
     if (observe) {
-      cluster.set_event_sink([&checker, &collector, &ring, lint,
-                              spans, &obs_out](trace::TraceEvent event) {
+      cluster.set_event_sink([&checker, &artifacts,
+                              lint](trace::TraceEvent event) {
         if (lint) checker.add(event);
-        if (spans || !obs_out.empty()) collector.observe(event);
-        if (!obs_out.empty()) ring.record(std::move(event));
+        if (artifacts.collecting()) artifacts.collector.observe(event);
+        if (!artifacts.obs_out.empty()) artifacts.ring.record(std::move(event));
       });
     }
     std::vector<std::thread> workers;
@@ -449,17 +472,37 @@ int run_chaos(const CliParser& cli) {
   }
 
   const long expected = static_cast<long>(options.node_count) * ops;
-  bool ok;
+  // Each failed check names itself, for the exit code and the flight
+  // record alike.
+  std::string failures;
+  long done = 0;
+  bool survivors_drained = true;
   if (kills_on) {
-    long done = 0;
-    bool survivors_drained = true;
     for (std::uint32_t i = 0; i < options.node_count; ++i) {
       done += completed[i];
       if (live_at_end[i] != 0 && completed[i] != ops) {
         survivors_drained = false;
       }
     }
-    ok = probe.violations == 0 && survivors_drained && receiver_errors == 0;
+    if (probe.violations > 0) {
+      add_failure(failures, "chaos run lost mutual exclusion (" +
+                                std::to_string(probe.violations) +
+                                " same-epoch overlaps)");
+    }
+    if (!survivors_drained) {
+      add_failure(failures, "chaos run left surviving nodes undrained");
+    }
+  } else if (counter != expected) {
+    add_failure(failures, "chaos run lost mutual exclusion (counter " +
+                              std::to_string(counter) + " of " +
+                              std::to_string(expected) + ")");
+  }
+  if (receiver_errors > 0) {
+    add_failure(failures, "chaos run had " + std::to_string(receiver_errors) +
+                              " receiver errors");
+  }
+  const bool ok = failures.empty();
+  if (kills_on) {
     std::printf("chaos: %zu nodes (%s), %zu killed, %ld/%ld ops, "
                 "mutual exclusion %s\n",
                 options.node_count, transport.c_str(), kills_done, done,
@@ -473,7 +516,6 @@ int run_chaos(const CliParser& cli) {
                 static_cast<unsigned long long>(probe.fenced_overlaps),
                 static_cast<unsigned long long>(probe.violations));
   } else {
-    ok = counter == expected && receiver_errors == 0;
     std::printf("chaos: %zu nodes (%s), %ld/%ld ops, mutual exclusion %s\n",
                 options.node_count, transport.c_str(), counter, expected,
                 ok ? "OK" : "VIOLATED");
@@ -505,31 +547,10 @@ int run_chaos(const CliParser& cli) {
   if (lint) {
     const lint::LintReport report = checker.finish();
     std::printf("  %s", report.render().c_str());
-    ok = ok && report.ok();
+    if (!report.ok()) add_failure(failures, "conformance lint violation");
   }
-  if (spans) print_span_report(collector);
-  if (!obs_out.empty()) {
-    const std::string path = write_chrome_trace(
-        obs_out, "chaos-trace.json", collector, options.node_count);
-    std::printf("  chrome trace  : %s (%zu spans)\n", path.c_str(),
-                collector.span_count());
-    if (!ok) {
-      obs::FlightRecordSources sources;
-      sources.recorder = &ring;
-      sources.spans = &collector;
-      sources.node_count = options.node_count;
-      const std::string report = obs::dump_flight_record(
-          obs_out,
-          counter == expected
-              ? "chaos run failed (lint violation or receiver errors)"
-              : "chaos run lost mutual exclusion",
-          sources);
-      if (!report.empty()) {
-        std::printf("  flight record : %s\n", report.c_str());
-      }
-    }
-  }
-  return ok ? 0 : 1;
+  artifacts.finish("chaos-trace.json", failures, 14);
+  return failures.empty() ? 0 : 1;
 }
 
 /// Runs the --sched-seeds / --sched-seed scenario: the chaos exclusive-
@@ -723,12 +744,7 @@ int main(int argc, char** argv) {
                  "acquisition (implies --watchdog; proves the watchdog "
                  "fires)");
 
-  try {
-    if (!cli.parse(argc, argv)) {
-      std::fputs(cli.help_text().c_str(), stdout);
-      return 0;
-    }
-
+  return cli.run(argc, argv, [&] {
     if (cli.was_set("sched-seeds") || cli.was_set("sched-seed")) {
       return run_sched(cli);
     }
@@ -768,9 +784,11 @@ int main(int argc, char** argv) {
     const std::string dump_path = cli.get_string("trace-dump");
     std::vector<trace::TraceEvent> captured;
     if (!dump_path.empty()) config.capture_events = &captured;
-    const bool spans = cli.get_flag("spans");
-    const std::string obs_out = cli.get_string("obs-out");
-    if ((config.lint || !dump_path.empty() || spans || !obs_out.empty()) &&
+    RunArtifacts artifacts;
+    artifacts.spans = cli.get_flag("spans");
+    artifacts.obs_out = cli.get_string("obs-out");
+    artifacts.node_count = config.nodes;
+    if ((config.lint || !dump_path.empty() || artifacts.collecting()) &&
         config.variant != AppVariant::kHierarchical) {
       throw UsageError(
           "--lint/--trace-dump/--spans/--obs-out apply to --protocol hier "
@@ -778,16 +796,14 @@ int main(int argc, char** argv) {
     }
 
     const int seeds = static_cast<int>(cli.get_int("seeds", 1, 1000));
-    obs::SpanCollector collector;
-    trace::TraceRecorder ring;
-    if (spans || !obs_out.empty()) {
+    if (artifacts.collecting()) {
       // Spans join events by (requester, seq), which restarts per seed; a
       // multi-seed average would splice unrelated requests together.
       if (seeds != 1) {
         throw UsageError("--spans/--obs-out require --seeds 1");
       }
-      config.collect_spans = &collector;
-      config.record_events = &ring;
+      config.collect_spans = &artifacts.collector;
+      config.record_events = &artifacts.ring;
     }
     const ExperimentResult result = bench::run_averaged(config, seeds);
 
@@ -858,7 +874,10 @@ int main(int argc, char** argv) {
       std::printf("  trace dump       : %zu events -> %s\n", captured.size(),
                   dump_path.c_str());
     }
-    bool failed = result.aborted;
+    std::string failures;
+    if (result.aborted) {
+      add_failure(failures, "experiment aborted: " + result.abort_reason);
+    }
     if (config.lint) {
       if (result.lint_violation_count == 0) {
         std::printf("  lint             : ok — %zu events conform to the "
@@ -868,33 +887,31 @@ int main(int argc, char** argv) {
         std::printf("  lint             : %zu violation(s) in %zu events\n%s",
                     result.lint_violation_count, result.lint_events_checked,
                     result.lint_report.c_str());
-        failed = true;
+        add_failure(failures, "conformance lint violation");
       }
     }
+    // The simulator runs under modelled time, so a live sampler has nothing
+    // meaningful to tick against: the registry holds the final state, for
+    // --metrics-out and for the flight record.
+    telemetry::Registry registry;
+    artifacts.registry = &registry;
+    registry.gauge("hlock_sim_ops").set(static_cast<double>(result.ops));
+    registry.gauge("hlock_sim_lock_requests")
+        .set(static_cast<double>(result.acquisitions));
+    registry.gauge("hlock_sim_messages")
+        .set(static_cast<double>(result.messages));
+    registry.gauge("hlock_sim_msgs_per_request").set(result.msgs_per_acq);
+    const stats::Summary latency =
+        stats::summarize(result.request_latency_samples_ms);
+    registry.gauge("hlock_sim_request_latency_ms{q=\"mean\"}")
+        .set(latency.mean);
+    registry.gauge("hlock_sim_request_latency_ms{q=\"p50\"}").set(latency.p50);
+    registry.gauge("hlock_sim_request_latency_ms{q=\"p99\"}").set(latency.p99);
+    registry.gauge("hlock_sim_request_latency_ms{q=\"p999\"}")
+        .set(latency.p999);
+    registry.gauge("hlock_sim_request_latency_ms{q=\"max\"}").set(latency.max);
     const std::string metrics_out = cli.get_string("metrics-out");
     if (!metrics_out.empty()) {
-      // The simulator runs under modelled time, so a live sampler has
-      // nothing meaningful to tick against — export the final state once.
-      telemetry::Registry registry;
-      registry.gauge("hlock_sim_ops")
-          .set(static_cast<double>(result.ops));
-      registry.gauge("hlock_sim_lock_requests")
-          .set(static_cast<double>(result.acquisitions));
-      registry.gauge("hlock_sim_messages")
-          .set(static_cast<double>(result.messages));
-      registry.gauge("hlock_sim_msgs_per_request").set(result.msgs_per_acq);
-      const stats::Summary latency =
-          stats::summarize(result.request_latency_samples_ms);
-      registry.gauge("hlock_sim_request_latency_ms{q=\"mean\"}")
-          .set(latency.mean);
-      registry.gauge("hlock_sim_request_latency_ms{q=\"p50\"}")
-          .set(latency.p50);
-      registry.gauge("hlock_sim_request_latency_ms{q=\"p99\"}")
-          .set(latency.p99);
-      registry.gauge("hlock_sim_request_latency_ms{q=\"p999\"}")
-          .set(latency.p999);
-      registry.gauge("hlock_sim_request_latency_ms{q=\"max\"}")
-          .set(latency.max);
       if (!telemetry::write_file_atomic(
               metrics_out,
               telemetry::render_prometheus(registry.snapshot()))) {
@@ -902,31 +919,7 @@ int main(int argc, char** argv) {
       }
       std::printf("  metrics          : %s\n", metrics_out.c_str());
     }
-    if (spans) print_span_report(collector);
-    if (!obs_out.empty()) {
-      const std::string path = write_chrome_trace(obs_out, "sim-trace.json",
-                                                  collector, config.nodes);
-      std::printf("  chrome trace     : %s (%zu spans)\n", path.c_str(),
-                  collector.span_count());
-      if (failed) {
-        obs::FlightRecordSources sources;
-        sources.recorder = &ring;
-        sources.spans = &collector;
-        sources.node_count = config.nodes;
-        const std::string report = obs::dump_flight_record(
-            obs_out,
-            result.aborted ? "experiment aborted: " + result.abort_reason
-                           : "conformance lint violation",
-            sources);
-        if (!report.empty()) {
-          std::printf("  flight record    : %s\n", report.c_str());
-        }
-      }
-    }
-    return failed ? 1 : 0;
-  } catch (const UsageError& error) {
-    std::fprintf(stderr, "error: %s\n\n%s", error.what(),
-                 cli.help_text().c_str());
-    return 2;
-  }
+    artifacts.finish("sim-trace.json", failures, 17);
+    return failures.empty() ? 0 : 1;
+  });
 }

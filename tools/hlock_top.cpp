@@ -264,11 +264,7 @@ int main(int argc, char** argv) {
   cli.add_flag("no-clear",
                "append frames instead of redrawing in place (logs, CI)");
 
-  try {
-    if (!cli.parse(argc, argv)) {
-      std::fputs(cli.help_text().c_str(), stdout);
-      return 0;
-    }
+  return cli.run(argc, argv, [&] {
     const std::string from = cli.get_string("from");
     const bool live = cli.was_set("connect");
     if (from.empty() == !live) {
@@ -303,9 +299,5 @@ int main(int argc, char** argv) {
       have_previous = true;
     }
     return 0;
-  } catch (const UsageError& error) {
-    std::fprintf(stderr, "error: %s\n\n%s", error.what(),
-                 cli.help_text().c_str());
-    return 2;
-  }
+  });
 }

@@ -13,8 +13,6 @@
 //   hlock_trace --export-chrome t.json  # load in chrome://tracing/Perfetto
 #include <cstdio>
 
-#include <fstream>
-
 #include "obs/chrome_trace.hpp"
 #include "obs/span.hpp"
 #include "runtime/sim_cluster.hpp"
@@ -112,11 +110,7 @@ int main(int argc, char** argv) {
                  "additionally write the scenario's request spans as Chrome "
                  "trace_event JSON to this file (chrome://tracing, "
                  "Perfetto)");
-  try {
-    if (!cli.parse(argc, argv)) {
-      std::fputs(cli.help_text().c_str(), stdout);
-      return 0;
-    }
+  return cli.run(argc, argv, [&] {
     const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 3, 32));
     const std::string scenario = cli.get_string("scenario");
 
@@ -160,13 +154,7 @@ int main(int argc, char** argv) {
     }
 
     if (!chrome_path.empty()) {
-      obs::ChromeTraceOptions chrome_options;
-      chrome_options.node_count = nodes;
-      std::ofstream out{chrome_path, std::ios::binary | std::ios::trunc};
-      if (!out) {
-        throw UsageError("cannot write chrome trace: " + chrome_path);
-      }
-      out << obs::chrome_trace_json(collector.spans(), chrome_options);
+      obs::write_chrome_trace(chrome_path, collector.spans(), nodes);
       std::fprintf(stderr, "chrome trace: %zu spans -> %s\n",
                    collector.span_count(), chrome_path.c_str());
     }
@@ -200,9 +188,5 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     cluster.metrics().messages().total()));
     return 0;
-  } catch (const UsageError& error) {
-    std::fprintf(stderr, "error: %s\n\n%s", error.what(),
-                 cli.help_text().c_str());
-    return 2;
-  }
+  });
 }
