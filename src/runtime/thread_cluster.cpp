@@ -200,8 +200,6 @@ ThreadCluster::ThreadCluster(const ThreadClusterOptions& options)
     transport_ = std::move(faulty);
   }
   HLOCK_REQUIRE(options.node_count >= 1, "a cluster needs at least one node");
-  HLOCK_REQUIRE(options.initial_root.value() < options.node_count,
-                "the initial root must be one of the cluster's nodes");
   HLOCK_REQUIRE(
       !(options.recovery.enabled && options.protocol == Protocol::kRaymond),
       "crash recovery is not supported for the Raymond baseline");
@@ -225,7 +223,7 @@ ThreadCluster::ThreadCluster(const ThreadClusterOptions& options)
       auto shard = std::make_unique<Shard>(
           *this, self,
           make_engine(options.protocol, self, options.node_count,
-                      options.initial_root, options.hier_config),
+                      kInitialRoot, options.hier_config),
           rt->clock, options);
       if (metrics_ != nullptr) {
         shard->series = rt->series.get();

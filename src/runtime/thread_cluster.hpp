@@ -63,7 +63,6 @@ struct ThreadClusterOptions {
   core::HierConfig hier_config = {};
   TransportKind transport = TransportKind::kInProc;
   std::uint64_t seed = 1;
-  NodeId initial_root = NodeId{0};
   /// Fault-injection plan; when it injects anything the chosen transport is
   /// wrapped in a transport::FaultyTransport, whose wire delays messages but
   /// keeps every channel FIFO, so the cluster still makes progress (see
@@ -99,6 +98,8 @@ inline constexpr std::size_t kDefaultEngineShards = 8;
 /// See file comment.
 class ThreadCluster {
  public:
+  /// Every lock's token starts at node 0.
+  static constexpr NodeId kInitialRoot{0};
   explicit ThreadCluster(const ThreadClusterOptions& options);
 
   /// Shuts down and joins all receiver threads. Outstanding blocked client

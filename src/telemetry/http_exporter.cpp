@@ -9,6 +9,7 @@
 
 #include "telemetry/exposition.hpp"
 #include "transport/tcp_socket.hpp"
+#include "util/check.hpp"
 #include "util/log.hpp"
 #include "util/sync_observer.hpp"
 
@@ -140,6 +141,39 @@ void HttpExporter::handle_connection(int fd) {
   if (send_all(fd, make_response(200, "OK", body))) {
     scrapes_.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+std::string scrape(std::uint16_t port) {
+  const int fd = transport::connect_loopback(port);
+  const std::string request =
+      "GET /metrics HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n";
+  if (!send_all(fd, request)) {
+    ::close(fd);
+    throw UsageError("scrape: write failed");
+  }
+  std::string response;
+  char buffer[4096];
+  for (;;) {
+    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
+    if (n < 0) {
+      ::close(fd);
+      throw UsageError("scrape: read failed");
+    }
+    if (n == 0) break;  // Connection: close — EOF ends the response
+    response.append(buffer, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  if (response.find("\r\n") == std::string::npos ||
+      response.compare(0, 9, "HTTP/1.1 ") != 0) {
+    throw UsageError("scrape: malformed HTTP response");
+  }
+  const std::string status = response.substr(9, 3);
+  if (status != "200") throw UsageError("scrape: HTTP status " + status);
+  const std::size_t body_at = response.find("\r\n\r\n");
+  if (body_at == std::string::npos) {
+    throw UsageError("scrape: response has no body");
+  }
+  return response.substr(body_at + 4);
 }
 
 }  // namespace hlock::telemetry

@@ -10,7 +10,8 @@
 // `Connection: close`.
 //
 // This is deliberately not a general HTTP server: loopback only, no
-// keep-alive, no TLS, request line + headers capped at 8 KiB.
+// keep-alive, no TLS, request line + headers capped at 8 KiB. scrape() is
+// the matching client, shared by hlock_top and hlock_metrics_check.
 #pragma once
 
 #include <atomic>
@@ -56,5 +57,10 @@ class HttpExporter {
   std::atomic<std::uint64_t> scrapes_{0};
   sched::Thread thread_;
 };
+
+/// One `GET /metrics` exchange with 127.0.0.1:`port`; returns the response
+/// body. Throws UsageError when the connection fails, the response is
+/// malformed or has no body, or its status is not 200.
+std::string scrape(std::uint16_t port);
 
 }  // namespace hlock::telemetry

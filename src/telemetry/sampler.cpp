@@ -1,9 +1,12 @@
 #include "telemetry/sampler.hpp"
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <utility>
 
 #include "telemetry/exposition.hpp"
+#include "util/check.hpp"
 #include "util/log.hpp"
 
 namespace hlock::telemetry {
@@ -94,6 +97,14 @@ bool write_file_atomic(const std::string& path, const std::string& text) {
     return false;
   }
   return true;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  if (!in) throw UsageError("cannot read: " + path);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
 }
 
 }  // namespace hlock::telemetry

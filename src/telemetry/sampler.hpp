@@ -63,4 +63,8 @@ class Sampler {
 /// (and leaves any previous file intact) on I/O failure.
 bool write_file_atomic(const std::string& path, const std::string& text);
 
+/// The whole file at `path` (an exposition a run wrote). Throws UsageError
+/// when it cannot be read.
+std::string read_file(const std::string& path);
+
 }  // namespace hlock::telemetry

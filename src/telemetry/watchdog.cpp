@@ -21,7 +21,7 @@ StallWatchdog::StallWatchdog(Registry& registry, WatchdogOptions options)
 StallWatchdog::~StallWatchdog() { stop(); }
 
 void StallWatchdog::set_on_stall(
-    std::function<void(const StallReport&)> hook) {
+    std::function<void(const std::vector<StallReport>&)> hook) {
   on_stall_ = std::move(hook);
 }
 
@@ -29,7 +29,7 @@ std::uint64_t StallWatchdog::begin(std::string label) {
   const auto now = std::chrono::steady_clock::now();
   MutexLock lock(mutex_);
   const std::uint64_t key = next_key_++;
-  pending_.emplace(key, Pending{std::move(label), now, now, false});
+  pending_.emplace(key, Pending{std::move(label), now, now});
   pending_gauge_.set(static_cast<double>(pending_.size()));
   return key;
 }
@@ -76,18 +76,14 @@ std::size_t StallWatchdog::check_now() {
       report.p99_ms = wait_ms_.quantile(0.99);
       report.pending = pending_.size();
       reports.push_back(std::move(report));
-      p.flagged = true;
       // Re-arm far enough out that a wedged request re-reports, while a
       // merely slow one finishes quietly in between.
       p.arm_at = now + 2 * threshold_dur;
     }
   }
-  for (const StallReport& report : reports) {
-    stalled_.inc();
-    if (on_stall_) {
-      on_stall_(report);
-    }
-  }
+  if (reports.empty()) return 0;
+  stalled_.inc(reports.size());
+  if (on_stall_) on_stall_(reports);
   return reports.size();
 }
 

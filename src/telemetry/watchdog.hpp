@@ -10,12 +10,13 @@
 //     max(multiplier × observed-p99-wait, floor)
 //
 // where the p99 comes from the watchdog's own all-requests wait
-// histogram. A wait beyond the threshold bumps the
-// `hlock_stalled_requests_total` counter and invokes the on_stall hook
-// exactly once per request (re-arming only if the request is still
-// pending on a later sweep after 2× the threshold, so a genuinely wedged
-// request keeps making noise but a slow one doesn't spam). The sim wires
-// on_stall to dump_flight_record + a metrics snapshot for post-mortem.
+// histogram. A wait beyond the threshold is flagged once per request
+// (re-armed only if the request is still pending on a later sweep after
+// 2× the threshold, so a genuinely wedged request keeps making noise but
+// a slow one doesn't spam). Each sweep bumps the
+// `hlock_stalled_requests_total` counter by the number it flagged, then
+// invokes the on_stall hook once with all of them. hlock_sim wires
+// on_stall to one flight record per sweep for post-mortem.
 //
 // The p99 floor exists because early in a run the histogram is empty or
 // tiny; with no signal yet, only waits beyond the configured floor count
@@ -27,6 +28,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "telemetry/registry.hpp"
 #include "util/sync.hpp"
@@ -41,7 +43,7 @@ struct WatchdogOptions {
   std::chrono::milliseconds check_interval{250};
 };
 
-/// Passed to the on_stall hook, one per flagged request.
+/// One flagged request; the on_stall hook gets a sweep's worth at once.
 struct StallReport {
   std::string label;     ///< as given to begin()
   double waited_ms = 0;  ///< wait so far when flagged
@@ -61,9 +63,11 @@ class StallWatchdog {
   StallWatchdog(const StallWatchdog&) = delete;
   StallWatchdog& operator=(const StallWatchdog&) = delete;
 
-  /// Invoked (outside the watchdog mutex, on the sweeping thread) for each
-  /// newly flagged stall. Set before start().
-  void set_on_stall(std::function<void(const StallReport&)> hook);
+  /// Invoked (outside the watchdog mutex, on the sweeping thread) once per
+  /// sweep that flags anything, with every request that sweep flagged, after
+  /// the stall counter counts them. Set before start().
+  void set_on_stall(
+      std::function<void(const std::vector<StallReport>&)> hook);
 
   /// A request started blocking; returns the key for the matching end().
   /// `label` names the request in reports ("node=2 lock=L mode=W").
@@ -92,7 +96,6 @@ class StallWatchdog {
     std::chrono::steady_clock::time_point since;
     /// Next sweep time at which this request may be (re-)flagged.
     std::chrono::steady_clock::time_point arm_at;
-    bool flagged = false;
   };
 
   void run();
@@ -101,7 +104,7 @@ class StallWatchdog {
   Counter& stalled_;
   Histogram& wait_ms_;
   Gauge& pending_gauge_;
-  std::function<void(const StallReport&)> on_stall_;
+  std::function<void(const std::vector<StallReport>&)> on_stall_;
 
   mutable Mutex mutex_;
   CondVar wake_cv_;

@@ -71,6 +71,7 @@ const CliParser::Option& CliParser::find(const std::string& name) const {
 
 std::string CliParser::get_string(const std::string& name) const {
   const Option& option = find(name);
+  option.read = true;
   return option.value.value_or(option.default_value);
 }
 
@@ -116,6 +117,16 @@ bool CliParser::get_flag(const std::string& name) const {
 
 bool CliParser::was_set(const std::string& name) const {
   return find(name).value.has_value();
+}
+
+void CliParser::reject_unread() const {
+  std::string unread;
+  for (const std::string& name : declaration_order_) {
+    const Option& option = options_.at(name);
+    if (!option.value || option.read) continue;
+    unread += (unread.empty() ? "--" : ", --") + name;
+  }
+  if (!unread.empty()) throw UsageError("not used by this run: " + unread);
 }
 
 std::string CliParser::help_text() const {

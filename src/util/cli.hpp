@@ -3,7 +3,9 @@
 // Supports `--name value`, `--name=value` and boolean `--flag` syntax,
 // typed access with range validation, automatic --help text, and strict
 // rejection of unknown options (a typo in an experiment sweep must fail
-// loudly, not silently fall back to defaults).
+// loudly, not silently fall back to defaults). The typed getters record
+// which options a tool read, so an option given for a mode that ignores it
+// fails just as loudly (reject_unread).
 #pragma once
 
 #include <cstdint>
@@ -45,15 +47,23 @@ class CliParser {
   int run(int argc, const char* const* argv,
           const std::function<int()>& body);
 
-  /// Typed access; all throw UsageError on conversion/range failure.
+  /// Typed access; all throw UsageError on conversion/range failure. Each
+  /// call marks the option read (see reject_unread).
   std::string get_string(const std::string& name) const;
   std::int64_t get_int(const std::string& name, std::int64_t min,
                        std::int64_t max) const;
   double get_double(const std::string& name, double min, double max) const;
   bool get_flag(const std::string& name) const;
 
-  /// True if the option was given explicitly (not defaulted).
+  /// True if the option was given explicitly (not defaulted). Does not
+  /// mark it read.
   bool was_set(const std::string& name) const;
+
+  /// Throws UsageError naming every option given on the command line that
+  /// no getter has read: the run about to start would ignore it. A tool
+  /// calls this once it has read everything its chosen mode uses, before
+  /// the run starts.
+  void reject_unread() const;
 
   /// Bare arguments in command-line order (allow_positionals required).
   const std::vector<std::string>& positional() const { return positionals_; }
@@ -67,6 +77,7 @@ class CliParser {
     std::string help;
     bool is_flag = false;
     std::optional<std::string> value;
+    mutable bool read = false;
   };
   const Option& find(const std::string& name) const;
 

@@ -257,11 +257,16 @@ class Thread {
 
   void join() {
     // Announce the join to the spawn-time observer first: the explorer
-    // parks this thread until the target finishes. The real join after
-    // that completes on its own (the target is past its last sync op), so
-    // the brief residual block happens in an ordinary blocking region.
+    // parks this thread until the target finishes. The target is then past
+    // its last sync operation (nothing that runs after thread_finished —
+    // the closure's and thread-locals' destructors — locks an hlock
+    // primitive), so the real join returns on its own and the joiner keeps
+    // its turn through it: a blocking region would let the scheduler grant
+    // other threads for as long as the OS takes, and a replay diverge.
     if (observer_ != nullptr && handle_ != nullptr) {
       observer_->thread_joining(handle_);
+      thread_.join();
+      return;
     }
     BlockingRegion region;
     thread_.join();

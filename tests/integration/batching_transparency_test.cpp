@@ -80,7 +80,7 @@ TEST(BatchingTransparency, LintCleanAndSpansMatchTheIssuedRequests) {
   options.seed = 99;
 
   lint::LintOptions lint_options;
-  lint_options.initial_token = options.initial_root;
+  lint_options.initial_token = ThreadCluster::kInitialRoot;
   lint::Checker checker{lint_options};
   obs::SpanCollector collector;
   {
@@ -125,7 +125,7 @@ TEST(BatchingTransparency, HoldsUnderInjectedFaults) {
   options.faults.delay = DurationDist::uniform(SimTime::ms(1), 0.5);
 
   lint::LintOptions lint_options;
-  lint_options.initial_token = options.initial_root;
+  lint_options.initial_token = ThreadCluster::kInitialRoot;
   lint::Checker checker{lint_options};
   obs::SpanCollector collector;
   {

@@ -217,7 +217,7 @@ TEST(ThreadChaos, MaskedFaultsLintCleanAgainstTheSpec) {
   options.faults.retransmit_delay = SimTime::us(300);
 
   lint::LintOptions lint_options;
-  lint_options.initial_token = options.initial_root;
+  lint_options.initial_token = runtime::ThreadCluster::kInitialRoot;
   lint::Checker checker{lint_options};
   {
     runtime::ThreadCluster cluster{options};

@@ -8,8 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "telemetry/http_exporter.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/text_parse.hpp"
+#include "util/check.hpp"
 
 namespace hlock::telemetry {
 namespace {
@@ -202,6 +204,19 @@ TEST(ExpositionChecker, MonotoneComparesCountersAcrossScrapes) {
   ASSERT_EQ(decreases.size(), 1u);
   EXPECT_NE(decreases[0].find("counter decreased"), std::string::npos);
   EXPECT_NE(decreases[0].find("hlock_x_total"), std::string::npos);
+}
+
+TEST(Exposition, ScrapeReadsWhatTheExporterServes) {
+  Registry registry;
+  populate(registry);
+  HttpExporter exporter{registry, 0};
+  const std::string body = scrape(exporter.port());
+  EXPECT_EQ(body, render_prometheus(registry.snapshot()));
+  EXPECT_TRUE(check_exposition(parse_exposition(body)).empty());
+  EXPECT_EQ(exporter.scrapes_served(), 1u);
+  const std::uint16_t port = exporter.port();
+  exporter.stop();
+  EXPECT_THROW(scrape(port), UsageError);  // nobody listens any more
 }
 
 }  // namespace

@@ -148,8 +148,9 @@ TEST(StallWatchdog, CheckNowFlagsOnceAndReArmsWedgedRequests) {
   Registry registry;
   StallWatchdog watchdog{registry, fast_watchdog()};
   std::vector<StallReport> reports;
-  watchdog.set_on_stall(
-      [&reports](const StallReport& report) { reports.push_back(report); });
+  watchdog.set_on_stall([&reports](const std::vector<StallReport>& sweep) {
+    reports.insert(reports.end(), sweep.begin(), sweep.end());
+  });
 
   watchdog.begin("node=1 lock=0 mode=W");
   EXPECT_EQ(watchdog.check_now(), 0u);  // not past the 5 ms floor yet
@@ -169,6 +170,32 @@ TEST(StallWatchdog, CheckNowFlagsOnceAndReArmsWedgedRequests) {
 
   const Snapshot snap = registry.snapshot();
   EXPECT_EQ(snap.find("hlock_stalled_requests_total")->value, 2.0);
+}
+
+TEST(StallWatchdog, OneSweepReachesTheHookInOneCall) {
+  Registry registry;
+  StallWatchdog watchdog{registry, fast_watchdog()};
+  std::vector<std::vector<StallReport>> calls;
+  watchdog.set_on_stall(
+      [&calls, &watchdog](const std::vector<StallReport>& sweep) {
+        // The counter already counts the whole sweep when the hook runs.
+        EXPECT_EQ(watchdog.stalled_total(), sweep.size());
+        calls.push_back(sweep);
+      });
+
+  watchdog.begin("node=1 lock=0 mode=W");
+  watchdog.begin("node=2 lock=0 mode=W");
+  std::this_thread::sleep_for(milliseconds(20));
+  EXPECT_EQ(watchdog.check_now(), 2u);
+  ASSERT_EQ(calls.size(), 1u);
+  ASSERT_EQ(calls[0].size(), 2u);
+  EXPECT_EQ(calls[0][0].label, "node=1 lock=0 mode=W");
+  EXPECT_EQ(calls[0][1].label, "node=2 lock=0 mode=W");
+  EXPECT_EQ(calls[0][0].pending, 2u);
+  EXPECT_EQ(watchdog.stalled_total(), 2u);
+
+  EXPECT_EQ(watchdog.check_now(), 0u);  // both re-armed: no empty call
+  EXPECT_EQ(calls.size(), 1u);
 }
 
 TEST(StallWatchdog, FinishedRequestsAreNeverFlagged) {

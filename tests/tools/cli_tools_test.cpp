@@ -7,6 +7,8 @@
 
 #include <array>
 #include <cstdio>
+#include <regex>
+#include <set>
 #include <string>
 
 namespace {
@@ -72,6 +74,81 @@ TEST(HlockSimCli, ChaosModeRejectsBadTransport) {
     EXPECT_NE(output.find("--chaos-transport must be"), std::string::npos)
         << mode;
   }
+}
+
+TEST(HlockSimCli, ChaosRefusesTheSimulatorsFlags) {
+  // --chaos runs the hierarchical protocol on live threads: a protocol
+  // choice, a trace dump, CSV, seed averaging or a histogram would be
+  // silently ignored, so the run refuses to start.
+  const auto [status, output] = run_command(
+      "(rm -f refused_cli.dump && " + tool("hlock_sim") +
+      " --chaos --protocol naimi-pure --trace-dump refused_cli.dump --csv"
+      " --seeds 3 --histogram 5; echo exit=$?; test ! -e refused_cli.dump)");
+  EXPECT_EQ(status, 0) << output;
+  EXPECT_NE(output.find("exit=2"), std::string::npos) << output;
+  EXPECT_NE(output.find("not used by this run: --protocol, --seeds, --csv, "
+                        "--trace-dump, --histogram"),
+            std::string::npos)
+      << output;
+  EXPECT_EQ(output.find("messages sent"), std::string::npos)
+      << "the run started";
+}
+
+TEST(HlockSimCli, SimulatorRefusesTheLiveClustersFlags) {
+  const auto [status, output] = run_command(
+      tool("hlock_sim") + " --nodes 4 --ops 5 --fault-drop 0.5 --kill-rate 2"
+                          " --watchdog --chaos-transport tcp");
+  EXPECT_EQ(WEXITSTATUS(status), 2) << output;
+  EXPECT_NE(output.find("not used by this run: --chaos-transport, "
+                        "--fault-drop, --kill-rate, --watchdog"),
+            std::string::npos)
+      << output;
+}
+
+TEST(HlockSimCli, ScheduleExplorationRefusesKills) {
+  // Kills fire on a real-time dice roll the explorer cannot drive; the
+  // other flags of this command are honored, but the run never starts.
+  const auto [status, output] = run_command(
+      "(rm -f refused_cli.prom && " + tool("hlock_sim") +
+      " --sched-seeds 2 --nodes 3 --ops 1 --fault-drop 0.5 --lint --spans"
+      " --kill-rate 1 --metrics-out refused_cli.prom; echo exit=$?;"
+      " test ! -e refused_cli.prom)");
+  EXPECT_EQ(status, 0) << output;
+  EXPECT_NE(output.find("exit=2"), std::string::npos) << output;
+  EXPECT_NE(output.find("--kill-rate cannot be explored"), std::string::npos)
+      << output;
+}
+
+TEST(HlockSimCli, ExploredScheduleRunsTheChaosFaultsAndLint) {
+  // --sched-seed replays the --chaos run these flags configure: its delay
+  // faults fire and its lint runs.
+  const auto [status, output] = run_command(
+      tool("hlock_sim") + " --sched-seed 1 --nodes 3 --ops 2"
+                          " --fault-delay 0.5 --fault-delay-us 100 --lint");
+  EXPECT_EQ(status, 0) << output;
+  EXPECT_TRUE(std::regex_search(output, std::regex{"delays=[1-9]"}))
+      << output;
+  EXPECT_NE(output.find("events conform to the spec"), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("mutual exclusion OK"), std::string::npos) << output;
+  EXPECT_NE(output.find("workload OK"), std::string::npos) << output;
+}
+
+TEST(HlockSimCli, ScheduleReplayIsExactAcrossProcesses) {
+  // The replay example of docs/sched.md: five separate processes replaying
+  // the same seed must take the same scheduling decisions.
+  const std::regex line{"complete after [0-9]+ decisions, fingerprint [0-9]+"};
+  std::set<std::string> schedules;
+  for (int run = 0; run < 5; ++run) {
+    const auto [status, output] = run_command(
+        tool("hlock_sim") + " --sched-seed 17 --nodes 2 --ops 2");
+    ASSERT_EQ(status, 0) << output;
+    std::smatch match;
+    ASSERT_TRUE(std::regex_search(output, match, line)) << output;
+    schedules.insert(match[0]);
+  }
+  EXPECT_EQ(schedules.size(), 1u) << *schedules.begin() << " and "
+                                  << *schedules.rbegin();
 }
 
 TEST(HlockSimCli, BadArgumentsFailWithHelp) {

@@ -128,6 +128,30 @@ TEST(Cli, DuplicateDeclarationRejected) {
   EXPECT_THROW(cli.add_flag("a", "again"), UsageError);
 }
 
+TEST(Cli, GivenOptionsThatNoGetterReadAreRejected) {
+  CliParser cli = make_parser();
+  EXPECT_TRUE(parse(cli, {"--nodes", "4", "--name", "x", "--verbose"}));
+  EXPECT_EQ(cli.get_int("nodes", 1, 100), 4);
+  EXPECT_FALSE(cli.was_set("scale"));
+  EXPECT_TRUE(cli.was_set("name"));  // a presence query is not a read
+  try {
+    cli.reject_unread();
+    FAIL() << "unread --name and --verbose were accepted";
+  } catch (const UsageError& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "not used by this run: --name, --verbose");
+  }
+  EXPECT_EQ(cli.get_string("name"), "x");
+  EXPECT_TRUE(cli.get_flag("verbose"));
+  EXPECT_NO_THROW(cli.reject_unread());
+}
+
+TEST(Cli, DefaultedOptionsNeedNoRead) {
+  CliParser cli = make_parser();
+  EXPECT_TRUE(parse(cli, {}));
+  EXPECT_NO_THROW(cli.reject_unread());
+}
+
 TEST(Cli, LastValueWins) {
   CliParser cli = make_parser();
   EXPECT_TRUE(parse(cli, {"--nodes", "1", "--nodes", "2"}));

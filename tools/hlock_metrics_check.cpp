@@ -17,8 +17,6 @@
 // prefixes whose summed value must be positive in the final exposition —
 // how CI asserts "the watchdog demonstrably fired". Exit 0 = clean,
 // 1 = violations, 2 = usage/connection errors.
-#include <unistd.h>
-
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -26,8 +24,9 @@
 #include <thread>
 #include <vector>
 
+#include "telemetry/http_exporter.hpp"
+#include "telemetry/sampler.hpp"
 #include "telemetry/text_parse.hpp"
-#include "transport/tcp_socket.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
 
@@ -35,55 +34,11 @@ using namespace hlock;
 
 namespace {
 
-/// One `GET /metrics` exchange against 127.0.0.1:`port`; returns the
-/// response body. Throws UsageError on connection or protocol failure.
-std::string scrape_once(std::uint16_t port) {
-  const int fd = transport::connect_loopback(port);
-  const std::string request =
-      "GET /metrics HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n";
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n =
-        ::write(fd, request.data() + sent, request.size() - sent);
-    if (n <= 0) {
-      ::close(fd);
-      throw UsageError("scrape: write failed");
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  std::string response;
-  char buffer[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
-    if (n < 0) {
-      ::close(fd);
-      throw UsageError("scrape: read failed");
-    }
-    if (n == 0) break;  // Connection: close — EOF ends the response
-    response.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  const std::size_t status_end = response.find("\r\n");
-  if (status_end == std::string::npos ||
-      response.compare(0, 9, "HTTP/1.1 ") != 0) {
-    throw UsageError("scrape: malformed HTTP response");
-  }
-  const std::string status = response.substr(9, 3);
-  if (status != "200") {
-    throw UsageError("scrape: HTTP status " + status);
-  }
-  const std::size_t body_at = response.find("\r\n\r\n");
-  if (body_at == std::string::npos) {
-    throw UsageError("scrape: response has no body");
-  }
-  return response.substr(body_at + 4);
-}
-
 /// Scrapes with retries (the target may still be binding its socket).
 std::string scrape(std::uint16_t port, int retries, int retry_delay_ms) {
   for (int attempt = 0;; ++attempt) {
     try {
-      return scrape_once(port);
+      return telemetry::scrape(port);
     } catch (const UsageError& error) {
       if (attempt >= retries) throw;
       std::fprintf(stderr, "scrape attempt %d failed (%s), retrying\n",
@@ -92,14 +47,6 @@ std::string scrape(std::uint16_t port, int retries, int retry_delay_ms) {
           std::chrono::milliseconds(retry_delay_ms));
     }
   }
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) throw UsageError("cannot read: " + path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
 }
 
 /// Splits a comma-separated list, dropping empty items.
@@ -169,7 +116,7 @@ int main(int argc, char** argv) {
         throw UsageError("expected one or two metrics files (or --scrape)");
       }
       for (const std::string& path : cli.positional()) {
-        expositions.emplace_back(path, read_file(path));
+        expositions.emplace_back(path, telemetry::read_file(path));
       }
     }
 

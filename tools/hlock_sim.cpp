@@ -21,12 +21,17 @@
 // Rules 1-7 / Tables 1(a)-(d). Works on both the simulator and --chaos
 // paths (hierarchical protocol only).
 //
-// --sched-seeds N runs the chaos scenario under the deterministic schedule
-// explorer (src/sched): each seed is one forked child whose thread
-// interleaving is fully controlled by a seeded random-priority scheduler;
-// a proven deadlock prints the blocked threads, their held locks and the
-// replay seed. --sched-seed S replays exactly one schedule in-process (for
-// debuggers). See docs/sched.md.
+// --kill-rate adds random crash-stops and epoch-fenced recovery to the
+// --chaos run (docs/recovery.md). --sched-seeds N runs the --chaos run,
+// faults included, under the deterministic schedule explorer (src/sched):
+// each seed is one forked child whose thread interleaving is fully
+// controlled by a seeded random-priority scheduler; a proven deadlock
+// prints the blocked threads, their held locks and the replay seed.
+// --sched-seed S replays exactly one schedule in-process (for debuggers).
+// See docs/sched.md.
+//
+// An option the chosen mode does not use is refused (exit 2), so a flag is
+// never silently ignored.
 //
 // --spans assembles per-request causal spans from the event stream and
 // prints the phase-latency breakdown table; --obs-out=<dir> additionally
@@ -42,6 +47,8 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -178,35 +185,59 @@ struct RunArtifacts {
   }
 };
 
-/// The --chaos-transport value, for both live-cluster modes (--chaos and
-/// --sched-seeds / --sched-seed).
-runtime::TransportKind chaos_transport(const CliParser& cli) {
-  const std::string transport = cli.get_string("chaos-transport");
-  if (transport == "tcp") return runtime::TransportKind::kTcp;
-  if (transport == "inproc") return runtime::TransportKind::kInProc;
-  throw UsageError("--chaos-transport must be inproc or tcp");
-}
-
-/// Runs the --chaos scenario: an exclusive-counter workload on a live
-/// ThreadCluster with the requested fault plan. Returns the process exit
-/// code (0 = mutual exclusion and full progress).
-int run_chaos(const CliParser& cli) {
+/// One live-cluster run as the command line configures it: every node's
+/// worker takes one lock in W mode --ops times on a live ThreadCluster,
+/// under the requested fault plan, crash-stops and telemetry. --chaos runs
+/// it once; --sched-seeds / --sched-seed run the same run under the
+/// schedule explorer.
+struct LiveRun {
   runtime::ThreadClusterOptions options;
-  options.node_count = static_cast<std::size_t>(cli.get_int("nodes", 1, 256));
-  options.transport = chaos_transport(cli);
-  const std::string transport = cli.get_string("chaos-transport");
+  std::string transport;  ///< --chaos-transport, for the summary
+  int ops = 0;
+  /// How long each critical section holds the lock (zero = a yield), and
+  /// how long worker 0's first one does.
+  std::chrono::milliseconds hold{0};
+  std::chrono::milliseconds first_hold{0};
+  double kill_rate = 0.0;  ///< expected crash-stops per second
+  std::size_t max_kills = 0;
+  bool lint = false;
+  bool spans = false;
+  std::string obs_out;
+  /// Set when any telemetry flag is (docs/telemetry.md).
+  std::optional<telemetry::SamplerOptions> sampler;
+  std::optional<std::uint16_t> metrics_port;
+  std::optional<telemetry::WatchdogOptions> watchdog;
+
+  bool kills() const { return kill_rate > 0.0; }
+};
+
+/// Reads every flag a live run uses; `explored` = under the schedule
+/// explorer, which refuses what it cannot drive (docs/sched.md).
+LiveRun read_live_run(const CliParser& cli, bool explored) {
+  LiveRun run;
+  runtime::ThreadClusterOptions& options = run.options;
+  options.node_count = static_cast<std::size_t>(
+      cli.get_int("nodes", 1, explored ? 64 : 256));
+  run.transport = cli.get_string("chaos-transport");
+  if (run.transport == "tcp") {
+    options.transport = runtime::TransportKind::kTcp;
+  } else if (run.transport != "inproc") {
+    throw UsageError("--chaos-transport must be inproc or tcp");
+  }
   options.seed = static_cast<std::uint64_t>(
       cli.get_int("seed", 0, std::numeric_limits<std::int64_t>::max()));
+  run.ops = static_cast<int>(cli.get_int("ops", 1, 100000));
 
-  // Crash-stop injection (docs/recovery.md): --kill-rate random crash-stops
-  // per second. The exact-counter mutual-exclusion check does not survive
-  // kills (a zombie holder's last increment is legitimately lost), so this
-  // mode verifies with an epoch-keyed overlap detector instead: overlapping
-  // with an older-epoch occupant means the crash was fenced (OK); a same-
-  // or newer-epoch occupant is a real violation.
-  const double kill_rate = cli.get_double("kill-rate", 0.0, 100.0);
-  const bool kills_on = kill_rate > 0.0;
-  if (kills_on) {
+  // Crash-stop injection (docs/recovery.md): --kill-rate random
+  // crash-stops per second. Each critical section then holds the lock for
+  // --cs-ms, so a victim owns something worth recovering.
+  run.kill_rate = cli.get_double("kill-rate", 0.0, 100.0);
+  if (run.kills()) {
+    if (explored) {
+      throw UsageError(
+          "--kill-rate cannot be explored: kills fire on a real-time dice "
+          "roll outside the schedule (see docs/sched.md)");
+    }
     if (options.node_count < 3) {
       throw UsageError("--kill-rate needs at least 3 nodes");
     }
@@ -215,20 +246,26 @@ int run_chaos(const CliParser& cli) {
         SimTime::ms(cli.get_int("heartbeat-ms", 1, 60000));
     options.recovery.suspect_after =
         SimTime::ms(cli.get_int("suspect-ms", 1, 600000));
+    run.max_kills =
+        static_cast<std::size_t>(cli.get_int("max-kills", 0, 4096));
+    if (run.max_kills == 0) run.max_kills = options.node_count / 2;
+    run.max_kills = std::min(run.max_kills, options.node_count - 2);
+    run.hold = std::chrono::milliseconds(cli.get_int("cs-ms", 0, 1000000));
   }
-  std::size_t max_kills =
-      static_cast<std::size_t>(cli.get_int("max-kills", 0, 4096));
-  if (max_kills == 0) max_kills = options.node_count / 2;
-  max_kills = std::min(max_kills, options.node_count - 2);
+  const std::int64_t stall_ms = cli.get_int("doctor-stall-ms", 0, 600000);
+  run.first_hold = stall_ms > 0 ? std::chrono::milliseconds(stall_ms)
+                                : run.hold;
 
-  transport::FaultPlan plan;
+  transport::FaultPlan& plan = options.faults;
   plan.seed = options.seed;
   plan.drop_probability = cli.get_double("fault-drop", 0.0, 1.0);
   plan.delay_probability = cli.get_double("fault-delay", 0.0, 1.0);
-  plan.delay = DurationDist::uniform(
-      SimTime::us(cli.get_int("fault-delay-us", 0, 10000000)), 0.5);
+  if (plan.delay_probability > 0.0) {
+    plan.delay = DurationDist::uniform(
+        SimTime::us(cli.get_int("fault-delay-us", 0, 10000000)), 0.5);
+  }
   const std::int64_t partition_ms = cli.get_int("partition-ms", 0, 600000);
-  if (partition_ms > 0 && kills_on) {
+  if (partition_ms > 0 && run.kills()) {
     // Suspicions are never retracted: a partition would permanently fence
     // out half the cluster, and the fenced-out (but live) half could never
     // drain its operations.
@@ -244,194 +281,246 @@ int run_chaos(const CliParser& cli) {
     partition.heal_after = SimTime::ms(partition_ms);
     plan.partitions.push_back(std::move(partition));
   }
-  options.faults = plan;
-  if (!plan.any()) {
-    std::fprintf(stderr,
-                 "note: --chaos with no --fault-* knobs runs fault-free\n");
+
+  run.lint = cli.get_flag("lint");
+  run.spans = cli.get_flag("spans");
+  run.obs_out = cli.get_string("obs-out");
+  options.hier_config.trace_events =
+      run.lint || run.spans || !run.obs_out.empty();
+
+  // Live telemetry: any of --metrics-out, --metrics-port, --watchdog or
+  // --doctor-stall-ms turns the registry and its sampler on.
+  const std::string metrics_out = cli.get_string("metrics-out");
+  if (cli.was_set("metrics-port")) {
+    run.metrics_port =
+        static_cast<std::uint16_t>(cli.get_int("metrics-port", 0, 65535));
+  }
+  if (cli.get_flag("watchdog") || stall_ms > 0) {
+    telemetry::WatchdogOptions watchdog;
+    watchdog.multiplier = cli.get_double("watchdog-multiplier", 1.0, 1e9);
+    watchdog.floor = std::chrono::milliseconds(
+        cli.get_int("watchdog-floor-ms", 1, 600000));
+    run.watchdog = watchdog;
+  }
+  if (!metrics_out.empty() || run.metrics_port || run.watchdog) {
+    run.sampler = telemetry::SamplerOptions{
+        std::chrono::milliseconds(
+            cli.get_int("metrics-interval-ms", 10, 600000)),
+        metrics_out};
+  }
+  return run;
+}
+
+/// The exclusion check of every live run: an epoch-keyed occupancy probe
+/// inside each critical section. Overlapping an older-epoch occupant means
+/// the crash that stranded it was fenced (OK); a same- or newer-epoch
+/// occupant is a real violation. Without recovery every epoch is 0, so
+/// any overlap is one. The window spans the critical section's yield point
+/// and hold, so an interleaving that would lose an increment of a counter
+/// updated there overlaps two windows: the probe is at least as strong.
+struct CsProbe {
+  std::mutex mutex;  // std: invisible to the schedule explorer
+  bool occupied = false;
+  std::uint32_t node = 0;
+  std::uint32_t epoch = 0;
+  /// Read once the workers are joined.
+  std::uint64_t fenced_overlaps = 0;
+  std::uint64_t violations = 0;
+
+  void enter(std::uint32_t entrant, std::uint32_t entrant_epoch) {
+    std::lock_guard<std::mutex> guard{mutex};
+    if (occupied) ++(epoch < entrant_epoch ? fenced_overlaps : violations);
+    occupied = true;
+    node = entrant;
+    epoch = entrant_epoch;
   }
 
-  const bool lint = cli.get_flag("lint");
+  void leave(std::uint32_t leaver, std::uint32_t leaver_epoch) {
+    std::lock_guard<std::mutex> guard{mutex};
+    // A newer-epoch entrant may have overwritten the record after this
+    // node was fenced out; leave theirs in place.
+    if (occupied && node == leaver && epoch == leaver_epoch) occupied = false;
+  }
+};
+
+/// What a live run saw, captured before the cluster's teardown.
+struct LiveOutcome {
+  std::vector<long> completed;     ///< ops each node finished
+  std::vector<char> live_at_end;  ///< 1 = the node was never killed
+  std::size_t kills = 0;
+  std::uint32_t max_epoch = 0;
+  std::uint64_t recoveries = 0;
+  CsProbe probe;
+  std::uint64_t messages_sent = 0;
+  std::uint64_t receiver_errors = 0;
+  std::string transport_counters;
+};
+
+/// Prints a live run's summary; returns its failed checks (see
+/// add_failure). Progress means every node still alive finished --ops.
+std::string print_summary(const LiveRun& run, const LiveOutcome& out) {
+  const std::size_t nodes = run.options.node_count;
+  const long expected = static_cast<long>(nodes) * run.ops;
+  long done = 0;
+  bool drained = true;
+  for (std::size_t i = 0; i < nodes; ++i) {
+    done += out.completed[i];
+    if (out.live_at_end[i] != 0 && out.completed[i] != run.ops) {
+      drained = false;
+    }
+  }
+  std::string failures;
+  if (out.probe.violations > 0) {
+    add_failure(failures, "chaos run lost mutual exclusion (" +
+                              std::to_string(out.probe.violations) +
+                              " same-epoch overlaps)");
+  }
+  if (!drained) {
+    add_failure(failures, "chaos run left live nodes undrained");
+  }
+  if (out.receiver_errors > 0) {
+    add_failure(failures, "chaos run had " +
+                              std::to_string(out.receiver_errors) +
+                              " receiver errors");
+  }
+  const std::string killed =
+      run.kills() ? std::to_string(out.kills) + " killed, " : "";
+  std::printf("chaos: %zu nodes (%s), %s%ld/%ld ops, mutual exclusion %s\n",
+              nodes, run.transport.c_str(), killed.c_str(), done, expected,
+              failures.empty() ? "OK" : "VIOLATED");
+  if (run.kills()) {
+    std::printf("  recovery      : epoch %u, %llu recoveries, survivors "
+                "%sdrained\n",
+                out.max_epoch, static_cast<unsigned long long>(out.recoveries),
+                drained ? "" : "NOT ");
+  }
+  std::printf("  overlaps      : %llu fenced (stale holders), %llu "
+              "same-epoch (real violations)\n",
+              static_cast<unsigned long long>(out.probe.fenced_overlaps),
+              static_cast<unsigned long long>(out.probe.violations));
+  std::printf("  messages sent : %llu\n",
+              static_cast<unsigned long long>(out.messages_sent));
+  if (!out.transport_counters.empty()) {
+    std::printf("  %s\n", out.transport_counters.c_str());
+  }
+  return failures;
+}
+
+/// Runs one live run and prints its summary. Returns the process exit
+/// code (0 = mutual exclusion, full progress and, under --lint, a clean
+/// lint).
+int run_live(const LiveRun& run) {
+  const std::size_t nodes = run.options.node_count;
   RunArtifacts artifacts;
-  artifacts.spans = cli.get_flag("spans");
-  artifacts.obs_out = cli.get_string("obs-out");
-  artifacts.node_count = options.node_count;
-  const bool observe = lint || artifacts.collecting();
-  if (observe) options.hier_config.trace_events = true;
-  // LintOptions defaults mirror the default HierConfig the chaos cluster
-  // runs with; the initial token holder is the default root, node 0.
+  artifacts.spans = run.spans;
+  artifacts.obs_out = run.obs_out;
+  artifacts.node_count = nodes;
   lint::LintOptions lint_options;
-  lint_options.initial_token = options.initial_root;
+  lint_options.initial_token = runtime::ThreadCluster::kInitialRoot;
   lint::Checker checker{lint_options};
 
-  // Live telemetry (docs/telemetry.md): any of --metrics-out,
-  // --metrics-port, --watchdog or --doctor-stall-ms turns the registry on.
   // All of these outlive the cluster scope below, so the watchdog's stall
   // hook and the sampler's final tick stay valid through teardown.
-  const std::string metrics_out = cli.get_string("metrics-out");
-  const bool serve_metrics = cli.was_set("metrics-port");
-  const std::int64_t doctor_stall_ms =
-      cli.get_int("doctor-stall-ms", 0, 600000);
-  const bool watchdog_on = cli.get_flag("watchdog") || doctor_stall_ms > 0;
-  const bool telemetry_on =
-      !metrics_out.empty() || serve_metrics || watchdog_on;
+  runtime::ThreadClusterOptions options = run.options;
   telemetry::Registry registry;
   std::unique_ptr<telemetry::StallWatchdog> watchdog;
   std::unique_ptr<telemetry::Sampler> sampler;
   std::unique_ptr<telemetry::HttpExporter> exporter;
-  if (telemetry_on) {
+  if (run.sampler) {
     options.metrics = &registry;
     artifacts.registry = &registry;
-    if (watchdog_on) {
-      telemetry::WatchdogOptions watchdog_options;
-      watchdog_options.multiplier =
-          cli.get_double("watchdog-multiplier", 1.0, 1e9);
-      watchdog_options.floor = std::chrono::milliseconds(
-          cli.get_int("watchdog-floor-ms", 1, 600000));
+    if (run.watchdog) {
       watchdog =
-          std::make_unique<telemetry::StallWatchdog>(registry,
-                                                     watchdog_options);
-      watchdog->set_on_stall([&artifacts](const telemetry::StallReport& r) {
-        std::fprintf(stderr,
-                     "WATCHDOG: %s waited %.1f ms "
-                     "(threshold %.1f ms, p99 %.1f ms, %llu pending)\n",
-                     r.label.c_str(), r.waited_ms, r.threshold_ms, r.p99_ms,
-                     static_cast<unsigned long long>(r.pending));
-        // The record carries the metrics as they were when the stall was
-        // flagged.
-        if (!artifacts.obs_out.empty()) {
-          artifacts.flight_record("stall watchdog: " + r.label);
-        }
-      });
+          std::make_unique<telemetry::StallWatchdog>(registry, *run.watchdog);
+      // One flight record per sweep, naming every request it flagged; the
+      // record carries the metrics as they were when the sweep ended.
+      watchdog->set_on_stall(
+          [&artifacts](const std::vector<telemetry::StallReport>& sweep) {
+            std::string reason = "stall watchdog:";
+            for (const telemetry::StallReport& r : sweep) {
+              std::fprintf(
+                  stderr,
+                  "WATCHDOG: %s waited %.1f ms "
+                  "(threshold %.1f ms, p99 %.1f ms, %llu pending)\n",
+                  r.label.c_str(), r.waited_ms, r.threshold_ms, r.p99_ms,
+                  static_cast<unsigned long long>(r.pending));
+              reason += (&r == &sweep.front() ? " " : ", ") + r.label;
+            }
+            if (!artifacts.obs_out.empty()) artifacts.flight_record(reason);
+          });
       watchdog->start();
       options.watchdog = watchdog.get();
     }
-    telemetry::SamplerOptions sampler_options;
-    sampler_options.interval = std::chrono::milliseconds(
-        cli.get_int("metrics-interval-ms", 10, 600000));
-    sampler_options.out_path = metrics_out;
-    sampler = std::make_unique<telemetry::Sampler>(registry, sampler_options);
+    sampler = std::make_unique<telemetry::Sampler>(registry, *run.sampler);
     sampler->start();
-    if (serve_metrics) {
-      exporter = std::make_unique<telemetry::HttpExporter>(
-          registry,
-          static_cast<std::uint16_t>(cli.get_int("metrics-port", 0, 65535)));
+    if (run.metrics_port) {
+      exporter = std::make_unique<telemetry::HttpExporter>(registry,
+                                                           *run.metrics_port);
       std::printf("metrics: serving http://127.0.0.1:%u/metrics\n",
                   exporter->port());
       std::fflush(stdout);
     }
   }
 
-  const int ops = static_cast<int>(cli.get_int("ops", 1, 100000));
-  long counter = 0;  // unprotected on purpose: the lock is the protection
-  std::uint64_t messages_sent = 0;
-  std::uint64_t receiver_errors = 0;
-  std::string transport_counters;
-  // --kill-rate verification state: the epoch-keyed critical-section
-  // occupancy probe, per-worker completion counts and the cluster's end
-  // state (captured before teardown).
-  struct CsProbe {
-    std::mutex mutex;
-    bool occupied = false;
-    std::uint32_t node = 0;
-    std::uint32_t epoch = 0;
-    std::uint64_t fenced_overlaps = 0;
-    std::uint64_t violations = 0;
-  } probe;
-  std::vector<long> completed(options.node_count, 0);
-  std::vector<char> live_at_end(options.node_count, 1);
-  std::size_t kills_done = 0;
-  std::uint32_t max_epoch = 0;
-  std::uint64_t recoveries = 0;
+  LiveOutcome out;
+  out.completed.assign(nodes, 0);
+  out.live_at_end.assign(nodes, 1);
   {
     runtime::ThreadCluster cluster{options};
-    if (observe) {
+    if (options.hier_config.trace_events) {
       cluster.set_event_sink([&checker, &artifacts,
-                              lint](trace::TraceEvent event) {
+                              lint = run.lint](trace::TraceEvent event) {
         if (lint) checker.add(event);
         if (artifacts.collecting()) artifacts.collector.observe(event);
         if (!artifacts.obs_out.empty()) artifacts.ring.record(std::move(event));
       });
     }
-    std::vector<std::thread> workers;
-    // Kill mode holds the lock for --cs-ms per op (the exact-counter mode
-    // keeps its instant yield-only section): crash-stops need a window in
-    // which the victim actually owns something worth recovering.
-    const std::int64_t cs_ms = cli.get_int("cs-ms", 0, 1000000);
-    for (std::uint32_t i = 0; i < options.node_count; ++i) {
-      if (kills_on) {
-        workers.emplace_back([&cluster, &probe, &completed, ops, cs_ms, i] {
-          const proto::NodeId node{i};
-          for (int k = 0; k < ops; ++k) {
-            try {
-              cluster.lock(node, proto::LockId{0}, proto::LockMode::kW);
-              if (!cluster.alive(node)) break;  // crash-stop wake-up
-              const std::uint32_t epoch = cluster.recovery_epoch_of(node);
-              {
-                std::lock_guard<std::mutex> guard{probe.mutex};
-                if (probe.occupied) {
-                  if (probe.epoch < epoch) {
-                    ++probe.fenced_overlaps;  // stale holder, fenced out
-                  } else {
-                    ++probe.violations;
-                  }
-                }
-                probe.occupied = true;
-                probe.node = i;
-                probe.epoch = epoch;
-              }
-              if (cs_ms > 0) {
-                std::this_thread::sleep_for(std::chrono::milliseconds(cs_ms));
-              } else {
-                std::this_thread::yield();
-              }
-              {
-                std::lock_guard<std::mutex> guard{probe.mutex};
-                if (probe.occupied && probe.node == i &&
-                    probe.epoch == epoch) {
-                  probe.occupied = false;
-                }
-                // A newer-epoch entrant may have overwritten the record
-                // after our node was fenced out; leave theirs in place.
-              }
-              cluster.unlock(node, proto::LockId{0});
-              ++completed[i];
-            } catch (const UsageError&) {
-              break;  // this node crash-stopped mid-operation
+    const bool recovery = options.recovery.enabled;
+    std::vector<sched::Thread> workers;
+    workers.reserve(nodes);
+    for (std::uint32_t i = 0; i < nodes; ++i) {
+      const std::string name = "worker-" + std::to_string(i);
+      const std::chrono::milliseconds first_hold =
+          i == 0 ? run.first_hold : run.hold;
+      workers.emplace_back(name.c_str(), [&cluster, &out, &run, recovery,
+                                          first_hold, i] {
+        const proto::NodeId node{i};
+        for (int k = 0; k < run.ops; ++k) {
+          try {
+            cluster.lock(node, proto::LockId{0}, proto::LockMode::kW);
+            if (!cluster.alive(node)) break;  // crash-stop wake-up
+            const std::uint32_t epoch =
+                recovery ? cluster.recovery_epoch_of(node) : 0;
+            out.probe.enter(i, epoch);
+            sched::yield_point("hlock_sim.cs");
+            const auto hold = k == 0 ? first_hold : run.hold;
+            if (hold.count() == 0) {
+              std::this_thread::yield();
+            } else {
+              // Outside the explorer's schedule: others run meanwhile.
+              sched::BlockingRegion region;
+              std::this_thread::sleep_for(hold);
             }
+            out.probe.leave(i, epoch);
+            cluster.unlock(node, proto::LockId{0});
+            ++out.completed[i];
+          } catch (const UsageError&) {
+            break;  // this node crash-stopped mid-operation
           }
-        });
-      } else {
-        workers.emplace_back([&cluster, &counter, ops, i, doctor_stall_ms] {
-          for (int k = 0; k < ops; ++k) {
-            cluster.lock(proto::NodeId{i}, proto::LockId{0},
-                         proto::LockMode::kW);
-            if (doctor_stall_ms > 0 && i == 0 && k == 0) {
-              // Doctored starvation: hold the exclusive lock long enough
-              // that every other node's wait blows past the watchdog
-              // threshold (CI proves the watchdog actually fires).
-              std::this_thread::sleep_for(
-                  std::chrono::milliseconds(doctor_stall_ms));
-            }
-            const long snapshot = counter;
-            std::this_thread::yield();
-            counter = snapshot + 1;
-            cluster.unlock(proto::NodeId{i}, proto::LockId{0});
-          }
-        });
-      }
+        }
+      });
     }
     std::atomic<bool> workers_done{false};
     std::thread killer;
-    if (kills_on) {
+    if (run.kills()) {
       // Dice roll every 20 ms: P(kill) = rate x 0.02 per step, victims
       // drawn uniformly from the live set, never below two survivors.
-      killer = std::thread([&cluster, &workers_done, &kills_done, kill_rate,
-                            max_kills, seed = options.seed] {
-        Rng rng{seed * 0x9e3779b97f4a7c15ULL + 1};
+      killer = std::thread([&cluster, &workers_done, &out, &run] {
+        Rng rng{run.options.seed * 0x9e3779b97f4a7c15ULL + 1};
         while (!workers_done.load(std::memory_order_acquire) &&
-               kills_done < max_kills) {
+               out.kills < run.max_kills) {
           std::this_thread::sleep_for(std::chrono::milliseconds(20));
-          if (!rng.chance(std::min(1.0, kill_rate * 0.02))) continue;
+          if (!rng.chance(std::min(1.0, run.kill_rate * 0.02))) continue;
           std::vector<std::uint32_t> live;
           for (std::uint32_t n = 0;
                n < static_cast<std::uint32_t>(cluster.node_count()); ++n) {
@@ -439,98 +528,45 @@ int run_chaos(const CliParser& cli) {
           }
           if (live.size() <= 2) break;
           cluster.crash_stop(proto::NodeId{live[rng.below(live.size())]});
-          ++kills_done;
+          ++out.kills;
         }
       });
     }
-    for (std::thread& worker : workers) worker.join();
+    for (sched::Thread& worker : workers) worker.join();
     workers_done.store(true, std::memory_order_release);
     if (killer.joinable()) killer.join();
-    if (kills_on) {
-      for (std::uint32_t i = 0; i < options.node_count; ++i) {
-        const proto::NodeId node{i};
-        live_at_end[i] = cluster.alive(node) ? 1 : 0;
-        if (live_at_end[i] == 0) continue;
-        max_epoch = std::max(max_epoch, cluster.recovery_epoch_of(node));
-        recoveries =
-            std::max(recoveries, cluster.recovery_counters(node).recoveries);
-      }
+    for (std::uint32_t i = 0; i < nodes && recovery; ++i) {
+      const proto::NodeId node{i};
+      out.live_at_end[i] = cluster.alive(node) ? 1 : 0;
+      if (out.live_at_end[i] == 0) continue;
+      out.max_epoch = std::max(out.max_epoch, cluster.recovery_epoch_of(node));
+      out.recoveries =
+          std::max(out.recoveries, cluster.recovery_counters(node).recoveries);
     }
-    messages_sent = cluster.messages_sent();
-    receiver_errors = cluster.receiver_errors();
+    out.messages_sent = cluster.messages_sent();
+    out.receiver_errors = cluster.receiver_errors();
     // Each transport prints what it counts: the fault plan's wire its
     // faults, TCP its retries, reconnects and bad frames.
     if (const stats::FaultCounters* faults = cluster.fault_counters()) {
-      transport_counters = stats::to_string(faults->snapshot());
+      out.transport_counters = stats::to_string(faults->snapshot());
     }
     if (const stats::TcpCounters* tcp = cluster.tcp_counters()) {
-      if (!transport_counters.empty()) transport_counters += ' ';
-      transport_counters += stats::to_string(tcp->snapshot());
+      if (!out.transport_counters.empty()) out.transport_counters += ' ';
+      out.transport_counters += stats::to_string(tcp->snapshot());
     }
     // Cluster teardown joins the receivers, so once the scope closes no
     // event can still be in flight toward the checker.
   }
 
-  const long expected = static_cast<long>(options.node_count) * ops;
-  // Each failed check names itself, for the exit code and the flight
-  // record alike.
-  std::string failures;
-  long done = 0;
-  bool survivors_drained = true;
-  if (kills_on) {
-    for (std::uint32_t i = 0; i < options.node_count; ++i) {
-      done += completed[i];
-      if (live_at_end[i] != 0 && completed[i] != ops) {
-        survivors_drained = false;
-      }
-    }
-    if (probe.violations > 0) {
-      add_failure(failures, "chaos run lost mutual exclusion (" +
-                                std::to_string(probe.violations) +
-                                " same-epoch overlaps)");
-    }
-    if (!survivors_drained) {
-      add_failure(failures, "chaos run left surviving nodes undrained");
-    }
-  } else if (counter != expected) {
-    add_failure(failures, "chaos run lost mutual exclusion (counter " +
-                              std::to_string(counter) + " of " +
-                              std::to_string(expected) + ")");
-  }
-  if (receiver_errors > 0) {
-    add_failure(failures, "chaos run had " + std::to_string(receiver_errors) +
-                              " receiver errors");
-  }
-  const bool ok = failures.empty();
-  if (kills_on) {
-    std::printf("chaos: %zu nodes (%s), %zu killed, %ld/%ld ops, "
-                "mutual exclusion %s\n",
-                options.node_count, transport.c_str(), kills_done, done,
-                expected, ok ? "OK" : "VIOLATED");
-    std::printf("  recovery      : epoch %u, %llu recoveries, survivors "
-                "%sdrained\n",
-                max_epoch, static_cast<unsigned long long>(recoveries),
-                survivors_drained ? "" : "NOT ");
-    std::printf("  overlaps      : %llu fenced (stale holders), %llu "
-                "same-epoch (real violations)\n",
-                static_cast<unsigned long long>(probe.fenced_overlaps),
-                static_cast<unsigned long long>(probe.violations));
-  } else {
-    std::printf("chaos: %zu nodes (%s), %ld/%ld ops, mutual exclusion %s\n",
-                options.node_count, transport.c_str(), counter, expected,
-                ok ? "OK" : "VIOLATED");
-  }
-  std::printf("  messages sent : %llu\n",
-              static_cast<unsigned long long>(messages_sent));
-  if (!transport_counters.empty()) {
-    std::printf("  %s\n", transport_counters.c_str());
-  }
-  if (telemetry_on) {
+  std::string failures = print_summary(run, out);
+  if (sampler != nullptr) {
     // Final tick: the exposition file ends at the run's true end state
     // (the cluster is down, so its callback series are already gone).
     sampler->stop();
     std::printf("  metrics       : %zu series", registry.series_count());
-    if (!metrics_out.empty()) std::printf(" -> %s", metrics_out.c_str());
+    if (!run.sampler->out_path.empty()) {
+      std::printf(" -> %s", run.sampler->out_path.c_str());
+    }
     if (exporter != nullptr) {
       std::printf(", %llu scrapes served",
                   static_cast<unsigned long long>(
@@ -544,7 +580,7 @@ int run_chaos(const CliParser& cli) {
                   watchdog->threshold_ms());
     }
   }
-  if (lint) {
+  if (run.lint) {
     const lint::LintReport report = checker.finish();
     std::printf("  %s", report.render().c_str());
     if (!report.ok()) add_failure(failures, "conformance lint violation");
@@ -553,85 +589,54 @@ int run_chaos(const CliParser& cli) {
   return failures.empty() ? 0 : 1;
 }
 
-/// Runs the --sched-seeds / --sched-seed scenario: the chaos exclusive-
-/// counter workload on a live in-process ThreadCluster, with every thread
-/// interleaving driven by the deterministic schedule explorer
-/// (docs/sched.md). TCP stays available but makes replay best-effort
-/// (real sockets add nondeterminism the scheduler cannot seed).
-int run_sched(const CliParser& cli) {
-  runtime::ThreadClusterOptions options;
-  options.node_count = static_cast<std::size_t>(cli.get_int("nodes", 1, 64));
-  options.transport = chaos_transport(cli);
-  const int ops = static_cast<int>(cli.get_int("ops", 1, 100000));
-  const long expected = static_cast<long>(options.node_count) * ops;
-
-  // One explored schedule: cluster up, N worker threads hammer one W lock,
-  // cluster down. `ok` is written before the body returns so the forked
-  // child's `failed` predicate can read it.
-  bool ok = false;
-  const auto body = [&ok, options, ops, expected] {
-    long counter = 0;  // unprotected on purpose: the lock is the protection
-    {
-      runtime::ThreadCluster cluster{options};
-      std::vector<sched::Thread> workers;
-      workers.reserve(options.node_count);
-      for (std::uint32_t i = 0;
-           i < static_cast<std::uint32_t>(options.node_count); ++i) {
-        const std::string name = "worker-" + std::to_string(i);
-        workers.emplace_back(
-            sched::Thread(name.c_str(), [&cluster, &counter, ops, i] {
-              for (int k = 0; k < ops; ++k) {
-                cluster.lock(proto::NodeId{i}, proto::LockId{0},
-                             proto::LockMode::kW);
-                const long snapshot = counter;
-                sched::yield_point("hlock_sim.cs");
-                counter = snapshot + 1;
-                cluster.unlock(proto::NodeId{i}, proto::LockId{0});
-              }
-            }));
-      }
-      for (sched::Thread& worker : workers) worker.join();
-    }
-    ok = counter == expected;
-  };
-
+/// Runs `run` under the deterministic schedule explorer (docs/sched.md):
+/// --sched-seeds N explores N schedules, each in a forked child; --sched-seed
+/// S replays one in-process (for debuggers). Replay is exact only without
+/// real-time inputs: the fault plan's delays, partitions and TCP sockets
+/// keep it best-effort.
+int run_sched(const CliParser& cli, const LiveRun& run) {
   sched::ExplorerOptions explorer_options;
   explorer_options.change_interval = static_cast<std::uint32_t>(
       cli.get_int("sched-change-interval", 0, 1 << 20));
+  const bool replay = cli.was_set("sched-seed");
+  const std::int64_t max_seed = std::numeric_limits<std::int64_t>::max();
+  const std::uint64_t base = static_cast<std::uint64_t>(
+      replay ? cli.get_int("sched-seed", 1, max_seed)
+             : cli.get_int("seed", 0, max_seed));
+  const std::int64_t seeds = replay ? 1 : cli.get_int("sched-seeds", 1, 100000);
+  cli.reject_unread();
 
-  if (cli.was_set("sched-seed")) {
-    // Replay one schedule in-process (debugger-friendly; a deadlock ends
-    // the process with the report and exit code kSchedDeadlockExit).
-    explorer_options.seed = static_cast<std::uint64_t>(cli.get_int(
-        "sched-seed", 1, std::numeric_limits<std::int64_t>::max()));
+  // `code` is written before the body returns, so the forked child's
+  // `failed` predicate can read it.
+  int code = 1;
+  const auto body = [&code, &run] { code = run_live(run); };
+  if (replay) {
+    // A deadlock ends the process with the report and exit code
+    // kSchedDeadlockExit.
+    explorer_options.seed = base;
     sched::Explorer explorer{explorer_options};
     explorer.run(body);
     std::printf(
         "sched: seed %llu complete after %llu decisions, "
         "fingerprint %llu, workload %s\n",
-        static_cast<unsigned long long>(explorer_options.seed),
+        static_cast<unsigned long long>(base),
         static_cast<unsigned long long>(explorer.steps()),
         static_cast<unsigned long long>(explorer.schedule_fingerprint()),
-        ok ? "OK" : "FAILED");
-    return ok ? 0 : 1;
+        code == 0 ? "OK" : "FAILED");
+    return code;
   }
-
-  const std::int64_t seeds = cli.get_int("sched-seeds", 1, 100000);
-  const std::uint64_t base = static_cast<std::uint64_t>(cli.get_int(
-      "seed", 0, std::numeric_limits<std::int64_t>::max()));
   int bad = 0;
   for (std::int64_t s = 0; s < seeds; ++s) {
     explorer_options.seed = base + static_cast<std::uint64_t>(s);
-    const bool* ok_view = &ok;
     const sched::SeedResult result = sched::run_seed(
-        explorer_options, body, [ok_view] { return !*ok_view; });
+        explorer_options, body, [&code] { return code != 0; });
     std::printf("sched: seed %llu %s\n",
                 static_cast<unsigned long long>(explorer_options.seed),
                 sched::seed_verdict_name(result.verdict));
     if (result.verdict != sched::SeedVerdict::kOk) {
       ++bad;
-      // The child's captured output carries the deadlock report / failure
-      // detail and the replay instructions.
+      // The child's captured output carries the run's summary, the
+      // deadlock report or failure detail, and the replay instructions.
       std::fputs(result.output.c_str(), stderr);
       std::fprintf(stderr, "sched: replay with --sched-seed %llu\n",
                    static_cast<unsigned long long>(explorer_options.seed));
@@ -653,7 +658,9 @@ int main(int argc, char** argv) {
   cli.add_option("nodes", "16", "number of cluster nodes (1-4096)");
   cli.add_option("ops", "60", "operations per node");
   cli.add_option("entries", "6", "ticket-table entries");
-  cli.add_option("cs-ms", "15", "mean critical-section length, ms");
+  cli.add_option("cs-ms", "15",
+                 "mean critical-section length, ms (chaos: the hold under "
+                 "--kill-rate)");
   cli.add_option("ratio", "10",
                  "non-critical : critical ratio (idle = ratio x cs)");
   cli.add_option("net-latency-us", "150",
@@ -702,8 +709,7 @@ int main(int argc, char** argv) {
                "recovery layer without scheduling any kill (overhead runs)");
   cli.add_option("kill-rate", "0",
                  "chaos: expected crash-stops per second; survivors must "
-                 "recover, mutual exclusion is checked with an epoch-keyed "
-                 "overlap detector (docs/recovery.md)");
+                 "recover (docs/recovery.md; not under --sched-seeds)");
   cli.add_option("max-kills", "0",
                  "chaos: cap on --kill-rate crash-stops (0 = half the "
                  "cluster; at least two nodes always stay alive)");
@@ -715,8 +721,9 @@ int main(int argc, char** argv) {
                  "simulator: stop scheduling heartbeat ticks past this "
                  "simulated time (keeps runs finite)");
   cli.add_option("sched-seeds", "0",
-                 "explore this many deterministic schedules of the chaos "
-                 "scenario (each seed forks a child; see docs/sched.md)");
+                 "explore this many deterministic schedules of the --chaos "
+                 "run these flags configure (each seed forks a child; see "
+                 "docs/sched.md)");
   cli.add_option("sched-seed", "0",
                  "replay exactly one explored schedule in-process "
                  "(the seed a failing exploration printed)");
@@ -745,10 +752,19 @@ int main(int argc, char** argv) {
                  "fires)");
 
   return cli.run(argc, argv, [&] {
+    const bool chaos = cli.get_flag("chaos");
     if (cli.was_set("sched-seeds") || cli.was_set("sched-seed")) {
-      return run_sched(cli);
+      return run_sched(cli, read_live_run(cli, /*explored=*/true));
     }
-    if (cli.get_flag("chaos")) return run_chaos(cli);
+    if (chaos) {
+      const LiveRun run = read_live_run(cli, /*explored=*/false);
+      cli.reject_unread();
+      if (!run.options.faults.any()) {
+        std::fprintf(stderr,
+                     "note: --chaos with no --fault-* knobs runs fault-free\n");
+      }
+      return run_live(run);
+    }
 
     ExperimentConfig config;
     config.variant = parse_variant(cli.get_string("protocol"));
@@ -770,7 +786,8 @@ int main(int argc, char** argv) {
     config.hier_config.path_compression = !cli.get_flag("no-compression");
     config.hier_config.freezing = !cli.get_flag("no-freezing");
     const std::string kill_spec = cli.get_string("kill");
-    if (!kill_spec.empty() || cli.get_flag("recovery")) {
+    const bool recovery = cli.get_flag("recovery");
+    if (!kill_spec.empty() || recovery) {
       config.recovery.enabled = true;
       config.recovery.heartbeat_interval =
           SimTime::ms(cli.get_int("heartbeat-ms", 1, 60000));
@@ -805,18 +822,23 @@ int main(int argc, char** argv) {
       config.collect_spans = &artifacts.collector;
       config.record_events = &artifacts.ring;
     }
+    const bool csv = cli.get_flag("csv");
+    const auto buckets =
+        static_cast<std::size_t>(cli.get_int("histogram", 0, 64));
+    const std::string metrics_out = cli.get_string("metrics-out");
+    cli.reject_unread();
     const ExperimentResult result = bench::run_averaged(config, seeds);
 
     if (result.aborted) {
       // An early abort still reports the partial metrics instead of dying
       // with nothing but an exception message (kept off stdout in CSV mode
       // so the row stays machine-parseable).
-      std::fprintf(cli.get_flag("csv") ? stderr : stdout,
+      std::fprintf(csv ? stderr : stdout,
                    "RUN ABORTED: %s\n"
                    "(metrics below cover the partial run up to the abort)\n",
                    result.abort_reason.c_str());
     }
-    if (cli.get_flag("csv")) {
+    if (csv) {
       std::printf("protocol,nodes,ops,msgs_per_request,msgs_per_op,"
                   "mean_request_latency_ms,mean_op_latency_ms,"
                   "p90_op_latency_ms,max_op_latency_ms\n");
@@ -851,8 +873,6 @@ int main(int argc, char** argv) {
                     result.nodes_killed);
       }
     }
-    const auto buckets =
-        static_cast<std::size_t>(cli.get_int("histogram", 0, 64));
     if (buckets > 0) {
       stats::HistogramOptions histogram;
       histogram.buckets = buckets;
@@ -910,7 +930,6 @@ int main(int argc, char** argv) {
     registry.gauge("hlock_sim_request_latency_ms{q=\"p999\"}")
         .set(latency.p999);
     registry.gauge("hlock_sim_request_latency_ms{q=\"max\"}").set(latency.max);
-    const std::string metrics_out = cli.get_string("metrics-out");
     if (!metrics_out.empty()) {
       if (!telemetry::write_file_atomic(
               metrics_out,

@@ -13,12 +13,9 @@
 // Rates are deltas between consecutive polls; the first frame shows
 // totals only. The dashboard is read-only and shares nothing with the
 // process it watches beyond the exposition text (docs/telemetry.md).
-#include <unistd.h>
-
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -26,8 +23,9 @@
 #include <vector>
 
 #include "stats/histogram.hpp"
+#include "telemetry/http_exporter.hpp"
+#include "telemetry/sampler.hpp"
 #include "telemetry/text_parse.hpp"
-#include "transport/tcp_socket.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
 
@@ -97,52 +95,6 @@ bool aggregate_histogram(const ParsedExposition& parsed,
                         ? static_cast<std::uint64_t>(inf_total - previous)
                         : 0u);
   return true;
-}
-
-/// One `GET /metrics` scrape (body only). Throws UsageError on failure.
-std::string scrape(std::uint16_t port) {
-  const int fd = transport::connect_loopback(port);
-  const std::string request =
-      "GET /metrics HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n";
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n =
-        ::write(fd, request.data() + sent, request.size() - sent);
-    if (n <= 0) {
-      ::close(fd);
-      throw UsageError("scrape: write failed");
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  std::string response;
-  char buffer[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
-    if (n < 0) {
-      ::close(fd);
-      throw UsageError("scrape: read failed");
-    }
-    if (n == 0) break;
-    response.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  const std::size_t body_at = response.find("\r\n\r\n");
-  if (response.compare(0, 9, "HTTP/1.1 ") != 0 ||
-      body_at == std::string::npos) {
-    throw UsageError("scrape: malformed HTTP response");
-  }
-  if (response.substr(9, 3) != "200") {
-    throw UsageError("scrape: HTTP status " + response.substr(9, 3));
-  }
-  return response.substr(body_at + 4);
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) throw UsageError("cannot read: " + path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
 }
 
 /// `current - previous` per elapsed second; 0 on the first frame.
@@ -285,7 +237,8 @@ int main(int argc, char** argv) {
     for (std::int64_t frame = 0; iterations == 0 || frame < iterations;
          ++frame) {
       if (frame > 0) std::this_thread::sleep_for(interval);
-      const std::string text = live ? scrape(port) : read_file(from);
+      const std::string text =
+          live ? telemetry::scrape(port) : telemetry::read_file(from);
       const ParsedExposition parsed = telemetry::parse_exposition(text);
       const double dt_s =
           static_cast<double>(interval.count()) / 1000.0;
