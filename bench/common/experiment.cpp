@@ -28,9 +28,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   cluster_options.recovery_horizon = config.recovery_horizon;
   HLOCK_REQUIRE(config.kills.empty() || config.recovery.enabled,
                 "a kill schedule requires ExperimentConfig::recovery");
-  const bool wants_events = config.lint || config.capture_events != nullptr ||
-                            config.collect_spans != nullptr ||
-                            config.record_events != nullptr;
+  const bool wants_events = config.lint || config.on_event != nullptr;
   if (wants_events) {
     HLOCK_REQUIRE(config.variant == AppVariant::kHierarchical,
                   "event tracing applies to the hierarchical variant");
@@ -41,7 +39,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   std::unique_ptr<lint::Checker> checker;
   if (config.lint) {
     lint::LintOptions lint_options;
-    lint_options.initial_token = cluster_options.initial_root;
+    lint_options.initial_token = SimCluster::kInitialRoot;
     lint_options.local_queueing = config.hier_config.local_queueing;
     lint_options.child_grants = config.hier_config.child_grants;
     lint_options.path_compression = config.hier_config.path_compression;
@@ -50,13 +48,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
   if (wants_events) {
     cluster.set_event_observer(
-        [&checker, capture = config.capture_events,
-         spans = config.collect_spans,
-         ring = config.record_events](trace::TraceEvent event) {
+        [&checker, &on_event = config.on_event](trace::TraceEvent event) {
           if (checker) checker->add(event);
-          if (spans != nullptr) spans->observe(event);
-          if (ring != nullptr) ring->record(event);  // at already stamped
-          if (capture != nullptr) capture->push_back(std::move(event));
+          if (on_event) on_event(event);
         });
   }
 

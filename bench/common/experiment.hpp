@@ -7,14 +7,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/hier_config.hpp"
 #include "lint/checker.hpp"
-#include "obs/span.hpp"
 #include "recovery/manager.hpp"
-#include "trace/recorder.hpp"
+#include "trace/event.hpp"
 #include "util/distributions.hpp"
 #include "workload/op_plan.hpp"
 #include "workload/sim_driver.hpp"
@@ -40,19 +40,10 @@ struct ExperimentConfig {
   /// (src/lint) during the run; hierarchical variant only. Costs event
   /// emission + checking time, so off for plain benchmarking.
   bool lint = false;
-  /// Optional caller-owned sink for every structured event (hierarchical
-  /// variant only; enables event emission like `lint`). Appended across
-  /// seeds under run_averaged; feeds trace dumps (hlock_sim --trace-dump).
-  std::vector<trace::TraceEvent>* capture_events = nullptr;
-  /// Optional caller-owned span collector (hierarchical variant only;
-  /// enables event emission like `lint`). Receives every structured event,
-  /// assembling per-request causal spans — feeds the phase-latency table
-  /// and Chrome-trace export (hlock_sim --spans / --obs-out).
-  obs::SpanCollector* collect_spans = nullptr;
-  /// Optional caller-owned bounded event ring (hierarchical variant only;
-  /// enables event emission like `lint`). Unlike capture_events this caps
-  /// memory, making it the flight-recorder source for long runs.
-  trace::TraceRecorder* record_events = nullptr;
+  /// Optional observer of every structured protocol event, in emission
+  /// order (hierarchical variant only; enables event emission like `lint`):
+  /// hlock_sim's obs::RunArtifacts.
+  std::function<void(const trace::TraceEvent&)> on_event;
   /// Crash-recovery configuration forwarded to the simulated cluster
   /// (docs/recovery.md). Must be enabled for `kills` to be legal.
   recovery::Options recovery = {};

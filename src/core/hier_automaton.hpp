@@ -132,8 +132,6 @@ class HierAutomaton {
   /// Sequence number of the outstanding request (valid while pending() is
   /// not kNL; requests never overlap, so it is the last issued seq).
   std::uint64_t pending_seq() const { return next_seq_ - 1; }
-  /// Priority of the outstanding request (valid while pending() is not kNL).
-  std::uint8_t pending_priority() const { return pending_priority_; }
   /// Strongest mode held/owned in the subtree rooted here — Definition 3.
   LockMode owned() const;
   /// True while a Rule 7 upgrade is waiting for children to release.

@@ -12,7 +12,7 @@
 //
 // Downstream consumers: the phase-latency breakdown table (p50/p95/max per
 // phase interval), the Chrome-trace exporter (obs/chrome_trace.hpp) and the
-// flight recorder (obs/flight_recorder.hpp).
+// flight record (obs/run_artifacts.hpp).
 #pragma once
 
 #include <cstdint>

@@ -39,12 +39,6 @@ enum class Protocol {
 /// Returns "hierarchical", "naimi" or "raymond".
 std::string to_string(Protocol protocol);
 
-/// True for single-exclusive-mode protocols (Naimi, Raymond), which ignore
-/// request modes and map any workload onto exclusive acquisitions.
-inline bool is_mode_less(Protocol protocol) {
-  return protocol != Protocol::kHierarchical;
-}
-
 /// Protocol-agnostic face of one node: issue requests, releases, upgrades
 /// and deliver incoming messages; every call returns the effects to apply.
 ///

@@ -41,8 +41,6 @@ SimCluster::SimCluster(const SimClusterOptions& options)
   HLOCK_REQUIRE(options.message_loss_probability >= 0.0 &&
                     options.message_loss_probability <= 1.0,
                 "loss probability must be within [0, 1]");
-  HLOCK_REQUIRE(options.initial_root.value() < options.node_count,
-                "the initial root must be one of the cluster's nodes");
   HLOCK_REQUIRE(
       !(options.recovery.enabled && options.protocol == Protocol::kRaymond),
       "crash recovery is not supported for the Raymond baseline");
@@ -52,7 +50,7 @@ SimCluster::SimCluster(const SimClusterOptions& options)
     nodes_.push_back(std::make_unique<Node>(
         *this, self,
         make_engine(options.protocol, self, options.node_count,
-                    options.initial_root, options.hier_config)));
+                    kInitialRoot, options.hier_config)));
   }
   if (recovery_on()) schedule_recovery_tick();
 }

@@ -38,8 +38,6 @@ struct SimClusterOptions {
   std::uint64_t seed = 1;
   /// Feature flags for the hierarchical protocol (ignored by Naimi).
   core::HierConfig hier_config = {};
-  /// Node that initially holds the token of every lock.
-  NodeId initial_root = NodeId{0};
   /// FAILURE INJECTION (testing only): probability that a transmitted
   /// message is silently dropped. The protocol assumes reliable FIFO
   /// transport — any non-zero value eventually wedges a run; the harness's
@@ -61,6 +59,8 @@ struct SimClusterOptions {
 /// See file comment.
 class SimCluster {
  public:
+  /// Every lock's token starts at node 0.
+  static constexpr NodeId kInitialRoot{0};
   explicit SimCluster(const SimClusterOptions& options);
 
   /// Called when `node` enters the critical section of `lock`, or when its

@@ -133,7 +133,6 @@ void Explorer::record(const ThreadRec& rec) {
 }
 
 void Explorer::declare_deadlock(std::unique_lock<std::mutex>& lk) {
-  deadlock_ = true;
   std::ostringstream header;
   header << "sched: DEADLOCK under seed " << options_.seed << " after "
          << steps_ << " scheduling decisions\n";
@@ -313,11 +312,6 @@ void Explorer::run(const std::function<void()>& body) {
     current_ = nullptr;
     grant_next(lk);
   }
-}
-
-bool Explorer::deadlock_found() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return deadlock_;
 }
 
 std::string Explorer::report() const {

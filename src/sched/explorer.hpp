@@ -95,12 +95,6 @@ class Explorer final : public SyncObserver {
   /// returns for schedules that complete.
   void run(const std::function<void()>& body);
 
-  /// True once the scheduler proved every participant blocked with no
-  /// wake-up source. Only observable in-process if something inspects the
-  /// explorer from the deadlock report callback path; normally the
-  /// subprocess exit code carries the verdict.
-  bool deadlock_found() const;
-
   /// Human-readable deadlock or stall report (empty without one).
   std::string report() const;
 
@@ -191,7 +185,6 @@ class Explorer final : public SyncObserver {
   /// driven purely by release hooks.
   std::map<const void*, ThreadRec*> mutex_owner_;
   ThreadRec* current_ = nullptr;
-  bool deadlock_ = false;
   std::string report_;
   std::vector<std::string> trace_;
   std::uint64_t trace_dropped_ = 0;

@@ -1,6 +1,5 @@
 #include "sched/lockdep.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -217,23 +216,6 @@ std::size_t Lockdep::violation_count() const {
 std::vector<LockdepReport> Lockdep::reports() const {
   std::lock_guard<std::mutex> guard(mu_);
   return reports_;
-}
-
-std::string Lockdep::render_graph() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  std::vector<std::string> lines;
-  lines.reserve(edges_.size());
-  for (const auto& [key, edge] : edges_) {
-    lines.push_back(classes_[key.first].name + " -> " +
-                    classes_[key.second].name);
-  }
-  std::sort(lines.begin(), lines.end());
-  std::string out;
-  for (const std::string& line : lines) {
-    out += line;
-    out += '\n';
-  }
-  return out;
 }
 
 void Lockdep::reset() {

@@ -67,11 +67,6 @@ class Lockdep : public SyncObserver {
   /// The first few reports (bounded; one per distinct closing edge).
   std::vector<LockdepReport> reports() const;
 
-  /// The acquisition-order graph as "A -> B" lines, one per observed edge,
-  /// sorted — the source of the documented lock hierarchy
-  /// (docs/static-analysis.md).
-  std::string render_graph() const;
-
   /// Forgets all edges and reports (not the per-thread held stacks, which
   /// empty themselves as locks are released).
   void reset();

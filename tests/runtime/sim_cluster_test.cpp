@@ -46,9 +46,6 @@ TEST(SimCluster, RejectsInvalidOptions) {
   SimClusterOptions options;
   options.node_count = 0;
   EXPECT_THROW(SimCluster{options}, UsageError);
-  options.node_count = 2;
-  options.initial_root = NodeId{5};
-  EXPECT_THROW(SimCluster{options}, UsageError);
 }
 
 TEST(SimCluster, HierRequestGrantReleaseRoundTrip) {

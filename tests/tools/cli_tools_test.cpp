@@ -78,8 +78,8 @@ TEST(HlockSimCli, ChaosModeRejectsBadTransport) {
 
 TEST(HlockSimCli, ChaosRefusesTheSimulatorsFlags) {
   // --chaos runs the hierarchical protocol on live threads: a protocol
-  // choice, a trace dump, CSV, seed averaging or a histogram would be
-  // silently ignored, so the run refuses to start.
+  // choice, CSV, seed averaging or a histogram would be silently ignored,
+  // so the run refuses to start, and its trace dump is never written.
   const auto [status, output] = run_command(
       "(rm -f refused_cli.dump && " + tool("hlock_sim") +
       " --chaos --protocol naimi-pure --trace-dump refused_cli.dump --csv"
@@ -87,7 +87,7 @@ TEST(HlockSimCli, ChaosRefusesTheSimulatorsFlags) {
   EXPECT_EQ(status, 0) << output;
   EXPECT_NE(output.find("exit=2"), std::string::npos) << output;
   EXPECT_NE(output.find("not used by this run: --protocol, --seeds, --csv, "
-                        "--trace-dump, --histogram"),
+                        "--histogram"),
             std::string::npos)
       << output;
   EXPECT_EQ(output.find("messages sent"), std::string::npos)
@@ -132,6 +132,47 @@ TEST(HlockSimCli, ExploredScheduleRunsTheChaosFaultsAndLint) {
       << output;
   EXPECT_NE(output.find("mutual exclusion OK"), std::string::npos) << output;
   EXPECT_NE(output.find("workload OK"), std::string::npos) << output;
+}
+
+TEST(HlockSimCli, ExploredSeedsShareNoTraceDump) {
+  // N explored seeds would write N runs into one file, so the exploration
+  // refuses the dump; replaying one seed writes a trace that lints clean.
+  const auto [refused_status, refused_output] = run_command(
+      "(rm -f sched_cli.trace && " + tool("hlock_sim") +
+      " --sched-seeds 2 --nodes 3 --ops 2 --trace-dump sched_cli.trace;"
+      " echo exit=$?; test ! -e sched_cli.trace)");
+  EXPECT_EQ(refused_status, 0) << refused_output;
+  EXPECT_NE(refused_output.find("exit=2"), std::string::npos)
+      << refused_output;
+  EXPECT_NE(refused_output.find("--sched-seed"), std::string::npos)
+      << refused_output;
+
+  const auto [status, output] = run_command(
+      "(" + tool("hlock_sim") +
+      " --sched-seed 1 --nodes 3 --ops 2 --trace-dump sched_cli.trace && " +
+      tool("hlock_lint") + " sched_cli.trace)");
+  EXPECT_EQ(status, 0) << output;
+  EXPECT_NE(output.find("-> sched_cli.trace"), std::string::npos) << output;
+  EXPECT_NE(output.find("conform to the spec"), std::string::npos) << output;
+}
+
+TEST(HlockSimCli, ExploredSeedsEachLeaveTheirOwnArtifacts) {
+  // Every seed runs in a forked child and flags the doctored stall, so
+  // each leaves flight records and a Chrome trace of its own; none may
+  // overwrite another seed's.
+  const auto [status, output] = run_command(
+      "(rm -rf sched_obs_cli && " + tool("hlock_sim") +
+      " --sched-seeds 4 --nodes 3 --ops 2 --doctor-stall-ms 300"
+      " --watchdog-floor-ms 50 --obs-out sched_obs_cli > /dev/null &&"
+      " echo records=$(ls sched_obs_cli/flight-*.txt | wc -l)"
+      " traces=$(ls sched_obs_cli/chaos-trace-*.json | wc -l))");
+  EXPECT_EQ(status, 0) << output;
+  std::smatch match;
+  ASSERT_TRUE(std::regex_search(
+      output, match, std::regex{"records=([0-9]+) traces=([0-9]+)"}))
+      << output;
+  EXPECT_GE(std::stoi(match[1]), 4) << output;
+  EXPECT_EQ(std::stoi(match[2]), 4) << output;
 }
 
 TEST(HlockSimCli, ScheduleReplayIsExactAcrossProcesses) {
@@ -197,6 +238,16 @@ TEST(HlockTraceCli, NodeFilterNarrowsTheView) {
       tool("hlock_trace") + " --scenario upgrade --node-filter 2");
   EXPECT_EQ(status, 0) << output;
   EXPECT_NE(output.find("upgraded"), std::string::npos);
+}
+
+TEST(HlockTraceCli, DumpRefusesTheNodeFilter) {
+  // The dump is every event, for hlock_lint; a filter would be ignored.
+  const auto [status, output] =
+      run_command(tool("hlock_trace") + " --dump --node-filter 2");
+  EXPECT_EQ(WEXITSTATUS(status), 2) << output;
+  EXPECT_NE(output.find("not used by this run: --node-filter"),
+            std::string::npos)
+      << output;
 }
 
 TEST(HlockSimCli, LintFlagReportsConformance) {
@@ -289,6 +340,18 @@ TEST(HlockCheckCli, StatsOutWritesParseableJson) {
   EXPECT_NE(output.find("\"verdict\": \"ok\""), std::string::npos);
 }
 
+TEST(HlockCheckCli, ObsOutNeedsTheHierarchicalExplorer) {
+  // Only the hierarchical explorer records a counterexample's events.
+  const auto [status, output] = run_command(
+      "(rm -rf naimi_obs_cli && " + tool("hlock_check") +
+      " --protocol naimi --obs-out naimi_obs_cli; echo exit=$?;"
+      " test ! -e naimi_obs_cli)");
+  EXPECT_EQ(status, 0) << output;
+  EXPECT_NE(output.find("exit=2"), std::string::npos) << output;
+  EXPECT_NE(output.find("not used by this run: --obs-out"), std::string::npos)
+      << output;
+}
+
 TEST(HlockCheckCli, ReductionFlagsAreHierOnly) {
   const auto [status, output] = run_command(
       tool("hlock_check") + " --protocol naimi --scenario exclusive --por");
@@ -303,6 +366,31 @@ TEST(HlockLintCli, DumpedSimTraceLintsClean) {
   EXPECT_EQ(status, 0) << output;
   EXPECT_NE(output.find("trace dump"), std::string::npos);
   EXPECT_NE(output.find("conform to the spec"), std::string::npos);
+}
+
+TEST(HlockLintCli, DumpedChaosTraceLintsLikeTheRun) {
+  // A threaded run's dump is the stream its own lint checked: hlock_lint
+  // must reach the same verdict over the same number of events.
+  const std::regex conform{"lint: ok [^0-9]+([0-9]+) events conform"};
+  const auto [run_status, run_output] = run_command(
+      tool("hlock_sim") + " --chaos --nodes 6 --ops 20 --fault-drop 0.05"
+                          " --fault-delay 0.1 --lint"
+                          " --trace-dump chaos_cli.trace");
+  ASSERT_EQ(run_status, 0) << run_output;
+  std::smatch run_match;
+  ASSERT_TRUE(std::regex_search(run_output, run_match, conform)) << run_output;
+
+  const auto [lint_status, lint_output] =
+      run_command(tool("hlock_lint") + " chaos_cli.trace");
+  EXPECT_EQ(lint_status, 0) << lint_output;
+  std::smatch lint_match;
+  ASSERT_TRUE(std::regex_search(lint_output, lint_match, conform))
+      << lint_output;
+  EXPECT_EQ(run_match[1], lint_match[1]);
+  EXPECT_NE(run_output.find("trace dump    : " + run_match[1].str() +
+                            " events -> chaos_cli.trace"),
+            std::string::npos)
+      << run_output;
 }
 
 TEST(HlockLintCli, DumpedScenarioTraceLintsClean) {
@@ -346,10 +434,18 @@ TEST(HlockSimCli, SpansFlagPrintsThePhaseBreakdown) {
 }
 
 TEST(HlockSimCli, SpansRequireASingleSeed) {
-  const auto [status, output] = run_command(
-      tool("hlock_sim") + " --nodes 6 --ops 12 --spans --seeds 3");
-  EXPECT_NE(status, 0);
-  EXPECT_NE(output.find("--seeds 1"), std::string::npos) << output;
+  // Every per-run artifact; a dump of two seeds would join their event
+  // streams into one the offline linter rejects, so none is written.
+  for (const char* artifact : {" --spans", " --obs-out seeds_obs_cli",
+                               " --trace-dump seeds_cli.trace"}) {
+    const auto [status, output] = run_command(
+        "(rm -rf seeds_obs_cli seeds_cli.trace && " + tool("hlock_sim") +
+        " --nodes 4 --ops 10 --seeds 2" + artifact +
+        "; echo exit=$?; test ! -e seeds_obs_cli -a ! -e seeds_cli.trace)");
+    EXPECT_EQ(status, 0) << artifact << ": " << output;
+    EXPECT_NE(output.find("exit=2"), std::string::npos) << artifact;
+    EXPECT_NE(output.find("--seeds 1"), std::string::npos) << output;
+  }
 }
 
 TEST(HlockSimCli, ObsOutWritesAChromeTrace) {
@@ -450,6 +546,20 @@ TEST(HlockMetricsCheckCli, TwoFilesCheckCounterMonotonicity) {
       tool("hlock_metrics_check") + " earlier_cli.prom later_cli.prom");
   EXPECT_EQ(WEXITSTATUS(status), 1) << output;
   EXPECT_NE(output.find("counter decreased"), std::string::npos) << output;
+}
+
+TEST(HlockMetricsCheckCli, FilesRefuseTheScrapeFlags) {
+  // Retries and a rescrape only apply to --scrape; reading a file would
+  // silently skip the second look and its monotonicity check.
+  const auto [status, output] = run_command(
+      "printf '# TYPE hlock_x_total counter\\nhlock_x_total 1\\n'"
+      " > scrape_flags_cli.prom && " +
+      tool("hlock_metrics_check") +
+      " scrape_flags_cli.prom --retries 5 --rescrape-ms 300");
+  EXPECT_EQ(WEXITSTATUS(status), 2) << output;
+  EXPECT_NE(output.find("not used by this run: --retries, --rescrape-ms"),
+            std::string::npos)
+      << output;
 }
 
 TEST(HlockMetricsCheckCli, RejectsMissingFilesWithUsage) {

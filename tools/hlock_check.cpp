@@ -39,10 +39,8 @@
 
 #include "lint/checker.hpp"
 #include "modelcheck/explorer.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/span.hpp"
+#include "obs/run_artifacts.hpp"
 #include "trace/event.hpp"
-#include "trace/recorder.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
 
@@ -230,6 +228,9 @@ int check(const CliParser& cli) {
   const auto budget = static_cast<std::uint64_t>(
       cli.get_int("max-states", 1, 1'000'000'000));
   const std::string protocol = cli.get_string("protocol");
+  if (protocol != "hier" && protocol != "naimi" && protocol != "raymond") {
+    throw UsageError("unknown protocol: " + protocol);
+  }
   const auto scripts = build_scripts(cli.get_string("scenario"), nodes);
 
   const bool lint = cli.get_flag("lint");
@@ -261,16 +262,20 @@ int check(const CliParser& cli) {
         "--lint/--por/--symmetry/--liveness/--minimize/--doctor/"
         "--crash/--cross-validate apply to --protocol hier only");
   }
+  const bool stats = cli.get_flag("stats");
+  const std::string stats_out = cli.get_string("stats-out");
+  // Only the hierarchical explorer records a counterexample's events.
+  const std::string obs_out =
+      protocol == "hier" ? cli.get_string("obs-out") : "";
+  cli.reject_unread();
 
   ExploreResult result;
   if (protocol == "hier") {
     result = modelcheck::explore(scripts, options);
   } else if (protocol == "naimi") {
     result = modelcheck::explore_naimi(scripts, budget);
-  } else if (protocol == "raymond") {
-    result = modelcheck::explore_raymond(scripts, budget);
   } else {
-    throw UsageError("unknown protocol: " + protocol);
+    result = modelcheck::explore_raymond(scripts, budget);
   }
 
   std::printf("states explored : %llu\n",
@@ -282,8 +287,7 @@ int check(const CliParser& cli) {
   std::printf("state budget    : %llu of %llu used\n",
               static_cast<unsigned long long>(result.states_explored),
               static_cast<unsigned long long>(budget));
-  if (cli.get_flag("stats")) print_stats(result.stats);
-  const std::string stats_out = cli.get_string("stats-out");
+  if (stats) print_stats(result.stats);
   if (!stats_out.empty()) write_stats_json(stats_out, result);
 
   if (cross_validate) {
@@ -347,23 +351,16 @@ int check(const CliParser& cli) {
         lint::check(result.events, lint_options);
     std::fputs(report.render().c_str(), stdout);
   }
-  const std::string obs_out = cli.get_string("obs-out");
   if (!obs_out.empty() && !result.events.empty()) {
     // Ship the counterexample as a flight record: the rendered ring plus
     // spans/Chrome trace make the violating interleaving replayable in a
     // trace viewer instead of a wall of event lines.
-    trace::TraceRecorder ring;
-    obs::SpanCollector collector;
+    obs::RunArtifacts artifacts{{.obs_out = obs_out, .node_count = nodes}};
     for (const trace::TraceEvent& event : result.events) {
-      collector.observe(event);
-      ring.record(event);
+      artifacts.observe(event);
     }
-    obs::FlightRecordSources sources;
-    sources.recorder = &ring;
-    sources.spans = &collector;
-    sources.node_count = nodes;
-    const std::string record = obs::dump_flight_record(
-        obs_out, "model-check violation: " + result.violation, sources);
+    const std::string record =
+        artifacts.flight_record("model-check violation: " + result.violation);
     if (!record.empty()) {
       std::printf("flight record   : %s\n", record.c_str());
     }

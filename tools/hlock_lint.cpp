@@ -56,6 +56,7 @@ int main(int argc, char** argv) {
     options.freezing = cli.get_int("freezing", 0, 1) != 0;
     options.starvation_limit = static_cast<std::size_t>(
         cli.get_int("starvation-limit", 1, 1'000'000'000));
+    cli.reject_unread();
 
     std::ifstream in{files.front()};
     if (!in) throw UsageError("cannot open trace file: " + files.front());

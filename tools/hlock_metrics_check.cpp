@@ -96,15 +96,24 @@ int main(int argc, char** argv) {
                  "be > 0 in the final exposition");
 
   return cli.run(argc, argv, [&] {
+    const std::string out = cli.get_string("out");
+    const std::vector<std::string> expect_nonzero =
+        split_csv(cli.get_string("expect-nonzero"));
+    // Each source reads only its own options: the scrape flags mean
+    // nothing to files, and files nothing to a scrape.
     std::vector<std::pair<std::string, std::string>> expositions;
     if (cli.was_set("scrape")) {
+      if (!cli.positional().empty()) {
+        throw UsageError("--scrape reads no metrics files");
+      }
       const auto port =
           static_cast<std::uint16_t>(cli.get_int("scrape", 1, 65535));
       const int retries = static_cast<int>(cli.get_int("retries", 0, 1000));
       const int delay =
           static_cast<int>(cli.get_int("retry-delay-ms", 1, 60000));
-      expositions.emplace_back("scrape", scrape(port, retries, delay));
       const std::int64_t rescrape_ms = cli.get_int("rescrape-ms", 0, 600000);
+      cli.reject_unread();
+      expositions.emplace_back("scrape", scrape(port, retries, delay));
       if (rescrape_ms > 0) {
         std::this_thread::sleep_for(
             std::chrono::milliseconds(rescrape_ms));
@@ -115,12 +124,12 @@ int main(int argc, char** argv) {
       if (cli.positional().empty() || cli.positional().size() > 2) {
         throw UsageError("expected one or two metrics files (or --scrape)");
       }
+      cli.reject_unread();
       for (const std::string& path : cli.positional()) {
         expositions.emplace_back(path, telemetry::read_file(path));
       }
     }
 
-    const std::string out = cli.get_string("out");
     if (!out.empty()) {
       std::ofstream sink{out, std::ios::binary | std::ios::trunc};
       if (!sink) throw UsageError("cannot write: " + out);
@@ -142,8 +151,7 @@ int main(int argc, char** argv) {
       std::printf("monotone: %zu violation(s)\n", decreases.size());
       violations += decreases.size();
     }
-    for (const std::string& prefix :
-         split_csv(cli.get_string("expect-nonzero"))) {
+    for (const std::string& prefix : expect_nonzero) {
       const double sum = parsed.back().prefixed_sum(prefix);
       if (sum <= 0.0) {
         std::printf("FAIL expect-nonzero: %s sums to %g\n", prefix.c_str(),

@@ -38,13 +38,13 @@
 // exports a Chrome trace_event JSON (load in chrome://tracing or Perfetto)
 // and arms the flight recorder: if the run aborts, violates the lint, or
 // loses mutual exclusion, the trace ring + spans + metrics are dumped to a
-// timestamped report under <dir>. Both work on the simulator and --chaos
-// paths (hierarchical protocol only). See docs/observability.md.
+// timestamped report under <dir>; --trace-dump writes the event stream for
+// hlock_lint. All three need the hierarchical protocol and a single run, on
+// the simulator and --chaos paths alike. See docs/observability.md.
 #include <cstdio>
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -54,9 +54,7 @@
 
 #include "bench/common/experiment.hpp"
 #include "lint/checker.hpp"
-#include "obs/chrome_trace.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/span.hpp"
+#include "obs/run_artifacts.hpp"
 #include "runtime/thread_cluster.hpp"
 #include "sched/explorer.hpp"
 #include "sched/harness.hpp"
@@ -67,7 +65,7 @@
 #include "telemetry/registry.hpp"
 #include "telemetry/sampler.hpp"
 #include "telemetry/watchdog.hpp"
-#include "trace/recorder.hpp"
+#include "trace/event.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -132,59 +130,6 @@ void add_failure(std::string& failures, const std::string& check) {
   failures += check;
 }
 
-/// What --spans and --obs-out collect from a run (simulator or --chaos)
-/// and the artifacts they leave: the phase table, the Chrome trace, and a
-/// flight record when the run fails or the watchdog flags a stall.
-struct RunArtifacts {
-  bool spans = false;
-  /// The --obs-out directory; empty = no files.
-  std::string obs_out;
-  std::size_t node_count = 0;
-  obs::SpanCollector collector;
-  trace::TraceRecorder ring;
-  /// The run's telemetry; every flight record carries its exposition.
-  const telemetry::Registry* registry = nullptr;
-
-  bool collecting() const { return spans || !obs_out.empty(); }
-
-  /// Dumps a flight record under obs_out; returns its path ("" if none).
-  std::string flight_record(const std::string& reason) const {
-    return obs::dump_flight_record(
-        obs_out, reason,
-        {.recorder = &ring,
-         .spans = &collector,
-         .metrics = registry == nullptr
-                        ? ""
-                        : telemetry::render_prometheus(registry->snapshot()),
-         .node_count = node_count});
-  }
-
-  /// The run's last step: the --spans table, then under --obs-out the
-  /// Chrome trace `trace_name` and, if `failures` is not empty, a flight
-  /// record naming them. `width` aligns the labels with the run's summary.
-  void finish(const std::string& trace_name, const std::string& failures,
-              int width) const {
-    if (spans) {
-      std::printf("\nphase-latency breakdown (%zu spans, %zu complete):\n%s",
-                  collector.span_count(), collector.completed_count(),
-                  obs::render_phase_table(collector.phase_breakdown())
-                      .c_str());
-    }
-    if (obs_out.empty()) return;
-    std::error_code ec;
-    std::filesystem::create_directories(obs_out, ec);
-    const std::string path = obs_out + "/" + trace_name;
-    obs::write_chrome_trace(path, collector.spans(), node_count);
-    std::printf("  %-*s: %s (%zu spans)\n", width, "chrome trace",
-                path.c_str(), collector.span_count());
-    if (failures.empty()) return;
-    const std::string report = flight_record(failures);
-    if (!report.empty()) {
-      std::printf("  %-*s: %s\n", width, "flight record", report.c_str());
-    }
-  }
-};
-
 /// One live-cluster run as the command line configures it: every node's
 /// worker takes one lock in W mode --ops times on a live ThreadCluster,
 /// under the requested fault plan, crash-stops and telemetry. --chaos runs
@@ -201,8 +146,7 @@ struct LiveRun {
   double kill_rate = 0.0;  ///< expected crash-stops per second
   std::size_t max_kills = 0;
   bool lint = false;
-  bool spans = false;
-  std::string obs_out;
+  obs::ArtifactOptions artifacts;
   /// Set when any telemetry flag is (docs/telemetry.md).
   std::optional<telemetry::SamplerOptions> sampler;
   std::optional<std::uint16_t> metrics_port;
@@ -283,10 +227,10 @@ LiveRun read_live_run(const CliParser& cli, bool explored) {
   }
 
   run.lint = cli.get_flag("lint");
-  run.spans = cli.get_flag("spans");
-  run.obs_out = cli.get_string("obs-out");
-  options.hier_config.trace_events =
-      run.lint || run.spans || !run.obs_out.empty();
+  run.artifacts = {.spans = cli.get_flag("spans"),
+                   .obs_out = cli.get_string("obs-out"),
+                   .trace_dump = cli.get_string("trace-dump"),
+                   .node_count = options.node_count};
 
   // Live telemetry: any of --metrics-out, --metrics-port, --watchdog or
   // --doctor-stall-ms turns the registry and its sampler on.
@@ -406,15 +350,11 @@ std::string print_summary(const LiveRun& run, const LiveOutcome& out) {
   return failures;
 }
 
-/// Runs one live run and prints its summary. Returns the process exit
-/// code (0 = mutual exclusion, full progress and, under --lint, a clean
-/// lint).
-int run_live(const LiveRun& run) {
+/// Runs one live run and prints its summary; under --obs-out its Chrome
+/// trace is `trace_name`. Returns the process exit code (0 = mutual
+/// exclusion, full progress and, under --lint, a clean lint).
+int run_live(const LiveRun& run, const std::string& trace_name) {
   const std::size_t nodes = run.options.node_count;
-  RunArtifacts artifacts;
-  artifacts.spans = run.spans;
-  artifacts.obs_out = run.obs_out;
-  artifacts.node_count = nodes;
   lint::LintOptions lint_options;
   lint_options.initial_token = runtime::ThreadCluster::kInitialRoot;
   lint::Checker checker{lint_options};
@@ -423,12 +363,16 @@ int run_live(const LiveRun& run) {
   // hook and the sampler's final tick stay valid through teardown.
   runtime::ThreadClusterOptions options = run.options;
   telemetry::Registry registry;
+  obs::RunArtifacts artifacts{run.artifacts, [&registry] {
+                                return telemetry::render_prometheus(
+                                    registry.snapshot());
+                              }};
+  options.hier_config.trace_events = run.lint || artifacts.collecting();
   std::unique_ptr<telemetry::StallWatchdog> watchdog;
   std::unique_ptr<telemetry::Sampler> sampler;
   std::unique_ptr<telemetry::HttpExporter> exporter;
   if (run.sampler) {
     options.metrics = &registry;
-    artifacts.registry = &registry;
     if (run.watchdog) {
       watchdog =
           std::make_unique<telemetry::StallWatchdog>(registry, *run.watchdog);
@@ -446,7 +390,7 @@ int run_live(const LiveRun& run) {
                   static_cast<unsigned long long>(r.pending));
               reason += (&r == &sweep.front() ? " " : ", ") + r.label;
             }
-            if (!artifacts.obs_out.empty()) artifacts.flight_record(reason);
+            artifacts.flight_record(reason);
           });
       watchdog->start();
       options.watchdog = watchdog.get();
@@ -471,8 +415,7 @@ int run_live(const LiveRun& run) {
       cluster.set_event_sink([&checker, &artifacts,
                               lint = run.lint](trace::TraceEvent event) {
         if (lint) checker.add(event);
-        if (artifacts.collecting()) artifacts.collector.observe(event);
-        if (!artifacts.obs_out.empty()) artifacts.ring.record(std::move(event));
+        artifacts.observe(event);
       });
     }
     const bool recovery = options.recovery.enabled;
@@ -585,7 +528,7 @@ int run_live(const LiveRun& run) {
     std::printf("  %s", report.render().c_str());
     if (!report.ok()) add_failure(failures, "conformance lint violation");
   }
-  artifacts.finish("chaos-trace.json", failures, 14);
+  artifacts.finish(trace_name, failures, 14);
   return failures.empty() ? 0 : 1;
 }
 
@@ -605,11 +548,18 @@ int run_sched(const CliParser& cli, const LiveRun& run) {
              : cli.get_int("seed", 0, max_seed));
   const std::int64_t seeds = replay ? 1 : cli.get_int("sched-seeds", 1, 100000);
   cli.reject_unread();
+  if (!replay && !run.artifacts.trace_dump.empty()) {
+    throw UsageError("--trace-dump would get every explored seed's run; "
+                     "dump one schedule with --sched-seed");
+  }
 
   // `code` is written before the body returns, so the forked child's
-  // `failed` predicate can read it.
+  // `failed` predicate can read it. Each seed writes its own Chrome trace.
   int code = 1;
-  const auto body = [&code, &run] { code = run_live(run); };
+  const auto body = [&code, &run, &explorer_options] {
+    code = run_live(run, "chaos-trace-seed-" +
+                             std::to_string(explorer_options.seed) + ".json");
+  };
   if (replay) {
     // A deadlock ends the process with the report and exit code
     // kSchedDeadlockExit.
@@ -677,7 +627,8 @@ int main(int argc, char** argv) {
                "spec tables (hier only; also honored by --chaos)");
   cli.add_option("trace-dump", "",
                  "write every structured protocol event to this file as "
-                 "format_event lines, for hlock_lint (hier only)");
+                 "format_event lines, for hlock_lint (hier only; also "
+                 "honored by --chaos)");
   cli.add_flag("spans",
                "assemble per-request causal spans and print the "
                "phase-latency breakdown table (hier only; also honored by "
@@ -763,7 +714,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "note: --chaos with no --fault-* knobs runs fault-free\n");
       }
-      return run_live(run);
+      return run_live(run, "chaos-trace.json");
     }
 
     ExperimentConfig config;
@@ -798,14 +749,19 @@ int main(int argc, char** argv) {
       config.kills = parse_kills(kill_spec, config.nodes);
     }
     config.lint = cli.get_flag("lint");
-    const std::string dump_path = cli.get_string("trace-dump");
-    std::vector<trace::TraceEvent> captured;
-    if (!dump_path.empty()) config.capture_events = &captured;
-    RunArtifacts artifacts;
-    artifacts.spans = cli.get_flag("spans");
-    artifacts.obs_out = cli.get_string("obs-out");
-    artifacts.node_count = config.nodes;
-    if ((config.lint || !dump_path.empty() || artifacts.collecting()) &&
+    // The simulator runs under modelled time, so a live sampler has nothing
+    // meaningful to tick against: the registry holds the final state, for
+    // --metrics-out and for the flight record.
+    telemetry::Registry registry;
+    obs::RunArtifacts artifacts{{.spans = cli.get_flag("spans"),
+                                 .obs_out = cli.get_string("obs-out"),
+                                 .trace_dump = cli.get_string("trace-dump"),
+                                 .node_count = config.nodes},
+                                [&registry] {
+                                  return telemetry::render_prometheus(
+                                      registry.snapshot());
+                                }};
+    if ((config.lint || artifacts.collecting()) &&
         config.variant != AppVariant::kHierarchical) {
       throw UsageError(
           "--lint/--trace-dump/--spans/--obs-out apply to --protocol hier "
@@ -814,13 +770,14 @@ int main(int argc, char** argv) {
 
     const int seeds = static_cast<int>(cli.get_int("seeds", 1, 1000));
     if (artifacts.collecting()) {
-      // Spans join events by (requester, seq), which restarts per seed; a
-      // multi-seed average would splice unrelated requests together.
+      // Spans join events by (requester, seq), which restarts per seed, and
+      // a dump would join the seeds' streams into one hlock_lint rejects.
       if (seeds != 1) {
-        throw UsageError("--spans/--obs-out require --seeds 1");
+        throw UsageError("--spans/--obs-out/--trace-dump require --seeds 1");
       }
-      config.collect_spans = &artifacts.collector;
-      config.record_events = &artifacts.ring;
+      config.on_event = [&artifacts](const trace::TraceEvent& event) {
+        artifacts.observe(event);
+      };
     }
     const bool csv = cli.get_flag("csv");
     const auto buckets =
@@ -882,18 +839,6 @@ int main(int argc, char** argv) {
                                           histogram)
                       .c_str());
     }
-    if (!dump_path.empty()) {
-      std::FILE* out = std::fopen(dump_path.c_str(), "w");
-      if (out == nullptr) {
-        throw UsageError("cannot open trace dump file: " + dump_path);
-      }
-      for (const trace::TraceEvent& event : captured) {
-        std::fprintf(out, "%s\n", trace::format_event(event).c_str());
-      }
-      std::fclose(out);
-      std::printf("  trace dump       : %zu events -> %s\n", captured.size(),
-                  dump_path.c_str());
-    }
     std::string failures;
     if (result.aborted) {
       add_failure(failures, "experiment aborted: " + result.abort_reason);
@@ -910,11 +855,6 @@ int main(int argc, char** argv) {
         add_failure(failures, "conformance lint violation");
       }
     }
-    // The simulator runs under modelled time, so a live sampler has nothing
-    // meaningful to tick against: the registry holds the final state, for
-    // --metrics-out and for the flight record.
-    telemetry::Registry registry;
-    artifacts.registry = &registry;
     registry.gauge("hlock_sim_ops").set(static_cast<double>(result.ops));
     registry.gauge("hlock_sim_lock_requests")
         .set(static_cast<double>(result.acquisitions));

@@ -231,6 +231,7 @@ int main(int argc, char** argv) {
         std::chrono::milliseconds(cli.get_int("interval-ms", 10, 600000));
     const std::int64_t iterations = cli.get_int("iterations", 0, 1000000000);
     const bool clear = !cli.get_flag("no-clear");
+    cli.reject_unread();
 
     ParsedExposition previous;
     bool have_previous = false;

@@ -115,6 +115,11 @@ int main(int argc, char** argv) {
     const std::string scenario = cli.get_string("scenario");
 
     const bool dump = cli.get_flag("dump");
+    // Only the timeline narrows to one node; the dump is every event.
+    const std::int64_t filter =
+        dump ? -1 : cli.get_int("node-filter", -1, 1 << 20);
+    const std::string chrome_path = cli.get_string("export-chrome");
+    cli.reject_unread();
 
     runtime::SimClusterOptions options;
     options.node_count = nodes;
@@ -122,7 +127,6 @@ int main(int argc, char** argv) {
     options.hier_config.trace_events = true;
     runtime::SimCluster cluster{options};
 
-    const std::string chrome_path = cli.get_string("export-chrome");
     trace::TraceRecorder recorder;
     obs::SpanCollector collector;
     cluster.set_event_observer(
@@ -172,7 +176,6 @@ int main(int argc, char** argv) {
       }
       return 0;
     }
-    const std::int64_t filter = cli.get_int("node-filter", -1, 1 << 20);
     const NodeId node_filter =
         filter < 0 ? NodeId::none()
                    : NodeId{static_cast<std::uint32_t>(filter)};
